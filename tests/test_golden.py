@@ -1,0 +1,152 @@
+"""Golden corpus of bounds over fixed oracle-generated workspaces.
+
+``golden_bounds.jsonl`` holds, for about a thousand queries drawn with
+``oracle.generate_database`` and ``oracle.generate_query`` from fixed
+seeds, the integer bound under two build settings (the defaults, and
+``mcv_size=4, clusters=2`` so that multi-member groups, the equality
+default and the LIKE default are all reached) and the true COUNT(*).
+A refactor must reproduce every bound exactly; a change that moves a
+bound on purpose regenerates the file and names each moved entry.
+
+Regenerate with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+
+import numpy as np
+
+from seqbound.oracle import (
+    GenerationImpossible,
+    OracleCapExceeded,
+    generate_database,
+    generate_query,
+    true_cardinality,
+)
+from seqbound.inference import bound_query
+from seqbound.query import parse_query
+from seqbound.stats import BuildParams, build_catalog
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_bounds.jsonl")
+PARAMS = {
+    "default": BuildParams(),
+    "small": BuildParams(mcv_size=4, clusters=2),
+}
+# (shape, databases, queries per database); cyclic and multi-column shapes
+# draw databases whose relations all carry two join columns
+SHAPES = (("acyclic", 50, 12), ("cyclic", 20, 10), ("multicol", 20, 10))
+
+
+def _workspaces():
+    for shape_idx, (shape, n_db, n_q) in enumerate(SHAPES):
+        for i in range(n_db):
+            seed = 1000 * (shape_idx + 1) + i
+            rng = random.Random(seed)
+            relations, roles, pkfk = generate_database(rng, two_join_cols=shape != "acyclic")
+            yield seed, shape, n_q, rng, relations, roles, pkfk
+
+
+def _schema(relations):
+    return {name: {c.name: c.kind for c in rel.columns} for name, rel in relations.items()}
+
+
+def _digest(relations) -> str:
+    h = hashlib.sha256()
+    for name in sorted(relations):
+        rel = relations[name]
+        for col in rel.columns:
+            h.update(("%s.%s:" % (name, col.name)).encode())
+            data = rel.data[col.name]
+            if isinstance(data, np.ndarray):
+                h.update(np.ascontiguousarray(data, dtype=np.float64).tobytes())
+            else:
+                h.update("\x00".join("\x01" if v is None else v for v in data).encode())
+    return h.hexdigest()[:16]
+
+
+def _bounds(catalogs, query) -> dict[str, int]:
+    return {name: bound_query(cat, query).bound for name, cat in catalogs.items()}
+
+
+def generate() -> list[dict]:
+    """One record per database (seed, shape, data digest), each followed by
+    one record per query (seed, sql, true count, bound per setting)."""
+    records = []
+    for seed, shape, n_q, rng, relations, roles, pkfk in _workspaces():
+        catalogs = {n: build_catalog(relations, roles, pkfk, p) for n, p in PARAMS.items()}
+        schema = _schema(relations)
+        records.append({"seed": seed, "shape": shape, "digest": _digest(relations)})
+        for _ in range(n_q):
+            try:
+                sql, query = generate_query(rng, relations, roles, shape)
+            except GenerationImpossible:
+                sql, query = generate_query(rng, relations, roles, "acyclic")
+            try:
+                true = true_cardinality(relations, query)
+            except OracleCapExceeded:
+                continue
+            query = parse_query(sql, schema)
+            records.append(
+                {"seed": seed, "sql": sql, "true": true, "bounds": _bounds(catalogs, query)}
+            )
+    return records
+
+
+def _load() -> tuple[dict[int, dict], list[dict]]:
+    with open(CORPUS, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    databases = {r["seed"]: r for r in records if "digest" in r}
+    return databases, [r for r in records if "sql" in r]
+
+
+def test_golden_bounds_reproduce():
+    databases, queries = _load()
+    by_seed: dict[int, list[dict]] = {}
+    for q in queries:
+        by_seed.setdefault(q["seed"], []).append(q)
+    changed = []
+    unsound = []
+    for seed, shape, _, _, relations, roles, pkfk in _workspaces():
+        assert databases[seed]["shape"] == shape
+        assert databases[seed]["digest"] == _digest(relations), (
+            "generator output moved for seed %d" % seed
+        )
+        catalogs = {n: build_catalog(relations, roles, pkfk, p) for n, p in PARAMS.items()}
+        schema = _schema(relations)
+        for entry in by_seed.get(seed, ()):
+            got = _bounds(catalogs, parse_query(entry["sql"], schema))
+            for name, bound in got.items():
+                if bound < entry["true"]:
+                    unsound.append((seed, name, entry["sql"], bound, entry["true"]))
+                if bound != entry["bounds"][name]:
+                    changed.append((seed, name, entry["sql"], entry["bounds"][name], bound))
+    assert set(by_seed) <= set(databases)
+    assert not unsound, "bounds below the true count: %r" % unsound[:5]
+    assert not changed, "%d bounds moved (seed, setting, sql, stored, now): %r" % (
+        len(changed),
+        changed[:5],
+    )
+
+
+def test_golden_corpus_covers_shapes_and_settings():
+    databases, queries = _load()
+    assert len(queries) >= 900
+    assert {databases[q["seed"]]["shape"] for q in queries} == {s for s, _, _ in SHAPES}
+    assert all(set(q["bounds"]) == set(PARAMS) for q in queries)
+    # the small setting must differ from the defaults somewhere, or it
+    # exercises nothing the default catalog does not
+    assert any(q["bounds"]["small"] != q["bounds"]["default"] for q in queries)
+
+
+if __name__ == "__main__":
+    records = generate()
+    with open(CORPUS, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    print("wrote %d records to %s" % (len(records), CORPUS))
