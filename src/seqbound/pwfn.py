@@ -435,16 +435,6 @@ def _upper_concave_envelope(
     return hull_x, hull_y
 
 
-def _is_concave(knots: Sequence[float], values: Sequence[float]) -> bool:
-    prev_slope = None
-    for i in range(1, len(knots)):
-        s = (values[i] - values[i - 1]) / (knots[i] - knots[i - 1])
-        if prev_slope is not None and s > prev_slope + 1e-7 * max(1.0, abs(s), abs(prev_slope)):
-            return False
-        prev_slope = s
-    return True
-
-
 def pw_min(fns: Sequence[PiecewiseLinearFn]) -> PiecewiseLinearFn:
     """Pointwise minimum of cumulative profiles (flat-extended to a common end)."""
     if not fns:
@@ -459,26 +449,34 @@ def pw_min(fns: Sequence[PiecewiseLinearFn]) -> PiecewiseLinearFn:
 
 
 def pw_max(fns: Sequence[PiecewiseLinearFn]) -> PiecewiseLinearFn:
-    """Pointwise maximum of cumulative profiles, re-concavified when needed.
+    """Least concave majorant of cumulative profiles (flat-extended to a
+    common end).
 
-    The raw pointwise maximum of concave functions may fail to be concave;
-    in that case the upper concave envelope of the raw maximum is returned,
-    which still dominates every input.
+    Every input is linear between its knots and flat past its end, so the
+    upper concave hull of all knot points plus each input's ``(end, total)``
+    at the common end is the smallest concave function dominating every
+    input; where the raw pointwise maximum is already concave it is that
+    maximum, without collinear knots.
     """
     if not fns:
         raise ValueError("need at least one function")
     if len(fns) == 1:
         return fns[0]
     end = max(fn.end for fn in fns)
-    base = _merged_knots(fns, end)
-    crossings: set[float] = set()
-    for i in range(len(fns)):
-        for j in range(i + 1, len(fns)):
-            crossings.update(_crossings(fns[i], fns[j], base))
-    knots = _dedupe_knots(sorted(set(base) | crossings))
-    values = [max(_extended_value(fn, x) for fn in fns) for x in knots]
-    if not _is_concave(knots, values):
-        knots, values = _upper_concave_envelope(knots, values)
+    points: list[tuple[float, float]] = []
+    for fn in fns:
+        points.extend(zip(fn.knots, fn.values))
+        points.append((end, fn.values[-1]))
+    # ascending x and, within one x, descending y: the first point at each
+    # x is the largest, the only one the hull may keep
+    points.sort(key=lambda p: (p[0], -p[1]))
+    xs: list[float] = []
+    ys: list[float] = []
+    for x, y in points:
+        if not xs or x != xs[-1]:
+            xs.append(x)
+            ys.append(y)
+    knots, values = _upper_concave_envelope(xs, ys)
     return PiecewiseLinearFn(knots, values)
 
 

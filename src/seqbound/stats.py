@@ -331,17 +331,25 @@ def _build_groups(
 
 
 def _rows_by_value(rel: Relation, column: str) -> dict:
+    """Row indices (ascending) of every non-null value of a column."""
     data = rel.data[column]
-    rows: dict = defaultdict(list)
     if isinstance(data, np.ndarray):
-        for i, v in enumerate(data.tolist()):
-            if v == v:  # skip NaN
-                rows[v].append(i)
+        rows = np.flatnonzero(~np.isnan(data))
+        values, codes = np.unique(data[rows], return_inverse=True)
+        keys = values.tolist()
     else:
-        for i, v in enumerate(data):
-            if v is not None:
-                rows[v].append(i)
-    return {k: np.asarray(v, dtype=np.intp) for k, v in rows.items()}
+        distinct = dict.fromkeys(data)
+        distinct.pop(None, None)
+        keys = list(distinct)
+        index = {v: i for i, v in enumerate(keys)}
+        index[None] = -1
+        all_codes = np.fromiter(map(index.__getitem__, data), dtype=np.intp, count=len(data))
+        rows = np.flatnonzero(all_codes >= 0)
+        codes = all_codes[rows]
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(keys))
+    parts = np.split(rows[order], np.cumsum(counts)[:-1])
+    return dict(zip(keys, parts))
 
 
 def build_equality_stats(
@@ -357,18 +365,10 @@ def build_equality_stats(
     context = "%s.%s | %s =" % (rel.name, join_col, filter_col)
     groups, _ = _build_groups(members, params, with_bloom=True, context=context)
     if rest:
-        default = _tree_max(
-            [_audited_profile(rel, join_col, rows, params) for _, rows in rest]
-        )
+        default = pw_max([_audited_profile(rel, join_col, rows, params) for _, rows in rest])
     else:
         default = zero_cumulative()
     return EqualityStats(groups, default)
-
-
-def _tree_max(fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
-    while len(fns) > 1:
-        fns = [pw_max(fns[i : i + 8]) for i in range(0, len(fns), 8)]
-    return fns[0]
 
 
 def _equi_depth_cuts(values: np.ndarray, parts: int) -> list[float]:
@@ -458,34 +458,37 @@ def _grams(text: str) -> set[str]:
 def build_like_stats(
     rel: Relation, join_col: str, filter_col: str, params: BuildParams
 ) -> LikeStats:
-    data = rel.data[filter_col]
-    if isinstance(data, np.ndarray):
+    if isinstance(rel.data[filter_col], np.ndarray):
         raise StatsBuildError("substring statistics need a text filter column")
-    gram_rows: dict[str, list[int]] = defaultdict(list)
-    row_grams: list[set[str]] = []
-    for i, v in enumerate(data):
-        grams = _grams(v) if v is not None else set()
-        row_grams.append(grams)
+    by_text = _rows_by_value(rel, filter_col)
+    text_grams = {text: _grams(text) for text in by_text}
+    gram_texts: dict[str, list[str]] = defaultdict(list)
+    gram_count: dict[str, int] = defaultdict(int)
+    for text, grams in text_grams.items():
         for g in grams:
-            gram_rows[g].append(i)
-    ordered = sorted(gram_rows.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+            gram_texts[g].append(text)
+            gram_count[g] += len(by_text[text])
+    ordered = sorted(gram_count, key=lambda g: (-gram_count[g], g))
     mcv = ordered[: params.mcv_size]
-    mcv_set = {g for g, _ in mcv}
+    mcv_set = set(mcv)
+
+    def rows_of(texts: list[str]) -> np.ndarray:
+        if not texts:
+            return np.empty(0, dtype=np.intp)
+        return np.concatenate([by_text[t] for t in texts])
+
     members = [
-        (gram, _audited_profile(rel, join_col, np.asarray(rows, dtype=np.intp), params))
-        for gram, rows in mcv
+        (gram, _audited_profile(rel, join_col, rows_of(gram_texts[gram]), params))
+        for gram in mcv
     ]
     context = "%s.%s | %s like" % (rel.name, join_col, filter_col)
     groups, key_to_group = _build_groups(members, params, with_bloom=False, context=context)
     # Rows whose text has grams, none of them tracked.  Gram-less rows
     # (null or shorter than a gram) can never match a pattern long enough
     # to consult these statistics, so they stay out of the default.
-    uncovered = np.asarray(
-        [i for i, grams in enumerate(row_grams) if grams and not (grams & mcv_set)],
-        dtype=np.intp,
-    )
-    default = _audited_profile(rel, join_col, uncovered, params)
-    return LikeStats({g: key_to_group[g] for g, _ in mcv}, groups, default)
+    uncovered = [t for t, grams in text_grams.items() if grams and not (grams & mcv_set)]
+    default = _audited_profile(rel, join_col, rows_of(uncovered), params)
+    return LikeStats({g: key_to_group[g] for g in mcv}, groups, default)
 
 
 def precompute_pk_fk(

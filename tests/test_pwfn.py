@@ -34,6 +34,26 @@ def seqs(max_distinct=12, max_freq=20):
     ).map(lambda fs: DegreeSequence(sorted(fs, reverse=True)))
 
 
+def concave_fns(max_segments=6):
+    """Cumulative profiles with real-valued knots and flat stretches."""
+    widths = st.floats(min_value=0.05, max_value=5.0)
+    slopes = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0))
+    return st.lists(st.tuples(widths, slopes), min_size=1, max_size=max_segments).map(
+        _from_segments
+    )
+
+
+def _from_segments(segments):
+    knots = [0.0]
+    values = [0.0]
+    for w, s in zip(
+        (w for w, _ in segments), sorted((s for _, s in segments), reverse=True)
+    ):
+        knots.append(knots[-1] + w)
+        values.append(values[-1] + w * s)
+    return PiecewiseLinearFn(knots, values)
+
+
 def exact_cumulative(seq: DegreeSequence) -> PiecewiseLinearFn:
     knots = [0.0]
     values = [0.0]
@@ -212,6 +232,37 @@ class TestPointwiseCombinators:
             assert hi.value_at(x) >= steep.value_at(x) - 1e-9
             assert hi.value_at(x) >= late.value_at(x) - 1e-9
 
+    @given(
+        st.lists(
+            st.one_of(seqs().map(exact_cumulative), concave_fns()),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_max_is_least_concave_majorant(self, fns):
+        hi = pw_max(fns)
+        end = max(fn.end for fn in fns)
+        assert hi.end == end
+
+        def extended(fn, x):
+            return fn.total if x >= fn.end else fn.value_at(x)
+
+        # concave: the slopes never increase
+        for a, b in zip(hi.slopes, hi.slopes[1:]):
+            assert b <= a + 1e-9 * max(1.0, a)
+        # a majorant: at least every input at each of its knots and on its
+        # flat extension out to the common end
+        for fn in fns:
+            for x, y in zip(fn.knots, fn.values):
+                assert hi.value_at(x) >= y - 1e-9 * max(1.0, y)
+            assert hi.total >= fn.total
+        # least: every knot is an input point that attains the maximum there
+        points = {p for fn in fns for p in zip(fn.knots, fn.values)}
+        points |= {(end, fn.total) for fn in fns}
+        for x, y in zip(hi.knots, hi.values):
+            assert (x, y) in points
+            assert y >= max(extended(fn, x) for fn in fns) - 1e-9 * max(1.0, y)
+
     @given(st.lists(seqs(), min_size=2, max_size=4))
     def test_min_max_sum_envelope_properties(self, batch):
         fns = [exact_cumulative(s) for s in batch]
@@ -230,8 +281,10 @@ class TestPointwiseCombinators:
         g = PiecewiseLinearFn((0, 1 + 1e-13, 4), (0, 5.2, 8.3))
         tot = pw_sum([f, g])
         lo = pw_min([f, g])
+        hi = pw_max([f, g])
         assert len(tot.knots) == 3
         assert min(b - a for a, b in zip(lo.knots, lo.knots[1:])) > 1e-9
+        assert min(b - a for a, b in zip(hi.knots, hi.knots[1:])) > 1e-9
         assert tot.knots[0] == 0.0 and tot.end == 4.0
 
 
