@@ -74,11 +74,14 @@ def _resolve_eq(rel: RelationStats, join_col: str, node: Eq) -> PiecewiseLinearF
     stats = rel.equality.get((join_col, node.column))
     if stats is None:
         return None
+    # A Bloom filter never misses a member but may claim a value it does
+    # not hold, whose rows only the default covers; every claim is
+    # confirmed against the group's exact members.
     probe = value_to_bytes(node.value)
     hits = [
         g.representative
         for g in stats.groups
-        if g.bloom is not None and probe in g.bloom
+        if g.bloom is not None and probe in g.bloom and node.value in g.members
     ]
     if hits:
         return pw_max(hits)

@@ -383,3 +383,36 @@ class TestMonotonicity:
         base = bound(catalog, sql, SHOP_SCHEMA).value
         assert bound(corrupt_catalog(catalog, 2.0), sql, SHOP_SCHEMA).value >= base
         assert bound(corrupt_catalog(catalog, 0.5), sql, SHOP_SCHEMA).value <= base
+
+
+class TestSoundnessRegressions:
+    def test_bloom_false_positive_falls_to_the_default(self):
+        # 30 tracked values of 100 rows, one row on each key 1..100, and
+        # 3000 untracked values of 5 rows, all on key 0, which 1000 rows of
+        # the other relation join.  A tail value that a tracked group's
+        # Bloom filter wrongly claims must still get the default profile,
+        # not the flat representative of the tracked values.
+        tracked_f = np.repeat(np.arange(1.0, 31.0), 100)
+        tracked_j = np.tile(np.arange(1.0, 101.0), 30)
+        tail = np.arange(1001.0, 4001.0)
+        f = np.concatenate([tracked_f, np.repeat(tail, 5)])
+        j = np.concatenate([tracked_j, np.zeros(tail.size * 5)])
+        a = Relation("a", [Column("j", "numeric"), Column("f", "numeric")], {"j": j, "f": f}, f.size)
+        b = Relation("b", [Column("j", "numeric")], {"j": np.zeros(1000)}, 1000)
+        catalog = build_catalog(
+            {"a": a, "b": b},
+            {"a": ColumnRole(("j",), ("f",)), "b": ColumnRole(("j",), ())},
+            params=BuildParams(mcv_size=30),
+        )
+        schema = {"a": {"j": "numeric", "f": "numeric"}, "b": {"j": "numeric"}}
+        low = [
+            v
+            for v in tail
+            if bound(
+                catalog,
+                "SELECT COUNT(*) FROM a, b WHERE a.j = b.j AND a.f = %d" % v,
+                schema,
+            ).bound
+            < 5000
+        ]
+        assert low == []
