@@ -483,10 +483,11 @@ def build_like_stats(
     ]
     context = "%s.%s | %s like" % (rel.name, join_col, filter_col)
     groups, key_to_group = _build_groups(members, params, with_bloom=False, context=context)
-    # Rows whose text has grams, none of them tracked.  Gram-less rows
-    # (null or shorter than a gram) can never match a pattern long enough
-    # to consult these statistics, so they stay out of the default.
-    uncovered = [t for t, grams in text_grams.items() if grams and not (grams & mcv_set)]
+    # A pattern made only of untracked grams can match any row holding one
+    # of them, tracked grams or not, so the default covers every such row.
+    # Gram-less rows (null or shorter than a gram) can never match a
+    # pattern long enough to consult these statistics.
+    uncovered = [t for t, grams in text_grams.items() if grams - mcv_set]
     default = _audited_profile(rel, join_col, rows_of(uncovered), params)
     return LikeStats({g: key_to_group[g] for g in mcv}, groups, default)
 

@@ -416,3 +416,23 @@ class TestSoundnessRegressions:
             < 5000
         ]
         assert low == []
+
+    def test_like_default_covers_rows_with_a_tracked_gram(self):
+        # 'aaaxyz' shares the tracked gram 'aaa' with 'aaabbb', but its
+        # untracked gram 'xyz' still matches, so the default must count it
+        text = ["aaaxyz"] * 30 + ["aaabbb"] * 500
+        r = Relation(
+            "r", [Column("j", "numeric"), Column("s", "text")],
+            {"j": np.ones(len(text)), "s": text}, len(text),
+        )
+        catalog = build_catalog(
+            {"r": r}, {"r": ColumnRole(("j",), ("s",))}, params=BuildParams(mcv_size=4)
+        )
+        schema = {"r": {"j": "numeric", "s": "text"}}
+        for sql, true in (
+            ("SELECT COUNT(*) FROM r WHERE r.s LIKE '%xyz%'", 30),
+            ("SELECT COUNT(*) FROM r AS a, r AS b WHERE a.j = b.j"
+             " AND a.s LIKE '%xyz%' AND b.s LIKE '%xyz%'", 900),
+            ("SELECT COUNT(*) FROM r AS a, r AS b WHERE a.j = b.j AND a.s LIKE '%xyz%'", 15900),
+        ):
+            assert bound(catalog, sql, schema).bound >= true, sql
