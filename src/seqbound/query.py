@@ -888,7 +888,15 @@ def spanning_trees(query: Query, cap: int = 64) -> tuple[Query, ...]:
     """All acyclic reshapes of a cyclic query, as one query per spanning
     tree of its atom-level join multigraph (up to ``cap``, in canonical
     edge order).  Dropped edges split their variable; a column whose edge
-    is dropped simply stops being joined in that tree."""
+    is dropped simply stops being joined in that tree.
+
+    Trees come out in lexicographic order of their edge indices, found by
+    a depth-first search in the style of Read and Tarjan (1975): an edge
+    that closes a cycle is skipped, and a prefix stops extending once it
+    plus the edges after it can no longer connect every alias.  Every
+    branch the search enters therefore ends in a tree, so finding ``cap``
+    trees takes polynomial work.
+    """
     graph = join_graph(query)
     if graph.acyclic and graph.connected:
         return (query,)
@@ -901,27 +909,48 @@ def spanning_trees(query: Query, cap: int = 64) -> tuple[Query, ...]:
     for var in sorted(var_atoms):
         for a1, a2 in itertools.combinations(sorted(var_atoms[var]), 2):
             edges.append((var, a1, a2))
+    slot = {a: i for i, a in enumerate(aliases)}
+    ends = [(slot[a1], slot[a2]) for _, a1, a2 in edges]
     trees: list[tuple[tuple[str, str, str], ...]] = []
-    for combo in itertools.combinations(edges, n - 1):
-        parent = {a: a for a in aliases}
+    chosen: list[tuple[str, str, str]] = []
 
-        def find(x: str) -> str:
+    def spans(comp: list[int], start: int) -> bool:
+        # do the prefix's components plus edges[start:] connect everything?
+        parent = list(range(n))
+
+        def find(x: int) -> int:
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        ok = True
-        for _, a1, a2 in combo:
-            r1, r2 = find(a1), find(a2)
-            if r1 == r2:
-                ok = False
-                break
-            parent[r1] = r2
-        if ok and len({find(a) for a in aliases}) == 1:
-            trees.append(combo)
+        left = len(set(comp)) - 1
+        for u, v in ends[start:]:
+            ru, rv = find(comp[u]), find(comp[v])
+            if ru != rv:
+                parent[ru] = rv
+                left -= 1
+                if left == 0:
+                    return True
+        return left == 0
+
+    def extend(start: int, comp: list[int]) -> None:
+        if len(chosen) == n - 1:
+            trees.append(tuple(chosen))
+            return
+        for i in range(start, len(edges)):
             if len(trees) >= cap:
+                return
+            cu, cv = comp[ends[i][0]], comp[ends[i][1]]
+            if cu == cv:
+                continue
+            if not spans(comp, i):
                 break
+            chosen.append(edges[i])
+            extend(i + 1, [cv if c == cu else c for c in comp])
+            chosen.pop()
+
+    extend(0, list(range(n)))
     return tuple(_retie(query, var_atoms, combo) for combo in trees)
 
 

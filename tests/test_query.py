@@ -1,8 +1,15 @@
 """Parser, printer, join-graph analysis, and plan decomposition."""
 
 import itertools
+import random
+import time
 
+import numpy as np
 import pytest
+
+from seqbound.inference import bound_query
+from seqbound.relation import Column, ColumnRole, Relation
+from seqbound.stats import build_catalog
 
 from seqbound.query import (
     And,
@@ -13,6 +20,7 @@ from seqbound.query import (
     Like,
     MergeStep,
     Or,
+    Query,
     QueryParseError,
     Range,
     UnsupportedQueryError,
@@ -25,6 +33,7 @@ from seqbound.query import (
     print_query,
     spanning_trees,
 )
+from seqbound.query import _retie
 
 SCHEMA = {
     "orders": {"id": "numeric", "cust": "numeric", "total": "numeric", "note": "text"},
@@ -540,3 +549,89 @@ class TestSpanningTrees:
         )
         for tree in spanning_trees(q):
             assert tree.predicates["a"] == Range("u", 3.0, None, False, True)
+
+
+def reference_spanning_trees(query, cap):
+    """Every (n-1)-edge combination in canonical order, kept when it is a
+    spanning tree: exponential, but obviously right on small graphs."""
+    var_atoms = {v: list(a) for v, a in join_graph(query).variables.items()}
+    aliases = sorted(a.alias for a in query.atoms)
+    edges = [
+        (var, a1, a2)
+        for var in sorted(var_atoms)
+        for a1, a2 in itertools.combinations(sorted(var_atoms[var]), 2)
+    ]
+    trees = []
+    for combo in itertools.combinations(edges, len(aliases) - 1):
+        parent = {a: a for a in aliases}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        acyclic = True
+        for _, a1, a2 in combo:
+            r1, r2 = find(a1), find(a2)
+            if r1 == r2:
+                acyclic = False
+                break
+            parent[r1] = r2
+        if acyclic and len({find(a) for a in aliases}) == 1:
+            trees.append(combo)
+            if len(trees) >= cap:
+                break
+    return tuple(_retie(query, var_atoms, combo) for combo in trees)
+
+
+def random_cyclic_query(rng):
+    while True:
+        aliases = ["a%d" % i for i in range(rng.randint(3, 5))]
+        cols = {a: [] for a in aliases}
+        for k in range(rng.randint(2, 5)):
+            for a in sorted(rng.sample(aliases, rng.choice((2, 2, 3)))):
+                cols[a].append(("x%d" % k, ("c%d" % k,)))
+        q = Query(tuple(Atom(a, "r", tuple(cols[a])) for a in aliases), {})
+        g = join_graph(q)
+        if g.connected and not g.acyclic:
+            return q
+
+
+class TestSpanningTreeSearch:
+    def test_matches_plain_enumeration(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            q = random_cyclic_query(rng)
+            cap = rng.choice((1, 3, 64))
+            assert spanning_trees(q, cap) == reference_spanning_trees(q, cap)
+
+    def test_clique_variable_with_closing_chain_is_bounded_quickly(self):
+        # 16 aliases share one variable (120 pair edges) and a 6-link chain
+        # through 5 more aliases closes a cycle; almost every 20-edge
+        # combination of the 126 edges holds a cycle
+        n = 20
+        rel = Relation(
+            "e",
+            [Column("u", "numeric"), Column("v", "numeric")],
+            {"u": np.arange(n) % 4 + 1.0, "v": np.arange(n) % 5 + 1.0},
+            n,
+        )
+        catalog = build_catalog({"e": rel}, {"e": ColumnRole(("u", "v"), ())})
+        star = ["s%d" % i for i in range(16)]
+        chain = ["c%d" % i for i in range(1, 6)]
+        conds = ["s0.u = %s.u" % a for a in star[1:]]
+        links = ["s0", *chain, "s1"]
+        conds += ["%s.v = %s.u" % (a, b) for a, b in zip(links, links[1:-1])]
+        conds.append("c5.v = s1.v")
+        sql = "SELECT COUNT(*) FROM %s WHERE %s" % (
+            ", ".join("e AS %s" % a for a in star + chain),
+            " AND ".join(conds),
+        )
+        q = parse_query(sql, {"e": {"u": "numeric", "v": "numeric"}})
+        t0 = time.perf_counter()
+        trees = spanning_trees(q)
+        result = bound_query(catalog, q)
+        elapsed = time.perf_counter() - t0
+        assert len(trees) == 64
+        assert result.strategy == "min-over-64-spanning-trees"
+        assert elapsed < 1.0
