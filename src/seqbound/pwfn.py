@@ -463,20 +463,13 @@ def pw_max(fns: Sequence[PiecewiseLinearFn]) -> PiecewiseLinearFn:
     if len(fns) == 1:
         return fns[0]
     end = max(fn.end for fn in fns)
-    points: list[tuple[float, float]] = []
+    top: dict[float, float] = {}  # largest input value at each knot position
     for fn in fns:
-        points.extend(zip(fn.knots, fn.values))
-        points.append((end, fn.values[-1]))
-    # ascending x and, within one x, descending y: the first point at each
-    # x is the largest, the only one the hull may keep
-    points.sort(key=lambda p: (p[0], -p[1]))
-    xs: list[float] = []
-    ys: list[float] = []
-    for x, y in points:
-        if not xs or x != xs[-1]:
-            xs.append(x)
-            ys.append(y)
-    knots, values = _upper_concave_envelope(xs, ys)
+        for x, y in (*zip(fn.knots, fn.values), (end, fn.values[-1])):
+            if y > top.get(x, -1.0):
+                top[x] = y
+    xs = sorted(top)
+    knots, values = _upper_concave_envelope(xs, [top[x] for x in xs])
     return PiecewiseLinearFn(knots, values)
 
 
