@@ -405,14 +405,11 @@ def _crossings(
     return extra
 
 
-def _combine(
-    f: PiecewiseLinearFn, g: PiecewiseLinearFn, take_max: bool
-) -> tuple[list[float], list[float]]:
+def _combine(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> tuple[list[float], list[float]]:
     end = max(f.end, g.end)
     knots = _merged_knots((f, g), end)
     knots = _dedupe_knots(sorted(set(knots) | set(_crossings(f, g, knots))))
-    op = max if take_max else min
-    values = [op(_extended_value(f, x), _extended_value(g, x)) for x in knots]
+    values = [min(_extended_value(f, x), _extended_value(g, x)) for x in knots]
     return knots, values
 
 
@@ -443,7 +440,7 @@ def pw_min(fns: Sequence[PiecewiseLinearFn]) -> PiecewiseLinearFn:
         return fns[0]
     result = fns[0]
     for other in fns[1:]:
-        knots, values = _combine(result, other, take_max=False)
+        knots, values = _combine(result, other)
         result = PiecewiseLinearFn(knots, values)
     return result
 
