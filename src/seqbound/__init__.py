@@ -1,8 +1,8 @@
 """seqbound: sound upper bounds for COUNT(*) join queries.
 
 The package builds compact statistics (compressed cumulative degree
-profiles, grouped per column pair, with filters and histograms for
-predicate conditioning) from relational data, and evaluates conjunctive
+profiles, grouped per column pair, with exact key indexes and histograms
+for predicate conditioning) from relational data, and evaluates conjunctive
 equi-join queries against them to produce cardinality estimates that
 never undershoot the true count.
 """

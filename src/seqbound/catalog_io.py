@@ -13,24 +13,20 @@ import hashlib
 import struct
 from typing import BinaryIO
 
-from .bloom import BloomFilter
 from .pwfn import PiecewiseLinearFn
 from .stats import (
+    FAMILIES,
     BuildParams,
-    EqualityStats,
-    HistogramLevel,
-    LikeStats,
+    FilterStats,
     PkFkEdge,
-    RangeStats,
     RelationStats,
-    SequenceGroup,
     StatisticsCatalog,
 )
 
 __all__ = ["CatalogFormatError", "save_catalog", "load_catalog", "MAGIC", "VERSION"]
 
 MAGIC = b"SEQBOUND-STATS"
-VERSION = 1
+VERSION = 2
 
 
 class CatalogFormatError(RuntimeError):
@@ -140,30 +136,44 @@ def _fn_load(plain: dict) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(plain["knots"], plain["values"])
 
 
-def _group_plain(group: SequenceGroup) -> dict:
-    bloom = None
-    if group.bloom is not None:
-        bloom = {
-            "num_bits": group.bloom.num_bits,
-            "num_hashes": group.bloom.num_hashes,
-            "bits": bytes(group.bloom.bits),
-        }
+def _stats_plain(join: str, filter_: str, stats: FilterStats) -> dict:
+    keys: list[list] = [[] for _ in stats.representatives]
+    for key, group in stats.keys.items():
+        keys[group].append(key)
     return {
-        "members": [list(m) if isinstance(m, tuple) else m for m in group.members],
-        "representative": _fn_plain(group.representative),
-        "bloom": bloom,
+        "join": join,
+        "filter": filter_,
+        "groups": [
+            {"keys": k, "representative": _fn_plain(fn)}
+            for k, fn in zip(keys, stats.representatives)
+        ],
+        "default": _fn_plain(stats.default),
+        "levels": [{"cuts": list(c), "groups": list(g)} for c, g in stats.levels],
     }
 
 
-def _group_load(plain: dict) -> SequenceGroup:
-    bloom = None
-    if plain["bloom"] is not None:
-        b = plain["bloom"]
-        bloom = BloomFilter(b["num_bits"], b["num_hashes"], b["bits"])
-    members = tuple(
-        tuple(m) if isinstance(m, list) else m for m in plain["members"]
+def _stats_load(plain: dict) -> FilterStats:
+    groups = plain["groups"]
+    keys = {k: i for i, g in enumerate(groups) for k in g["keys"]}
+    levels = []
+    for lv in plain["levels"]:
+        cuts, ids = tuple(lv["cuts"]), tuple(lv["groups"])
+        # A range lookup indexes a level's ids by bucket, then the
+        # representatives by id, so both must be in range.
+        if len(ids) != len(cuts) + 1 or not all(
+            type(i) is int and 0 <= i < len(groups) for i in ids
+        ):
+            raise ValueError(
+                "histogram level with %d cut(s) has bucket ids %r for %d representative(s)"
+                % (len(cuts), list(ids), len(groups))
+            )
+        levels.append((cuts, ids))
+    return FilterStats(
+        tuple(_fn_load(g["representative"]) for g in groups),
+        _fn_load(plain["default"]),
+        keys,
+        tuple(levels),
     )
-    return SequenceGroup(members, _fn_load(plain["representative"]), bloom)
 
 
 def _catalog_plain(catalog: StatisticsCatalog) -> dict:
@@ -177,38 +187,12 @@ def _catalog_plain(catalog: StatisticsCatalog) -> dict:
             "join_columns": list(rs.join_columns),
             "filter_columns": list(rs.filter_columns),
             "fallback": {c: _fn_plain(fn) for c, fn in rs.fallback.items()},
-            "equality": [
-                {
-                    "join": j,
-                    "filter": f,
-                    "groups": [_group_plain(g) for g in st.groups],
-                    "default": _fn_plain(st.default),
-                }
-                for (j, f), st in sorted(rs.equality.items())
-            ],
-            "range": [
-                {
-                    "join": j,
-                    "filter": f,
-                    "levels": [
-                        {"cuts": list(lv.cuts), "bucket_groups": list(lv.bucket_groups)}
-                        for lv in st.levels
-                    ],
-                    "groups": [_group_plain(g) for g in st.groups],
-                    "root": _fn_plain(st.root),
-                }
-                for (j, f), st in sorted(rs.range.items())
-            ],
-            "like": [
-                {
-                    "join": j,
-                    "filter": f,
-                    "gram_groups": dict(st.gram_groups),
-                    "groups": [_group_plain(g) for g in st.groups],
-                    "default": _fn_plain(st.default),
-                }
-                for (j, f), st in sorted(rs.like.items())
-            ],
+            **{
+                family: [
+                    _stats_plain(j, f, st) for (j, f), st in sorted(getattr(rs, family).items())
+                ]
+                for family in FAMILIES
+            },
         }
     return {
         "params": {
@@ -216,7 +200,6 @@ def _catalog_plain(catalog: StatisticsCatalog) -> dict:
             "hist_depth": params.hist_depth,
             "mcv_size": params.mcv_size,
             "clusters": params.clusters,
-            "bloom_bits": params.bloom_bits,
             "max_segments": params.max_segments,
         },
         "pkfk": [
@@ -240,33 +223,10 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
         hist_depth=p["hist_depth"],
         mcv_size=p["mcv_size"],
         clusters=p["clusters"],
-        bloom_bits=p["bloom_bits"],
         max_segments=p["max_segments"],
     )
     relations = {}
     for name, rp in plain["relations"].items():
-        equality = {}
-        for e in rp["equality"]:
-            equality[(e["join"], e["filter"])] = EqualityStats(
-                tuple(_group_load(g) for g in e["groups"]), _fn_load(e["default"])
-            )
-        range_ = {}
-        for e in rp["range"]:
-            range_[(e["join"], e["filter"])] = RangeStats(
-                tuple(
-                    HistogramLevel(tuple(lv["cuts"]), tuple(lv["bucket_groups"]))
-                    for lv in e["levels"]
-                ),
-                tuple(_group_load(g) for g in e["groups"]),
-                _fn_load(e["root"]),
-            )
-        like = {}
-        for e in rp["like"]:
-            like[(e["join"], e["filter"])] = LikeStats(
-                dict(e["gram_groups"]),
-                tuple(_group_load(g) for g in e["groups"]),
-                _fn_load(e["default"]),
-            )
         relations[name] = RelationStats(
             name=name,
             cardinality=rp["cardinality"],
@@ -274,9 +234,10 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
             join_columns=tuple(rp["join_columns"]),
             filter_columns=tuple(rp["filter_columns"]),
             fallback={c: _fn_load(fn) for c, fn in rp["fallback"].items()},
-            equality=equality,
-            range=range_,
-            like=like,
+            **{
+                family: {(e["join"], e["filter"]): _stats_load(e) for e in rp[family]}
+                for family in FAMILIES
+            },
         )
     pkfk = tuple(
         PkFkEdge(e["fact"], e["fk"], e["dim"], e["pk"], dict(e["propagated"]))

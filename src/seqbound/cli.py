@@ -15,7 +15,7 @@ from .inference import bound_query
 from .oracle import corrupt_catalog, run_soundness_suite
 from .query import QueryError, parse_query
 from .relation import ConfigError, load_workspace
-from .stats import StatsBuildError, build_catalog, make_build_params
+from .stats import FAMILIES, StatsBuildError, build_catalog, make_build_params
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist-depth", type=int, default=None, help="range histogram depth")
     p.add_argument("--mcv", type=int, default=None, help="most common values tracked per column pair")
     p.add_argument("--clusters", default=None, help="profile groups per family ('auto' or a count)")
-    p.add_argument("--bloom-bits", type=int, default=None, help="membership filter bits per value")
 
     p = sub.add_parser("estimate", help="bound a COUNT(*) query against a catalog")
     p.add_argument("--catalog", required=True, help="catalog path")
@@ -68,7 +67,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         "hist_depth": args.hist_depth,
         "mcv_size": args.mcv,
         "clusters": args.clusters,
-        "bloom_bits": args.bloom_bits,
     }
     for key, value in overrides.items():
         if value is not None:
@@ -82,9 +80,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     save_catalog(catalog, args.out)
     n_profiles = sum(
         len(rs.fallback)
-        + sum(len(st.groups) + 1 for st in rs.equality.values())
-        + sum(len(st.groups) + 1 for st in rs.range.values())
-        + sum(len(st.groups) + 1 for st in rs.like.values())
+        + sum(
+            len(st.representatives) + 1
+            for family in FAMILIES
+            for st in getattr(rs, family).values()
+        )
         for rs in catalog.relations.values()
     )
     print(
@@ -178,13 +178,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     params = catalog.params
     print(
-        "params: budget=%g hist_depth=%d mcv=%d clusters=%s bloom_bits=%d"
+        "params: budget=%g hist_depth=%d mcv=%d clusters=%s"
         % (
             params.compression_budget,
             params.hist_depth,
             params.mcv_size,
             params.clusters,
-            params.bloom_bits,
         )
     )
     for name in sorted(catalog.relations):
@@ -207,21 +206,19 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                     fn.total,
                 )
             )
-        for (join_col, filter_col), st in sorted(rs.equality.items()):
-            print(
-                "  equality stats %s|%s: %d group(s), %d tracked value(s)"
-                % (join_col, filter_col, len(st.groups), sum(len(g.members) for g in st.groups))
-            )
-        for (join_col, filter_col), st in sorted(rs.range.items()):
-            print(
-                "  range stats %s|%s: %d level(s), %d group(s)"
-                % (join_col, filter_col, len(st.levels), len(st.groups))
-            )
-        for (join_col, filter_col), st in sorted(rs.like.items()):
-            print(
-                "  substring stats %s|%s: %d gram(s), %d group(s)"
-                % (join_col, filter_col, len(st.gram_groups), len(st.groups))
-            )
+        for family in FAMILIES:
+            for (join_col, filter_col), st in sorted(getattr(rs, family).items()):
+                print(
+                    "  %s stats %s|%s: %d group(s), %d key(s), %d level(s)"
+                    % (
+                        family,
+                        join_col,
+                        filter_col,
+                        len(st.representatives),
+                        len(st.keys),
+                        len(st.levels),
+                    )
+                )
     for edge in catalog.pkfk:
         print(
             "key link: %s.%s -> %s.%s (%d propagated column(s))"

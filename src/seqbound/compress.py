@@ -33,6 +33,7 @@ __all__ = [
     "valid_compress",
     "is_valid_compression",
     "compression_distance",
+    "distance_matrix",
 ]
 
 
@@ -185,23 +186,34 @@ def is_valid_compression(
     return ValidityReport(True)
 
 
-def compression_distance(f1: PiecewiseLinearFn, f2: PiecewiseLinearFn) -> float:
-    """Dissimilarity of two cumulative profiles for clustering purposes.
+def distance_matrix(fns: list[PiecewiseLinearFn]) -> np.ndarray:
+    """Pairwise dissimilarities of cumulative profiles, for clustering.
 
-    Both profiles are read back as per-rank frequency drops on the integer
-    grid (flat-extended past their ends); with m the pointwise maximum of
-    the two drop vectors, the distance is sum(m^2)/sum(f1^2) +
-    sum(m^2)/sum(f2^2).  Always at least 2, exactly 2 for identical
+    Every profile is read back as per-rank frequency drops on one integer
+    grid (flat-extended past its end); with m the pointwise maximum of two
+    drop vectors a and b, their distance is sum(m^2)/sum(a^2) +
+    sum(m^2)/sum(b^2).  Always at least 2, exactly 2 for identical
     profiles; grows as either profile must be inflated to envelope the
-    other.
+    other.  Pairwise maxima are taken in row blocks of about two million
+    cells.
     """
-    upto = int(np.ceil(max(f1.end, f2.end) - 1e-9))
-    a = np.diff(sample_integer_ranks(f1, upto))
-    b = np.diff(sample_integer_ranks(f2, upto))
-    s1 = float(np.dot(a, a))
-    s2 = float(np.dot(b, b))
-    if s1 <= 0.0 or s2 <= 0.0:
+    m = len(fns)
+    upto = int(np.ceil(max(fn.end for fn in fns)))
+    grid = np.stack([sample_integer_ranks(fn, upto) for fn in fns])
+    drops = np.diff(grid, axis=1)
+    sq = np.einsum("ij,ij->i", drops, drops)
+    if np.any(sq <= 0.0):
         raise ValueError("profiles with zero mass have no defined distance")
-    m = np.maximum(a, b)
-    msq = float(np.dot(m, m))
-    return msq / s1 + msq / s2
+    dist = np.empty((m, m), dtype=np.float64)
+    block = max(1, int(2_000_000 // max(1, m * upto)))
+    for lo in range(0, m, block):
+        hi = min(m, lo + block)
+        pairwise = np.maximum(drops[lo:hi, None, :], drops[None, :, :])
+        msq = np.einsum("bij,bij->bi", pairwise, pairwise)
+        dist[lo:hi] = msq / sq[lo:hi, None] + msq / sq[None, :]
+    return dist
+
+
+def compression_distance(f1: PiecewiseLinearFn, f2: PiecewiseLinearFn) -> float:
+    """The :func:`distance_matrix` entry of two profiles."""
+    return float(distance_matrix([f1, f2])[0, 1])

@@ -16,14 +16,13 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bloom import value_to_bytes
 from .pwfn import (
     PiecewiseConstantFn,
     PiecewiseLinearFn,
     cumulate,
     compose_ranks,
     discrete_derivative,
-    pw_max,
+    pw_max,  # noqa: F401  unused; perfbench/bench_trace.py wraps it by this module's name
     pw_min,
     pw_multiply,
     pw_sum,
@@ -74,18 +73,8 @@ def _resolve_eq(rel: RelationStats, join_col: str, node: Eq) -> PiecewiseLinearF
     stats = rel.equality.get((join_col, node.column))
     if stats is None:
         return None
-    # A Bloom filter never misses a member but may claim a value it does
-    # not hold, whose rows only the default covers; every claim is
-    # confirmed against the group's exact members.
-    probe = value_to_bytes(node.value)
-    hits = [
-        g.representative
-        for g in stats.groups
-        if g.bloom is not None and probe in g.bloom and node.value in g.members
-    ]
-    if hits:
-        return pw_max(hits)
-    return stats.default
+    group = stats.keys.get(node.value)
+    return stats.default if group is None else stats.representatives[group]
 
 
 def _resolve_like(rel: RelationStats, join_col: str, node: Like) -> PiecewiseLinearFn | None:
@@ -97,9 +86,7 @@ def _resolve_like(rel: RelationStats, join_col: str, node: Like) -> PiecewiseLin
         return None
     grams = {literal[i : i + GRAM_LEN] for i in range(len(literal) - GRAM_LEN + 1)}
     hits = [
-        stats.groups[stats.gram_groups[g]].representative
-        for g in sorted(grams)
-        if g in stats.gram_groups
+        stats.representatives[stats.keys[g]] for g in sorted(grams) if g in stats.keys
     ]
     if hits:
         return pw_min(hits)

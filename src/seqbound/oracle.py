@@ -29,11 +29,9 @@ from .query import (
 )
 from .relation import Column, ColumnRole, PkFkDeclaration, Relation
 from .stats import (
+    FAMILIES,
     BuildParams,
-    EqualityStats,
-    LikeStats,
-    RangeStats,
-    SequenceGroup,
+    FilterStats,
     StatisticsCatalog,
     build_catalog,
 )
@@ -553,8 +551,12 @@ def _scale_fn(fn: PiecewiseLinearFn, scale: float) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(fn.knots, tuple(v * scale for v in fn.values))
 
 
-def _scale_group(group: SequenceGroup, scale: float) -> SequenceGroup:
-    return SequenceGroup(group.members, _scale_fn(group.representative, scale), group.bloom)
+def _scale_stats(stats: FilterStats, scale: float) -> FilterStats:
+    return replace(
+        stats,
+        representatives=tuple(_scale_fn(fn, scale) for fn in stats.representatives),
+        default=_scale_fn(stats.default, scale),
+    )
 
 
 def corrupt_catalog(catalog: StatisticsCatalog, scale: float) -> StatisticsCatalog:
@@ -565,28 +567,11 @@ def corrupt_catalog(catalog: StatisticsCatalog, scale: float) -> StatisticsCatal
         relations[name] = replace(
             rs,
             fallback={c: _scale_fn(fn, scale) for c, fn in rs.fallback.items()},
-            equality={
-                key: EqualityStats(
-                    tuple(_scale_group(g, scale) for g in st.groups),
-                    _scale_fn(st.default, scale),
-                )
-                for key, st in rs.equality.items()
-            },
-            range={
-                key: RangeStats(
-                    st.levels,
-                    tuple(_scale_group(g, scale) for g in st.groups),
-                    _scale_fn(st.root, scale),
-                )
-                for key, st in rs.range.items()
-            },
-            like={
-                key: LikeStats(
-                    dict(st.gram_groups),
-                    tuple(_scale_group(g, scale) for g in st.groups),
-                    _scale_fn(st.default, scale),
-                )
-                for key, st in rs.like.items()
+            **{
+                family: {
+                    key: _scale_stats(st, scale) for key, st in getattr(rs, family).items()
+                }
+                for family in FAMILIES
             },
         )
     return StatisticsCatalog(catalog.params, relations, catalog.pkfk)

@@ -29,10 +29,8 @@ __all__ = [
     "PiecewiseConstantFn",
     "PiecewiseLinearFn",
     "InconsistentStatisticsError",
-    "evaluate",
     "cumulate",
     "discrete_derivative",
-    "inverse",
     "pw_multiply",
     "pw_min",
     "pw_max",
@@ -278,11 +276,6 @@ def zero_cumulative(end: float = 1.0) -> PiecewiseLinearFn:
     return PiecewiseLinearFn((0.0, float(end)), (0.0, 0.0))
 
 
-def evaluate(fn: PiecewiseConstantFn | PiecewiseLinearFn, x: float) -> float:
-    """Value of either function shape at rank x."""
-    return fn.value_at(x)
-
-
 def cumulate(fn: PiecewiseConstantFn) -> PiecewiseLinearFn:
     """Running integral of a step function, as a piecewise linear function."""
     knots = [0.0]
@@ -300,11 +293,6 @@ def cumulate(fn: PiecewiseConstantFn) -> PiecewiseLinearFn:
 def discrete_derivative(fn: PiecewiseLinearFn) -> PiecewiseConstantFn:
     """Slope profile of a cumulative function, as a step function."""
     return PiecewiseConstantFn(fn.knots[1:], fn.slopes)
-
-
-def inverse(fn: PiecewiseLinearFn, y: float) -> float:
-    """Smallest rank x with fn(x) >= y; 0 for y <= 0."""
-    return fn.rank_at(y)
 
 
 def sample_integer_ranks(fn: PiecewiseLinearFn, upto: int) -> np.ndarray:

@@ -130,9 +130,6 @@ class Query:
     atoms: tuple[Atom, ...]
     predicates: dict[str, Predicate | None] = field(default_factory=dict)
 
-    def predicate_for(self, alias: str) -> Predicate | None:
-        return self.predicates.get(alias)
-
 
 def like_matches(value: str | None, pattern: str) -> bool:
     """Case-insensitive LIKE with at most a leading and a trailing ``%``."""

@@ -169,7 +169,7 @@ def load_workspace(schema_path: str) -> Workspace:
           ],
           "pk_fk": [{"fact": ..., "fk": ..., "dim": ..., "pk": ...}, ...],
           "params": {"compression_budget": ..., "hist_depth": ...,
-                     "mcv_size": ..., "clusters": ..., "bloom_bits": ...}
+                     "mcv_size": ..., "clusters": ..., "max_segments": ...}
         }
 
     CSV paths are resolved relative to the schema file's directory.

@@ -1,17 +1,20 @@
-"""Catalog construction: per-column profiles, conditioned statistics families,
-clustering into groups, Bloom indexes, and key/foreign-key precomputation.
+"""Catalog construction: per-column profiles, conditioned statistics,
+clustering into groups, and key/foreign-key precomputation.
 
 For every declared join column the builder stores a compressed cumulative
 profile of the whole column, and for every (join column, filter column)
-pair a family of conditioned profiles:
+pair one :class:`FilterStats` per predicate family.  Each holds the
+dominating representatives of clustered conditioned profiles, a default
+profile, and a key that picks one representative:
 
-* equality: one profile per most-common filter value, clustered into
-  groups whose representative dominates every member, plus a Bloom filter
-  per group for membership probes and a shared default profile covering
-  all remaining values;
+* equality: one profile per most-common filter value; ``keys`` maps each
+  tracked value to its group, and the default covers all other values;
 * range (numeric filters): nested equi-depth histogram levels whose
-  buckets carry conditioned profiles, clustered the same way;
-* substring (text filters): profiles keyed by the most common 3-grams.
+  buckets each point at a representative; the default is the
+  unconditioned profile of the join column;
+* substring (text filters): one profile per most-common 3-gram; ``keys``
+  maps each tracked gram to its group, and the default covers every row
+  holding an untracked gram.
 
 Every compressed profile is audited against the exact sequence it stands
 for before it enters the catalog.
@@ -26,8 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloom import BloomFilter, value_to_bytes
-from .compress import CompressionConfig, is_valid_compression, valid_compress
+from .compress import (
+    CompressionConfig,
+    distance_matrix,
+    is_valid_compression,
+    valid_compress,
+)
 from .pwfn import (
     DegreeSequence,
     PiecewiseLinearFn,
@@ -40,11 +47,8 @@ from .relation import ColumnRole, Column, ConfigError, PkFkDeclaration, Relation
 __all__ = [
     "BuildParams",
     "StatsBuildError",
-    "SequenceGroup",
-    "EqualityStats",
-    "HistogramLevel",
-    "RangeStats",
-    "LikeStats",
+    "FilterStats",
+    "FAMILIES",
     "RelationStats",
     "PkFkEdge",
     "StatisticsCatalog",
@@ -74,7 +78,6 @@ class BuildParams:
     hist_depth: int = 7
     mcv_size: int = 1000
     clusters: int | str = "auto"
-    bloom_bits: int = 12
     max_segments: int | None = None
 
     def __post_init__(self) -> None:
@@ -89,8 +92,6 @@ class BuildParams:
                 raise ConfigError("clusters must be an integer or 'auto'")
         elif self.clusters < 1:
             raise ConfigError("clusters must be at least 1")
-        if self.bloom_bits < 1:
-            raise ConfigError("bloom_bits must be at least 1")
 
     def compression(self) -> CompressionConfig:
         return CompressionConfig(self.compression_budget, self.max_segments)
@@ -101,7 +102,6 @@ _PARAM_KEYS = {
     "hist_depth",
     "mcv_size",
     "clusters",
-    "bloom_bits",
     "max_segments",
 }
 
@@ -117,38 +117,26 @@ def make_build_params(raw: dict) -> BuildParams:
 
 
 @dataclass(frozen=True)
-class SequenceGroup:
-    """A cluster of conditioned profiles sharing one dominating representative."""
+class FilterStats:
+    """Conditioned profiles of one join column under one filter column.
 
-    members: tuple
-    representative: PiecewiseLinearFn
-    bloom: BloomFilter | None = None
+    ``representatives`` dominate the profiles of their groups' members.
+    ``keys`` maps a tracked filter value (equality) or 3-gram (substring)
+    to the index of its group's representative; anything it lacks
+    resolves to ``default``.  Range statistics have no keys: ``levels``
+    holds the nested histogram levels, finest first, each as (cuts,
+    representative index per bucket), and ``default`` is the join
+    column's unconditioned profile.
+    """
 
-
-@dataclass(frozen=True)
-class EqualityStats:
-    groups: tuple[SequenceGroup, ...]
+    representatives: tuple[PiecewiseLinearFn, ...]
     default: PiecewiseLinearFn
+    keys: dict = field(default_factory=dict)
+    levels: tuple[tuple[tuple[float, ...], tuple[int, ...]], ...] = ()
 
 
-@dataclass(frozen=True)
-class HistogramLevel:
-    cuts: tuple[float, ...]
-    bucket_groups: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RangeStats:
-    levels: tuple[HistogramLevel, ...]
-    groups: tuple[SequenceGroup, ...]
-    root: PiecewiseLinearFn
-
-
-@dataclass(frozen=True)
-class LikeStats:
-    gram_groups: dict[str, int]
-    groups: tuple[SequenceGroup, ...]
-    default: PiecewiseLinearFn
+# The predicate families, as the names of RelationStats' FilterStats maps.
+FAMILIES = ("equality", "range", "like")
 
 
 @dataclass
@@ -159,9 +147,9 @@ class RelationStats:
     join_columns: tuple[str, ...]
     filter_columns: tuple[str, ...]
     fallback: dict[str, PiecewiseLinearFn]
-    equality: dict[tuple[str, str], EqualityStats]
-    range: dict[tuple[str, str], RangeStats]
-    like: dict[tuple[str, str], LikeStats]
+    equality: dict[tuple[str, str], FilterStats]
+    range: dict[tuple[str, str], FilterStats]
+    like: dict[tuple[str, str], FilterStats]
 
 
 @dataclass(frozen=True)
@@ -178,13 +166,6 @@ class StatisticsCatalog:
     params: BuildParams
     relations: dict[str, RelationStats]
     pkfk: tuple[PkFkEdge, ...] = ()
-
-
-def _nonnull_mask(rel: Relation, column: str) -> np.ndarray:
-    data = rel.data[column]
-    if isinstance(data, np.ndarray):
-        return ~np.isnan(data)
-    return np.array([v is not None for v in data], dtype=bool)
 
 
 def extract_degree_sequence(
@@ -260,17 +241,7 @@ def _agglomerate(
     fns: list[PiecewiseLinearFn], live: list[int], n_groups: int
 ) -> list[list[int]]:
     m = len(live)
-    upto = int(np.ceil(max(fns[i].end for i in live)))
-    grid = np.stack([sample_integer_ranks(fns[i], upto) for i in live])
-    drops = np.diff(grid, axis=1)
-    sq = np.einsum("ij,ij->i", drops, drops)
-    dist = np.empty((m, m), dtype=np.float64)
-    block = max(1, int(2_000_000 // max(1, m * upto)))
-    for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        pairwise = np.maximum(drops[lo:hi, None, :], drops[None, :, :])
-        msq = np.einsum("bij,bij->bi", pairwise, pairwise)
-        dist[lo:hi] = msq / sq[lo:hi, None] + msq / sq[None, :]
+    dist = distance_matrix([fns[i] for i in live])
     np.fill_diagonal(dist, np.inf)
     members: dict[int, list[int]] = {i: [live[i]] for i in range(m)}
     remaining = m
@@ -304,30 +275,24 @@ def _audit_representative(
 def _build_groups(
     members: list[tuple[object, PiecewiseLinearFn]],
     params: BuildParams,
-    with_bloom: bool,
     context: str,
-) -> tuple[tuple[SequenceGroup, ...], dict[object, int]]:
+) -> tuple[tuple[PiecewiseLinearFn, ...], dict[object, int]]:
+    """Cluster keyed profiles; returns the groups' audited representatives
+    and the index of every key's representative."""
     if not members:
         return (), {}
     fns = [fn for _, fn in members]
     n_groups = _cluster_count(params.clusters, len(members))
-    clusters = cluster_sequence_groups(fns, n_groups)
-    groups: list[SequenceGroup] = []
+    representatives: list[PiecewiseLinearFn] = []
     key_to_group: dict[object, int] = {}
-    for cluster in clusters:
+    for cluster in cluster_sequence_groups(fns, n_groups):
         member_fns = [fns[i] for i in cluster]
         rep = pw_max(member_fns)
         _audit_representative(rep, member_fns, context)
-        keys = tuple(members[i][0] for i in cluster)
-        bloom = None
-        if with_bloom:
-            bloom = BloomFilter.build(
-                (value_to_bytes(k) for k in keys), params.bloom_bits
-            )
-        for k in keys:
-            key_to_group[k] = len(groups)
-        groups.append(SequenceGroup(keys, rep, bloom))
-    return tuple(groups), key_to_group
+        for i in cluster:
+            key_to_group[members[i][0]] = len(representatives)
+        representatives.append(rep)
+    return tuple(representatives), key_to_group
 
 
 def _rows_by_value(rel: Relation, column: str) -> dict:
@@ -354,7 +319,7 @@ def _rows_by_value(rel: Relation, column: str) -> dict:
 
 def build_equality_stats(
     rel: Relation, join_col: str, filter_col: str, params: BuildParams
-) -> EqualityStats:
+) -> FilterStats:
     by_value = _rows_by_value(rel, filter_col)
     ordered = sorted(by_value.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     mcv = ordered[: params.mcv_size]
@@ -363,12 +328,12 @@ def build_equality_stats(
         (value, _audited_profile(rel, join_col, rows, params)) for value, rows in mcv
     ]
     context = "%s.%s | %s =" % (rel.name, join_col, filter_col)
-    groups, _ = _build_groups(members, params, with_bloom=True, context=context)
+    representatives, keys = _build_groups(members, params, context)
     if rest:
         default = pw_max([_audited_profile(rel, join_col, rows, params) for _, rows in rest])
     else:
         default = zero_cumulative()
-    return EqualityStats(groups, default)
+    return FilterStats(representatives, default, keys)
 
 
 def _equi_depth_cuts(values: np.ndarray, parts: int) -> list[float]:
@@ -394,7 +359,7 @@ def build_range_stats(
     filter_col: str,
     params: BuildParams,
     root: PiecewiseLinearFn,
-) -> RangeStats:
+) -> FilterStats:
     data = rel.data[filter_col]
     if not isinstance(data, np.ndarray):
         raise StatsBuildError("range statistics need a numeric filter column")
@@ -402,7 +367,7 @@ def build_range_stats(
     values = data[mask]
     row_ids = np.nonzero(mask)[0]
     if values.size == 0:
-        return RangeStats((), (), root)
+        return FilterStats((), root)
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     sorted_rows = row_ids[order]
@@ -426,28 +391,27 @@ def build_range_stats(
             keys.append(key)
         level_keys.append(keys)
     context = "%s.%s | %s range" % (rel.name, join_col, filter_col)
-    groups, key_to_group = _build_groups(members, params, with_bloom=False, context=context)
+    representatives, key_to_group = _build_groups(members, params, context)
     levels = tuple(
-        HistogramLevel(tuple(lc), tuple(key_to_group[k] for k in keys))
+        (tuple(lc), tuple(key_to_group[k] for k in keys))
         for lc, keys in zip(level_cuts, level_keys)
     )
-    return RangeStats(levels, groups, root)
+    return FilterStats(representatives, root, levels=levels)
 
 
 def lookup_range_group(
-    stats: RangeStats, lo: float | None, hi: float | None, hi_incl: bool
+    stats: FilterStats, lo: float | None, hi: float | None, hi_incl: bool
 ) -> PiecewiseLinearFn:
     """Profile of the smallest histogram bucket fully containing [lo, hi];
     the unconditioned root profile when no bucket does."""
     lo_eff = lo if lo is not None else -math.inf
     hi_eff = hi if hi is not None else math.inf
-    for level in stats.levels:
-        cuts = level.cuts
+    for cuts, bucket_reps in stats.levels:
         j = bisect.bisect_right(cuts, lo_eff)
         upper = cuts[j] if j < len(cuts) else math.inf
         if hi_eff < upper or (hi_eff == upper and not hi_incl):
-            return stats.groups[level.bucket_groups[j]].representative
-    return stats.root
+            return stats.representatives[bucket_reps[j]]
+    return stats.default
 
 
 def _grams(text: str) -> set[str]:
@@ -457,7 +421,7 @@ def _grams(text: str) -> set[str]:
 
 def build_like_stats(
     rel: Relation, join_col: str, filter_col: str, params: BuildParams
-) -> LikeStats:
+) -> FilterStats:
     if isinstance(rel.data[filter_col], np.ndarray):
         raise StatsBuildError("substring statistics need a text filter column")
     by_text = _rows_by_value(rel, filter_col)
@@ -482,14 +446,14 @@ def build_like_stats(
         for gram in mcv
     ]
     context = "%s.%s | %s like" % (rel.name, join_col, filter_col)
-    groups, key_to_group = _build_groups(members, params, with_bloom=False, context=context)
+    representatives, keys = _build_groups(members, params, context)
     # A pattern made only of untracked grams can match any row holding one
     # of them, tracked grams or not, so the default covers every such row.
     # Gram-less rows (null or shorter than a gram) can never match a
     # pattern long enough to consult these statistics.
     uncovered = [t for t, grams in text_grams.items() if grams - mcv_set]
     default = _audited_profile(rel, join_col, rows_of(uncovered), params)
-    return LikeStats({g: key_to_group[g] for g in mcv}, groups, default)
+    return FilterStats(representatives, default, keys)
 
 
 def precompute_pk_fk(
@@ -586,9 +550,9 @@ def build_catalog(
             col.name: _audited_profile(rel, col.name, None, params)
             for col in rel.columns
         }
-        equality: dict[tuple[str, str], EqualityStats] = {}
-        range_: dict[tuple[str, str], RangeStats] = {}
-        like: dict[tuple[str, str], LikeStats] = {}
+        equality: dict[tuple[str, str], FilterStats] = {}
+        range_: dict[tuple[str, str], FilterStats] = {}
+        like: dict[tuple[str, str], FilterStats] = {}
         for j in role.join_columns:
             for f in role.filter_columns:
                 equality[(j, f)] = build_equality_stats(rel, j, f, params)

@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from seqbound.bloom import BloomFilter, value_to_bytes
 from seqbound.catalog_io import load_catalog, save_catalog
 from seqbound.compress import (
     CompressionConfig,
@@ -39,7 +38,6 @@ from seqbound.pwfn import (
     PiecewiseConstantFn,
     PiecewiseLinearFn,
     cumulate,
-    evaluate,
     sample_integer_ranks,
 )
 from seqbound.query import Eq, parse_query
@@ -429,7 +427,7 @@ def test_criterion_09_inference_latency():
     )
 
 
-def test_criterion_10_clustering_and_bloom_soundness():
+def test_criterion_10_clustering_and_exact_index_soundness():
     rng = random.Random(77)
     n = 2000
     jvals = np.asarray([float(rng.randint(1, 300)) for _ in range(n)])
@@ -437,39 +435,55 @@ def test_criterion_10_clustering_and_bloom_soundness():
     rel = Relation(
         "rr", [Column("j", "numeric"), Column("f", "numeric")], {"j": jvals, "f": fvals}, n
     )
-    catalog = build_catalog(
-        {"rr": rel},
-        {"rr": ColumnRole(("j",), ("f",))},
-        (),
-        BuildParams(compression_budget=1e-9, clusters=4),
-    )
-    stats = catalog.relations["rr"].equality[("j", "f")]
     members = sorted(set(fvals.tolist()))
-    ok = len(stats.groups) == 4 < len(members)
-    worst_gap = 0.0
-    for v in members:
-        if not any(g.bloom is not None and value_to_bytes(v) in g.bloom for g in stats.groups):
-            ok = False  # a member value its own index cannot find
+
+    def build(**params):
+        return build_catalog(
+            {"rr": rel},
+            {"rr": ColumnRole(("j",), ("f",))},
+            (),
+            BuildParams(compression_budget=1e-9, clusters=4, **params),
+        )
+
+    def dominance_gap(catalog, v) -> float:
+        """Largest shortfall of v's resolved profile below its exact one,
+        beyond a relative tolerance of 1e-9; at most 0 when it dominates."""
         counts = np.unique(jvals[fvals == v], return_counts=True)[1]
-        member_cum = cumulate(lossless_compress(DegreeSequence(sorted(counts.tolist(), reverse=True))))
+        exact = cumulate(lossless_compress(DegreeSequence(sorted(counts.tolist(), reverse=True))))
         conditioned = condition_sequence(catalog, "rr", "j", Eq("f", v))
-        for r in np.linspace(0.0, member_cum.end, 100):
-            gap = evaluate(member_cum, r) - evaluate(conditioned, min(r, conditioned.end))
-            worst_gap = max(worst_gap, gap)
-            if gap > 1e-9 * max(1.0, evaluate(member_cum, r)):
-                ok = False
-    inserted = [value_to_bytes(float(i)) for i in range(10_000)]
-    bloom = BloomFilter.build(inserted, bits_per_item=12)
-    false_negatives = sum(1 for item in inserted if item not in bloom)
-    probes = [value_to_bytes(float(i)) for i in range(10_000, 20_000)]
-    fp_rate = sum(1 for item in probes if item in bloom) / len(probes)
-    ok = ok and false_negatives == 0 and fp_rate < 0.01
+        return max(
+            (
+                exact.value_at(r) - conditioned.value_at(min(r, conditioned.end))
+                - 1e-9 * max(1.0, exact.value_at(r))
+                for r in np.linspace(0.0, exact.end, 100)
+            ),
+            default=0.0,
+        )
+
+    catalog = build()
+    stats = catalog.relations["rr"].equality[("j", "f")]
+    ok = len(stats.representatives) == 4 < len(members)
+    for v in members:
+        # each tracked value maps through the key index to its own group
+        group = stats.keys.get(v)
+        if group is None or condition_sequence(
+            catalog, "rr", "j", Eq("f", v)
+        ) is not stats.representatives[group]:
+            ok = False
+    worst_gap = max(dominance_gap(catalog, v) for v in members)
+    # with 20 tracked values, the other 40 and an absent one take the default
+    small = build(mcv_size=20)
+    small_stats = small.relations["rr"].equality[("j", "f")]
+    tail = [v for v in members if v not in small_stats.keys]
+    ok = ok and len(small_stats.keys) == 20 and len(tail) == len(members) - 20
+    worst_tail_gap = max(dominance_gap(small, v) for v in members + [61.0])
+    ok = ok and worst_gap <= 0.0 and worst_tail_gap <= 0.0
     report(
         10,
-        "clustering and bloom soundness",
+        "clustering and exact index soundness",
         ok,
-        "%d members in %d groups, worst dominance gap %.3g, FN %d, FP rate %.4f"
-        % (len(members), len(stats.groups), worst_gap, false_negatives, fp_rate),
+        "%d members in %d groups, worst dominance gap %.3g; %d tail values, worst gap %.3g"
+        % (len(members), len(stats.representatives), worst_gap, len(tail), worst_tail_gap),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 from seqbound.catalog_io import (
     MAGIC,
     CatalogFormatError,
+    _decode,
+    _encode,
     load_catalog,
     save_catalog,
 )
+from seqbound.cli import main
 from seqbound.relation import Column, ColumnRole, PkFkDeclaration, Relation
 from seqbound.stats import BuildParams, build_catalog
 
@@ -117,3 +121,26 @@ class TestFormatErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_catalog(str(tmp_path / "nope.bin"))
+
+    def test_out_of_range_bucket_id(self, tmp_path, capsys):
+        # a well-formed, correctly checksummed file whose histogram level
+        # points a bucket past the end of the representatives
+        p = self.write_good(tmp_path)
+        blob = p.read_bytes()
+        head = len(MAGIC) + 12
+        plain, _ = _decode(blob[head:-32], 0)
+        level = plain["relations"]["fact"]["range"][0]["levels"][0]
+        level["groups"][0] = 999
+        payload = bytearray()
+        _encode(plain, payload)
+        p.write_bytes(
+            blob[: len(MAGIC) + 4]
+            + struct.pack("<Q", len(payload))
+            + bytes(payload)
+            + hashlib.sha256(payload).digest()
+        )
+        with pytest.raises(CatalogFormatError, match="bucket ids"):
+            load_catalog(str(p))
+        sql = "SELECT COUNT(*) FROM fact WHERE fact.amt < 1"
+        assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
+        assert "bucket ids" in capsys.readouterr().err

@@ -115,14 +115,13 @@ class TestBuild:
         assert main([
             "build", "--schema", schema, "--out", out,
             "--c", "0.5", "--hist-depth", "4", "--mcv", "10",
-            "--clusters", "3", "--bloom-bits", "8",
+            "--clusters", "3",
         ]) == 0
         params = load_catalog(out).params
         assert params.compression_budget == 0.5
         assert params.hist_depth == 4
         assert params.mcv_size == 10
         assert params.clusters == 3
-        assert params.bloom_bits == 8
 
     def test_clusters_auto_stays_a_policy(self, tmp_path):
         schema = shop_schema(tmp_path)
@@ -247,7 +246,7 @@ class TestInspect:
         assert "column __customers__region (text, filter)" in out
         assert "equality stats cust|status:" in out
         assert "range stats cust|total:" in out
-        assert "substring stats cust|status:" in out
+        assert "like stats cust|status:" in out
         assert "key link: orders.cust -> customers.id (1 propagated column(s))" in out
 
     def test_missing_catalog_exits_2(self, tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 
 from seqbound.inference import bound_query, condition_sequence
 from seqbound.oracle import corrupt_catalog, true_cardinality
-from seqbound.pwfn import evaluate
 from seqbound.query import (
     And,
     Eq,
@@ -147,7 +146,7 @@ class TestConditionSequence:
     def test_conditioning_never_exceeds_fallback(self, pred):
         fn = self.conditioned(pred)
         for x in np.linspace(0.0, fn.end, 9):
-            assert evaluate(fn, x) <= evaluate(self.fallback, x) + 1e-9
+            assert fn.value_at(x) <= self.fallback.value_at(x) + 1e-9
 
 
 def bound(catalog, sql, schema):
@@ -389,9 +388,8 @@ class TestSoundnessRegressions:
     def test_bloom_false_positive_falls_to_the_default(self):
         # 30 tracked values of 100 rows, one row on each key 1..100, and
         # 3000 untracked values of 5 rows, all on key 0, which 1000 rows of
-        # the other relation join.  A tail value that a tracked group's
-        # Bloom filter wrongly claims must still get the default profile,
-        # not the flat representative of the tracked values.
+        # the other relation join.  Every tail value must get the default
+        # profile, never the flat representative of the tracked values.
         tracked_f = np.repeat(np.arange(1.0, 31.0), 100)
         tracked_j = np.tile(np.arange(1.0, 101.0), 30)
         tail = np.arange(1001.0, 4001.0)
@@ -436,3 +434,14 @@ class TestSoundnessRegressions:
             ("SELECT COUNT(*) FROM r AS a, r AS b WHERE a.j = b.j AND a.s LIKE '%xyz%'", 15900),
         ):
             assert bound(catalog, sql, schema).bound >= true, sql
+
+    def test_negative_zero_rows_answer_a_zero_literal(self):
+        # -0.0 and 0.0 are one tracked value; the literal 0 must find it
+        f = np.array([-0.0] * 5 + [1.0] * 3)
+        r = Relation(
+            "r", [Column("j", "numeric"), Column("f", "numeric")],
+            {"j": np.arange(8.0), "f": f}, f.size,
+        )
+        catalog = build_catalog({"r": r}, {"r": ColumnRole(("j",), ("f",))}, params=BuildParams())
+        schema = {"r": {"j": "numeric", "f": "numeric"}}
+        assert bound(catalog, "SELECT COUNT(*) FROM r WHERE r.f = 0", schema).bound >= 5

@@ -21,7 +21,7 @@ from seqbound.oracle import (
     value_tensor_probe,
     verify_bound,
 )
-from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, cumulate, evaluate
+from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, cumulate
 from seqbound.query import fuse_parallel_joins, join_graph, parse_query
 from seqbound.relation import Column, ColumnRole, Relation
 from seqbound.stats import BuildParams, build_catalog
@@ -71,7 +71,7 @@ class TestMaterializeFromCompressed:
         assert cols["a"].tolist() == [1, 1, 2]
         for rank in (1, 2):
             realized = np.count_nonzero(cols["a"] <= rank)
-            assert realized >= evaluate(fn, rank) - 1e-6
+            assert realized >= fn.value_at(rank) - 1e-6
 
     def test_shorter_columns_padded_with_fresh_values(self):
         fns = {
@@ -99,7 +99,7 @@ class TestValueTensorProbe:
         fb = cumulate(lossless_compress(DegreeSequence((6, 3, 2))))
         for m1 in range(0, 7):
             for m2 in range(0, 4):
-                expect = min(evaluate(fa, m1), evaluate(fb, m2))
+                expect = min(fa.value_at(m1), fb.value_at(m2))
                 assert value_tensor_probe(cols["a"], cols["b"], m1, m2) == expect
 
 

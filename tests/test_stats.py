@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from seqbound.bloom import value_to_bytes
 from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, sample_integer_ranks
 from seqbound.relation import Column, ColumnRole, ConfigError, PkFkDeclaration, Relation
 from seqbound.stats import (
@@ -33,7 +32,6 @@ class TestBuildParams:
         p = BuildParams()
         assert (p.compression_budget, p.hist_depth, p.mcv_size) == (0.01, 7, 1000)
         assert p.clusters == "auto"
-        assert p.bloom_bits == 12
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -109,21 +107,17 @@ def little_relation() -> Relation:
 
 
 class TestEqualityStats:
-    def test_mcv_split_and_blooms(self):
+    def test_mcv_split_and_keys(self):
         rel = little_relation()
         stats = build_equality_stats(rel, "j", "f", BuildParams(mcv_size=2))
-        tracked = {m for g in stats.groups for m in g.members}
-        assert tracked == {"a", "b"}
-        for g in stats.groups:
-            assert g.bloom is not None
-            for m in g.members:
-                assert value_to_bytes(m) in g.bloom
+        assert set(stats.keys) == {"a", "b"}
+        assert sorted(set(stats.keys.values())) == list(range(len(stats.representatives)))
         assert stats.default.total == pytest.approx(1.0)
 
     def test_conditioned_masses(self):
         rel = little_relation()
         stats = build_equality_stats(rel, "j", "f", BuildParams(mcv_size=10))
-        by_value = {m: g.representative for g in stats.groups for m in g.members}
+        by_value = {m: stats.representatives[g] for m, g in stats.keys.items()}
         assert by_value["a"].total >= 3.0 - 1e-9
         assert by_value["b"].total >= 2.0 - 1e-9
         assert stats.default.total == 0.0
@@ -139,10 +133,10 @@ class TestEqualityStats:
             200,
         )
         stats = build_equality_stats(rel, "j", "f", BuildParams(clusters=3))
-        for g in stats.groups:
-            upto = int(np.ceil(g.representative.end))
-            rep = sample_integer_ranks(g.representative, upto)
-            for value in g.members:
+        for g, representative in enumerate(stats.representatives):
+            upto = int(np.ceil(representative.end))
+            rep = sample_integer_ranks(representative, upto)
+            for value in [v for v, group in stats.keys.items() if group == g]:
                 rows = np.nonzero(f == value)[0]
                 exact = extract_degree_sequence(rel, "j", rows)
                 grid = sample_integer_ranks(cum(exact.freqs), upto) if exact.distinct else None
@@ -164,7 +158,8 @@ class TestRangeStats:
 
     def test_level_structure(self):
         stats, _ = self.make()
-        assert [level.cuts for level in stats.levels] == [(3.0, 5.0, 7.0), (5.0,)]
+        assert [cuts for cuts, _ in stats.levels] == [(3.0, 5.0, 7.0), (5.0,)]
+        assert stats.keys == {}
 
     def test_enclosing_bucket_selection(self):
         stats, root = self.make()
@@ -201,9 +196,8 @@ class TestLikeStats:
             4,
         )
         stats = build_like_stats(rel, "j", "s", BuildParams())
-        assert "gra" in stats.gram_groups  # grape + grapefruit share it
-        group = stats.groups[stats.gram_groups["gra"]]
-        assert group.representative.total >= 2.0 - 1e-9
+        assert "gra" in stats.keys  # grape + grapefruit share it
+        assert stats.representatives[stats.keys["gra"]].total >= 2.0 - 1e-9
         # every gram of every row is tracked at the default mcv budget, so
         # the default profile covers only the null row, i.e. nothing
         assert stats.default.total == 0.0
@@ -219,7 +213,7 @@ class TestLikeStats:
             4,
         )
         stats = build_like_stats(rel, "j", "s", BuildParams(mcv_size=1))
-        assert set(stats.gram_groups) == {"aaa"}
+        assert set(stats.keys) == {"aaa"}
         assert stats.default.total == pytest.approx(2.0)
 
 
