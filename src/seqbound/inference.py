@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .pwfn import (
     PiecewiseConstantFn,
@@ -185,20 +185,9 @@ def plan_bound(
 
 
 def _rewrite_onto_fact(node: Predicate, mapping: dict[str, str]) -> Predicate | None:
-    if isinstance(node, Eq):
+    if isinstance(node, (Eq, Range, Like, InSet)):
         col = mapping.get(node.column)
-        return None if col is None else Eq(col, node.value)
-    if isinstance(node, Range):
-        col = mapping.get(node.column)
-        if col is None:
-            return None
-        return Range(col, node.lo, node.hi, node.lo_incl, node.hi_incl)
-    if isinstance(node, Like):
-        col = mapping.get(node.column)
-        return None if col is None else Like(col, node.pattern)
-    if isinstance(node, InSet):
-        col = mapping.get(node.column)
-        return None if col is None else InSet(col, node.values)
+        return None if col is None else replace(node, column=col)
     if isinstance(node, And):
         kept = [r for r in (_rewrite_onto_fact(c, mapping) for c in node.children) if r is not None]
         if not kept:

@@ -23,6 +23,7 @@ from .pwfn import DegreeSequence, PiecewiseLinearFn, sample_integer_ranks
 from .query import (
     Query,
     UnsupportedQueryError,
+    _format_literal,
     join_graph,
     parse_query,
     predicate_matches,
@@ -315,14 +316,6 @@ def _sample_text(rng: random.Random, rel: Relation, col: str) -> str:
     return "".join(rng.choice(_LETTERS) for _ in range(3))
 
 
-def _format_value(value: float | str) -> str:
-    if isinstance(value, str):
-        return "'%s'" % value.replace("'", "''")
-    if value == int(value):
-        return "%d" % int(value)
-    return repr(value)
-
-
 def _predicate_sql(
     rng: random.Random, alias: str, rel: Relation, roles: ColumnRole
 ) -> str | None:
@@ -335,31 +328,32 @@ def _predicate_sql(
     if kind == "text":
         choice = rng.random()
         if choice < 0.4:
-            return "%s = %s" % (ref, _format_value(_sample_text(rng, rel, col)))
+            return "%s = %s" % (ref, _format_literal(_sample_text(rng, rel, col)))
         if choice < 0.7:
             word = _sample_text(rng, rel, col)
             if len(word) >= 3:
                 start = rng.randrange(len(word) - 2)
                 return "%s LIKE '%%%s%%'" % (ref, word[start : start + 3])
-            return "%s = %s" % (ref, _format_value(word))
+            return "%s = %s" % (ref, _format_literal(word))
         values = {_sample_text(rng, rel, col) for _ in range(rng.randint(2, 3))}
-        return "%s IN (%s)" % (ref, ", ".join(sorted(_format_value(v) for v in values)))
+        return "%s IN (%s)" % (ref, ", ".join(sorted(_format_literal(v) for v in values)))
     choice = rng.random()
     if choice < 0.3:
-        return "%s = %s" % (ref, _format_value(_sample_numeric(rng, rel, col)))
+        return "%s = %s" % (ref, _format_literal(_sample_numeric(rng, rel, col)))
     if choice < 0.5:
         a = _sample_numeric(rng, rel, col)
         b = _sample_numeric(rng, rel, col)
-        return "%s BETWEEN %s AND %s" % (ref, _format_value(min(a, b)), _format_value(max(a, b)))
+        lo, hi = _format_literal(min(a, b)), _format_literal(max(a, b))
+        return "%s BETWEEN %s AND %s" % (ref, lo, hi)
     if choice < 0.7:
         op = rng.choice(("<", "<=", ">", ">="))
-        return "%s %s %s" % (ref, op, _format_value(_sample_numeric(rng, rel, col)))
+        return "%s %s %s" % (ref, op, _format_literal(_sample_numeric(rng, rel, col)))
     if choice < 0.85:
         values = {_sample_numeric(rng, rel, col) for _ in range(rng.randint(2, 3))}
-        return "%s IN (%s)" % (ref, ", ".join(_format_value(v) for v in sorted(values)))
+        return "%s IN (%s)" % (ref, ", ".join(_format_literal(v) for v in sorted(values)))
     v1 = _sample_numeric(rng, rel, col)
     v2 = _sample_numeric(rng, rel, col)
-    return "(%s = %s OR %s = %s)" % (ref, _format_value(v1), ref, _format_value(v2))
+    return "(%s = %s OR %s = %s)" % (ref, _format_literal(v1), ref, _format_literal(v2))
 
 
 class GenerationImpossible(RuntimeError):

@@ -179,7 +179,7 @@ def predicate_matches(node: Predicate, get: Callable[[str], float | str | None])
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<string>'(?:[^']|'')*')
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op><=|>=|<>|!=|=|<|>|\(|\)|,|\.|\*|%)
@@ -381,12 +381,9 @@ class _Parser:
             return tok.text[1:-1].replace("''", "'"), tok.pos
         raise QueryParseError("expected a literal, got %r" % (tok.text or "end"), tok.pos)
 
-    def literal_kind(self, value: float | str) -> str:
-        return "text" if isinstance(value, str) else "numeric"
-
     def check_kinds(self, ref: _ColRef, value: float | str, pos: int) -> None:
         want = self.column_kind(ref)
-        got = self.literal_kind(value)
+        got = "text" if isinstance(value, str) else "numeric"
         if want != got:
             raise UnsupportedQueryError(
                 "%s literal compared with %s column %s.%s"
@@ -417,7 +414,7 @@ class _Parser:
             self.check_kinds(ref, hi, hpos)
             if self.column_kind(ref) != "numeric":
                 raise UnsupportedQueryError("BETWEEN needs a numeric column", tok.pos)
-            return Range(_qual(ref), float(lo), float(hi), True, True), ref
+            return Range(ref.column, float(lo), float(hi), True, True), ref
         if tok.kind == "kw" and tok.text == "LIKE":
             pat_tok = self.next()
             if pat_tok.kind != "string":
@@ -431,7 +428,7 @@ class _Parser:
                 raise UnsupportedQueryError(
                     "only plain substring patterns are supported", pat_tok.pos
                 )
-            return Like(_qual(ref), pattern), ref
+            return Like(ref.column, pattern), ref
         if tok.kind == "kw" and tok.text == "IN":
             self.expect_op("(")
             values = []
@@ -445,7 +442,7 @@ class _Parser:
                 if nxt.kind == "op" and nxt.text == ")":
                     break
                 raise QueryParseError("expected ',' or ')' in IN list", nxt.pos)
-            return InSet(_qual(ref), tuple(sorted(set(values)))), ref
+            return InSet(ref.column, tuple(sorted(set(values)))), ref
         if tok.kind != "op" or tok.text not in ("=", "<", "<=", ">", ">="):
             raise QueryParseError("expected a comparison, got %r" % (tok.text or "end"), tok.pos)
         nxt = self.peek()
@@ -466,18 +463,18 @@ class _Parser:
     def build_comparison(self, ref: _ColRef, op: str, value: float | str, vpos: int):
         self.check_kinds(ref, value, vpos)
         if op == "=":
-            return Eq(_qual(ref), value), ref
+            return Eq(ref.column, value), ref
         if self.column_kind(ref) != "numeric":
             raise UnsupportedQueryError("ordered comparison needs a numeric column", vpos)
         v = float(value)
         if op == "<":
-            node = Range(_qual(ref), None, v, True, False)
+            node = Range(ref.column, None, v, True, False)
         elif op == "<=":
-            node = Range(_qual(ref), None, v, True, True)
+            node = Range(ref.column, None, v, True, True)
         elif op == ">":
-            node = Range(_qual(ref), v, None, False, True)
+            node = Range(ref.column, v, None, False, True)
         else:
-            node = Range(_qual(ref), v, None, True, True)
+            node = Range(ref.column, v, None, True, True)
         return node, ref
 
     # --- assembly
@@ -584,10 +581,6 @@ class _Parser:
 
 
 _FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _qual(ref: _ColRef) -> str:
-    return ref.column
 
 
 def _flatten_and(tree) -> Iterable:

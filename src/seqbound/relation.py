@@ -149,10 +149,26 @@ def load_csv(
     return Relation(name, columns, data, n_rows), warnings
 
 
-def _require(obj: dict, key: str, ctx: str):
+def _require(obj: dict, key: str, ctx: str, kind: type = str):
+    """obj[key], which must be present and of the given kind."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be an object" % ctx)
     if key not in obj:
         raise ConfigError("%s: missing %r" % (ctx, key))
-    return obj[key]
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ConfigError(
+            "%s: %r must be a %s" % (ctx, key, "string" if kind is str else "list")
+        )
+    return value
+
+
+def _names(entry: dict, key: str, ctx: str) -> tuple[str, ...]:
+    """An optional list of column names."""
+    names = entry.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ConfigError("%s: %r must be a list of column names" % (ctx, key))
+    return tuple(names)
 
 
 def load_workspace(schema_path: str) -> Workspace:
@@ -187,23 +203,24 @@ def load_workspace(schema_path: str) -> Workspace:
     relations: dict[str, Relation] = {}
     roles: dict[str, ColumnRole] = {}
     warnings: list[str] = []
-    rel_entries = _require(doc, "relations", "schema")
-    if not isinstance(rel_entries, list) or not rel_entries:
+    rel_entries = _require(doc, "relations", "schema", list)
+    if not rel_entries:
         raise ConfigError("schema: 'relations' must be a non-empty list")
     for entry in rel_entries:
         name = _require(entry, "name", "relation entry")
         if name in relations:
             raise ConfigError("duplicate relation %r" % name)
+        ctx = "relation %r" % name
         cols = [
             Column(_require(c, "name", "column entry"), _require(c, "kind", "column entry"))
-            for c in _require(entry, "columns", "relation %r" % name)
+            for c in _require(entry, "columns", ctx, list)
         ]
         seen: set[str] = set()
         for c in cols:
             if c.name in seen:
                 raise ConfigError("relation %r: duplicate column %r" % (name, c.name))
             seen.add(c.name)
-        csv_path = _require(entry, "csv", "relation %r" % name)
+        csv_path = _require(entry, "csv", ctx)
         if not os.path.isabs(csv_path):
             csv_path = os.path.join(base, csv_path)
         rel, w = load_csv(csv_path, name, cols)
@@ -212,15 +229,18 @@ def load_workspace(schema_path: str) -> Workspace:
                 "%s: %d numeric cell(s) were empty or unparseable and loaded as nulls"
                 % (csv_path, w)
             )
-        join_cols = tuple(entry.get("join_columns", ()))
-        filter_cols = tuple(entry.get("filter_columns", ()))
+        join_cols = _names(entry, "join_columns", ctx)
+        filter_cols = _names(entry, "filter_columns", ctx)
         for c in join_cols + filter_cols:
             if c not in seen:
                 raise ConfigError("relation %r: role names unknown column %r" % (name, c))
         relations[name] = rel
         roles[name] = ColumnRole(join_cols, filter_cols)
     pkfk: list[PkFkDeclaration] = []
-    for entry in doc.get("pk_fk", ()):
+    pk_fk = doc.get("pk_fk", [])
+    if not isinstance(pk_fk, list):
+        raise ConfigError("schema: 'pk_fk' must be a list")
+    for entry in pk_fk:
         decl = PkFkDeclaration(
             _require(entry, "fact", "pk_fk entry"),
             _require(entry, "fk", "pk_fk entry"),

@@ -70,6 +70,14 @@ class StatsBuildError(RuntimeError):
     """A build-time audit or integrity check failed."""
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BuildParams:
     """Catalog build knobs and their defaults."""
@@ -81,17 +89,18 @@ class BuildParams:
     max_segments: int | None = None
 
     def __post_init__(self) -> None:
-        if self.compression_budget <= 0.0:
-            raise ConfigError("compression_budget must be positive")
-        if self.hist_depth < 1:
-            raise ConfigError("hist_depth must be at least 1")
-        if self.mcv_size < 0:
-            raise ConfigError("mcv_size must be non-negative")
-        if isinstance(self.clusters, str):
-            if self.clusters != "auto":
-                raise ConfigError("clusters must be an integer or 'auto'")
-        elif self.clusters < 1:
-            raise ConfigError("clusters must be at least 1")
+        if not (_is_number(self.compression_budget) and self.compression_budget > 0.0):
+            raise ConfigError("compression_budget must be a positive number")
+        if not (_is_int(self.hist_depth) and self.hist_depth >= 1):
+            raise ConfigError("hist_depth must be an integer of at least 1")
+        if not (_is_int(self.mcv_size) and self.mcv_size >= 0):
+            raise ConfigError("mcv_size must be a non-negative integer")
+        if self.clusters != "auto" and not (_is_int(self.clusters) and self.clusters >= 1):
+            raise ConfigError("clusters must be 'auto' or an integer of at least 1")
+        if self.max_segments is not None and not (
+            _is_int(self.max_segments) and self.max_segments >= 2
+        ):
+            raise ConfigError("max_segments must be an integer of at least 2")
 
     def compression(self) -> CompressionConfig:
         return CompressionConfig(self.compression_budget, self.max_segments)
@@ -110,10 +119,7 @@ def make_build_params(raw: dict) -> BuildParams:
     unknown = set(raw) - _PARAM_KEYS
     if unknown:
         raise ConfigError("unknown build parameters: %s" % ", ".join(sorted(unknown)))
-    try:
-        return BuildParams(**raw)
-    except TypeError as exc:
-        raise ConfigError("bad build parameters: %s" % exc) from exc
+    return BuildParams(**raw)
 
 
 @dataclass(frozen=True)
@@ -336,12 +342,20 @@ def build_equality_stats(
     return FilterStats(representatives, default, keys)
 
 
-def _equi_depth_cuts(values: np.ndarray, parts: int) -> list[float]:
+def _equi_depth_cuts(values: np.ndarray, depth: int) -> list[float]:
+    """Cuts splitting the values into 2**depth buckets of near-equal count;
+    each cut is the smallest value of the bucket that it starts."""
     uniq, counts = np.unique(values, return_counts=True)
     if uniq.size < 2:
         return []
     cum = np.cumsum(counts)
     total = int(cum[-1])
+    # With 2**depth >= 2 * total the targets lie at most half a row apart,
+    # so every value but the smallest starts a bucket.  Deciding this first
+    # keeps a deep histogram on few rows from looping 2**depth times.
+    if (total - 1).bit_length() < depth:
+        return uniq[1:].tolist()
+    parts = 2 ** depth
     cuts: list[float] = []
     for j in range(1, parts):
         target = j * total / parts
@@ -371,7 +385,7 @@ def build_range_stats(
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     sorted_rows = row_ids[order]
-    finest = _equi_depth_cuts(values, 2 ** params.hist_depth)
+    finest = _equi_depth_cuts(values, params.hist_depth)
     level_cuts: list[list[float]] = []
     cuts = finest
     while cuts:

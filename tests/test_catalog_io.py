@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 import struct
 
 import numpy as np
@@ -7,14 +9,20 @@ import pytest
 from seqbound.catalog_io import (
     MAGIC,
     CatalogFormatError,
-    _decode,
-    _encode,
     load_catalog,
     save_catalog,
 )
 from seqbound.cli import main
+from seqbound.pwfn import PiecewiseLinearFn
 from seqbound.relation import Column, ColumnRole, PkFkDeclaration, Relation
-from seqbound.stats import BuildParams, build_catalog
+from seqbound.stats import (
+    FAMILIES,
+    BuildParams,
+    FilterStats,
+    RelationStats,
+    StatisticsCatalog,
+    build_catalog,
+)
 
 
 def sample_catalog():
@@ -122,25 +130,131 @@ class TestFormatErrors:
         with pytest.raises(OSError):
             load_catalog(str(tmp_path / "nope.bin"))
 
+    def rewrite_payload(self, p, payload: bytes) -> None:
+        """Replace the payload of catalog file p, with a valid checksum."""
+        blob = p.read_bytes()
+        p.write_bytes(
+            blob[: len(MAGIC) + 4]
+            + struct.pack("<Q", len(payload))
+            + payload
+            + hashlib.sha256(payload).digest()
+        )
+
+    def edit_payload(self, p, edit) -> None:
+        """Apply edit to the decoded payload of p and re-encode it."""
+        plain = json.loads(p.read_bytes()[len(MAGIC) + 12 : -32])
+        edit(plain)
+        self.rewrite_payload(p, json.dumps(plain).encode())
+
+    def assert_rejected(self, p, match, capsys):
+        with pytest.raises(CatalogFormatError, match=match):
+            load_catalog(str(p))
+        sql = "SELECT COUNT(*) FROM fact WHERE fact.amt < 1"
+        assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
+        assert re.search(match, capsys.readouterr().err)
+
+    def test_version_2_rejected(self, tmp_path, capsys):
+        p = self.write_good(tmp_path)
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<I", blob, len(MAGIC), 2)
+        p.write_bytes(bytes(blob))
+        self.assert_rejected(p, "format version 2 not supported", capsys)
+
     def test_out_of_range_bucket_id(self, tmp_path, capsys):
         # a well-formed, correctly checksummed file whose histogram level
         # points a bucket past the end of the representatives
         p = self.write_good(tmp_path)
-        blob = p.read_bytes()
-        head = len(MAGIC) + 12
-        plain, _ = _decode(blob[head:-32], 0)
-        level = plain["relations"]["fact"]["range"][0]["levels"][0]
-        level["groups"][0] = 999
-        payload = bytearray()
-        _encode(plain, payload)
-        p.write_bytes(
-            blob[: len(MAGIC) + 4]
-            + struct.pack("<Q", len(payload))
-            + bytes(payload)
-            + hashlib.sha256(payload).digest()
-        )
-        with pytest.raises(CatalogFormatError, match="bucket ids"):
-            load_catalog(str(p))
-        sql = "SELECT COUNT(*) FROM fact WHERE fact.amt < 1"
-        assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
-        assert "bucket ids" in capsys.readouterr().err
+
+        def edit(plain):
+            level = plain["relations"]["fact"]["range"][0]["levels"][0]
+            level["groups"][0] = 999
+
+        self.edit_payload(p, edit)
+        self.assert_rejected(p, "bucket ids", capsys)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # a filter column missing from column_kinds
+            (lambda c: c["relations"]["fact"]["column_kinds"].pop("amt"), "no declared kind"),
+            # a declared column without its fallback profile
+            (lambda c: c["relations"]["fact"]["fallback"].pop("fk"), "no fallback profile"),
+            # conditioned statistics on a column that is not a filter column
+            (
+                lambda c: c["relations"]["fact"]["equality"][0].update(filter="fk"),
+                "undeclared column pair",
+            ),
+        ],
+        ids=["role-without-kind", "column-without-fallback", "undeclared-pair"],
+    )
+    def test_dangling_column_reference(self, tmp_path, capsys, edit, match):
+        p = self.write_good(tmp_path)
+        self.edit_payload(p, edit)
+        self.assert_rejected(p, match, capsys)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"{not json", b"[1, 2, 3]", b"[" * 200_000 + b"]" * 200_000],
+        ids=["invalid-json", "not-an-object", "deep-nesting"],
+    )
+    def test_undecodable_payload(self, tmp_path, capsys, payload):
+        p = self.write_good(tmp_path)
+        self.rewrite_payload(p, payload)
+        self.assert_rejected(p, "payload", capsys)
+
+
+def _assert_bit_identical(a, b):
+    """Same structure and types, every float the same IEEE-754 bits."""
+    assert type(a) is type(b)
+    if isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b)
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            _assert_bit_identical(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_bit_identical(x, y)
+    else:
+        assert a == b
+
+
+def _stored_values(cat: StatisticsCatalog) -> list:
+    """Every stored float and key of a catalog, in a load-independent order."""
+
+    def fns(fs):
+        return [(f.knots, f.values) for f in fs]
+
+    out: list = [cat.params.compression_budget]
+    for name, rs in sorted(cat.relations.items()):
+        out.append(fns(fn for _, fn in sorted(rs.fallback.items())))
+        for family in FAMILIES:
+            for _, st in sorted(getattr(rs, family).items()):
+                keys = sorted(st.keys.items(), key=lambda kv: (kv[1], str(kv[0])))
+                out.append((keys, st.levels, fns((st.default, *st.representatives))))
+    return out
+
+
+def test_float_and_text_keys_round_trip_exactly(tmp_path):
+    fn = PiecewiseLinearFn([0.0, 0.1 + 0.2, 1.0, 7.0], [0.0, 1.0 / 3.0, 0.9, 2.0])
+    num_keys = [-0.0, float("inf"), 0.1 + 0.2, 1e-300, -2.5]
+    text_keys = ["naïve", "日本", "it's", 'say "hi"', "back\\slash", "two\nlines"]
+    rel = RelationStats(
+        name="r",
+        cardinality=7,
+        column_kinds={"j": "numeric", "f": "numeric", "s": "text"},
+        join_columns=("j",),
+        filter_columns=("f", "s"),
+        fallback={"j": fn, "f": fn, "s": fn},
+        equality={
+            ("j", "f"): FilterStats((fn,), fn, {k: 0 for k in num_keys}),
+            ("j", "s"): FilterStats((fn, fn), fn, {k: i % 2 for i, k in enumerate(text_keys)}),
+        },
+        range={("j", "f"): FilterStats((fn,), fn, levels=(((1e-300, 0.1 + 0.2), (0, 0, 0)),))},
+        like={},
+    )
+    cat = StatisticsCatalog(BuildParams(compression_budget=0.1 + 0.2), {"r": rel})
+    p = tmp_path / "c.bin"
+    save_catalog(cat, str(p))
+    _assert_bit_identical(_stored_values(cat), _stored_values(load_catalog(str(p))))

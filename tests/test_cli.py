@@ -139,6 +139,26 @@ class TestBuild:
         assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
         assert "unknown build parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", [{"hist_depth": 2.5}, {"mcv_size": 2.5}])
+    def test_wrongly_typed_param_is_a_config_error(self, tmp_path, capsys, params):
+        schema = shop_schema(tmp_path, params=params)
+        assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("name", ["orders"]), ("join_columns", "cust")]
+    )
+    def test_wrongly_typed_schema_field_is_a_config_error(
+        self, tmp_path, capsys, field, value
+    ):
+        schema = shop_schema(tmp_path)
+        with open(schema, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["relations"][0][field] = value
+        write(tmp_path / "schema.json", json.dumps(doc))
+        assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
+        assert "%r must be a" % field in capsys.readouterr().err
+
     def test_unparseable_cells_warn_but_build(self, tmp_path, capsys):
         broken = ORDERS_CSV.replace("1,open,5", "1,open,oops", 1)
         schema = shop_schema(tmp_path, orders_csv=broken)

@@ -445,3 +445,31 @@ class TestSoundnessRegressions:
         catalog = build_catalog({"r": r}, {"r": ColumnRole(("j",), ("f",))}, params=BuildParams())
         schema = {"r": {"j": "numeric", "f": "numeric"}}
         assert bound(catalog, "SELECT COUNT(*) FROM r WHERE r.f = 0", schema).bound >= 5
+
+    def test_negative_literals_bound_negative_filter_values(self):
+        # equality, range and IN over negative filter values, on the MCV
+        # path (default mcv_size) and the tail path (mcv_size=2)
+        f = np.array([-10.0, -10.0, -7.5, -3.0, -3.0, -3.0, -1.0, 2.0, 4.0, -3.0])
+        j = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 1.0, 4.0, 1.0])
+        r = Relation("r", [Column("j", "numeric"), Column("f", "numeric")], {"j": j, "f": f}, f.size)
+        schema = {"r": {"j": "numeric", "f": "numeric"}}
+        for params in (BuildParams(), BuildParams(mcv_size=2, hist_depth=2)):
+            catalog = build_catalog({"r": r}, {"r": ColumnRole(("j",), ("f",))}, params=params)
+            for where in (
+                "a.f = -3",
+                "a.f = -7.5",
+                "a.f < -2",
+                "a.f >= -3 AND a.f <= -1",
+                "a.f BETWEEN -10 AND -7.5",
+                "-5 > a.f",
+                "a.f IN (-10, -1)",
+                "a.f > -1e1",
+            ):
+                for sql in (
+                    "SELECT COUNT(*) FROM r AS a WHERE " + where,
+                    "SELECT COUNT(*) FROM r AS a, r AS b WHERE a.j = b.j AND " + where,
+                ):
+                    query = parse_query(sql, schema)
+                    true = true_cardinality({"r": r}, query)
+                    assert true > 0, sql
+                    assert bound_query(catalog, query).bound >= true, sql

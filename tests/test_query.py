@@ -110,6 +110,12 @@ class TestParsing:
             (Eq("region", "east"), Eq("region", "west"))
         )
 
+    def test_negative_literals(self):
+        q = parse("SELECT COUNT(*) FROM orders AS o WHERE o.total > -10 AND -2.5e1 <= o.id")
+        assert q.predicates["o"] == And(
+            (Range("total", -10.0, None, False, True), Range("id", -25.0, None, True, True))
+        )
+
     def test_quoted_quote_unescapes(self):
         q = parse("SELECT COUNT(*) FROM customers WHERE customers.name = 'O''Brien'")
         assert q.predicates["customers"] == Eq("name", "O'Brien")
@@ -295,6 +301,8 @@ ROUND_TRIP_QUERIES = [
     " AND i.sku LIKE '%usb%' AND i.qty >= 2 AND c.name IN ('ann', 'bob')",
     "SELECT COUNT(*) FROM orders"
     " WHERE orders.total > 3 AND (orders.note LIKE '%x%' OR orders.note = 'y')",
+    "SELECT COUNT(*) FROM orders AS o WHERE o.total >= -3 AND o.total < -0.5"
+    " AND o.cust BETWEEN -7 AND -1e-3 AND o.id IN (-2, 4) AND -1.5e3 < o.cust",
 ]
 
 

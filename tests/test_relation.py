@@ -160,3 +160,30 @@ class TestLoadWorkspace:
         write(p, "not json {")
         with pytest.raises(ConfigError):
             load_workspace(str(p))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda r: r.update(name=["r"]), "'name' must be a string"),
+            (lambda r: r.update(csv=7), "'csv' must be a string"),
+            (lambda r: r.update(columns={"j": "numeric"}), "'columns' must be a list"),
+            (lambda r: r["columns"].__setitem__(0, "j"), "column entry must be an object"),
+            (lambda r: r["columns"][0].update(name=1), "'name' must be a string"),
+            (lambda r: r["columns"][0].update(kind=["numeric"]), "'kind' must be a string"),
+            (lambda r: r.update(join_columns="j"), "'join_columns' must be a list"),
+            (lambda r: r.update(filter_columns=[["f"]]), "'filter_columns' must be a list"),
+        ],
+    )
+    def test_wrongly_typed_fields(self, tmp_path, edit, match):
+        path = make_schema(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc["relations"][0])
+        write(path, json.dumps(doc))
+        with pytest.raises(ConfigError, match=match):
+            load_workspace(str(path))
+
+    def test_wrongly_typed_pk_fk(self, tmp_path):
+        with pytest.raises(ConfigError, match="'fk' must be a string"):
+            load_workspace(
+                str(make_schema(tmp_path, pk_fk=[{"fact": "r", "fk": ["j"], "dim": "d", "pk": "k"}]))
+            )

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,23 @@ class TestBuildParams:
             BuildParams(clusters="many")
         with pytest.raises(ConfigError):
             BuildParams(clusters=0)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"hist_depth": 2.5},
+            {"mcv_size": 2.5},
+            {"max_segments": 2.5},
+            {"max_segments": 1},
+            {"clusters": 2.5},
+            {"clusters": "3"},
+            {"compression_budget": "0.1"},
+            {"compression_budget": float("nan")},
+        ],
+    )
+    def test_wrongly_typed_values_are_config_errors(self, raw):
+        with pytest.raises(ConfigError):
+            make_build_params(raw)
 
     def test_make_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -182,6 +201,15 @@ class TestRangeStats:
         rel = little_relation()
         with pytest.raises(StatsBuildError):
             build_range_stats(rel, "j", "f", BuildParams(), cum((1,) * 6))
+
+    def test_deep_histogram_on_few_rows_is_bounded(self):
+        # 2**40 buckets over 8 rows: every value but the smallest is a
+        # finest cut, as at depth 7, without visiting 2**40 targets
+        start = time.perf_counter()
+        deep, _ = self.make(hist_depth=40)
+        assert time.perf_counter() - start < 1.0
+        assert deep.levels == self.make(hist_depth=7)[0].levels
+        assert deep.levels[0][0] == (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 
 
 class TestLikeStats:
