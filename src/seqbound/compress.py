@@ -186,26 +186,51 @@ def is_valid_compression(
     return ValidityReport(True)
 
 
+# Profile ends beyond which distance_matrix reads a log-rank sketch, and
+# the number of sketch ranks.
+FULL_GRID_RANKS = 256
+SKETCH_RANKS = 64
+
+
 def distance_matrix(fns: list[PiecewiseLinearFn]) -> np.ndarray:
     """Pairwise dissimilarities of cumulative profiles, for clustering.
 
-    Every profile is read back as per-rank frequency drops on one integer
-    grid (flat-extended past its end); with m the pointwise maximum of two
-    drop vectors a and b, their distance is sum(m^2)/sum(a^2) +
-    sum(m^2)/sum(b^2).  Always at least 2, exactly 2 for identical
-    profiles; grows as either profile must be inflated to envelope the
-    other.  Pairwise maxima are taken in row blocks of about two million
-    cells.
+    Every profile is read back as per-rank frequency drops (flat-extended
+    past its end); with m the pointwise maximum of two drop vectors a and
+    b, their distance is sum(w*m^2)/sum(w*a^2) + sum(w*m^2)/sum(w*b^2).
+    Always at least 2, exactly 2 for identical profiles; grows as either
+    profile must be inflated to envelope the other.
+
+    When the largest end D is at most FULL_GRID_RANKS the drops are read
+    at every integer rank with unit weights.  Above it they are read at
+    the SKETCH_RANKS ranks r = round(geomspace(1, D)), each drop
+    F(r) - F(r-1) weighted by the ranks w = r - r_prev it stands for, so
+    the cost is independent of D.  Clustering is a heuristic: soundness
+    rests on the representatives and their audit, not on this distance.
+    Pairwise maxima are taken in row blocks of about two million cells.
     """
     m = len(fns)
     upto = int(np.ceil(max(fn.end for fn in fns)))
-    grid = np.stack([sample_integer_ranks(fn, upto) for fn in fns])
-    drops = np.diff(grid, axis=1)
+    if upto <= FULL_GRID_RANKS:
+        grid = np.stack([sample_integer_ranks(fn, upto) for fn in fns])
+        drops = np.diff(grid, axis=1)
+    else:
+        ranks = np.unique(np.round(np.geomspace(1, upto, SKETCH_RANKS)))
+        drops = np.stack(
+            [
+                np.interp(ranks, fn.knots, fn.values)
+                - np.interp(ranks - 1.0, fn.knots, fn.values)
+                for fn in fns
+            ]
+        )
+        # sum(w*x^2) is sum((sqrt(w)*x)^2), and scaling by sqrt(w) > 0
+        # commutes with the pairwise maximum
+        drops *= np.sqrt(np.diff(ranks, prepend=0.0))
     sq = np.einsum("ij,ij->i", drops, drops)
     if np.any(sq <= 0.0):
         raise ValueError("profiles with zero mass have no defined distance")
     dist = np.empty((m, m), dtype=np.float64)
-    block = max(1, int(2_000_000 // max(1, m * upto)))
+    block = max(1, int(2_000_000 // max(1, m * drops.shape[1])))
     for lo in range(0, m, block):
         hi = min(m, lo + block)
         pairwise = np.maximum(drops[lo:hi, None, :], drops[None, :, :])

@@ -16,6 +16,7 @@ joins, joins under OR, subqueries) is rejected as unsupported.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -603,6 +604,9 @@ def parse_query(text: str, schema: dict[str, dict[str, str]]) -> Query:
 def _format_literal(value: float | str) -> str:
     if isinstance(value, str):
         return "'%s'" % value.replace("'", "''")
+    if math.isinf(value):
+        # the parser reads an overflowing number back as the same infinity
+        return "-1e999" if value < 0 else "1e999"
     if value == int(value) and abs(value) < 1e15:
         return "%d" % int(value)
     return repr(value)

@@ -8,7 +8,9 @@ dominating representatives of clustered conditioned profiles, a default
 profile, and a key that picks one representative:
 
 * equality: one profile per most-common filter value; ``keys`` maps each
-  tracked value to its group, and the default covers all other values;
+  tracked value to its group, and the default is the least concave
+  majorant of the exact profiles of every untracked value, built in one
+  pass over their rows;
 * range (numeric filters): nested equi-depth histogram levels whose
   buckets each point at a representative; the default is the
   unconditioned profile of the join column;
@@ -17,7 +19,8 @@ profile, and a key that picks one representative:
   holding an untracked gram.
 
 Every compressed profile is audited against the exact sequence it stands
-for before it enters the catalog.
+for, and every representative and the equality default against the exact
+profiles they cover, before they enter the catalog.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .compress import (
 from .pwfn import (
     DegreeSequence,
     PiecewiseLinearFn,
+    _upper_concave_envelope,
     pw_max,
     sample_integer_ranks,
     zero_cumulative,
@@ -267,15 +271,22 @@ def _agglomerate(
     return [sorted(c) for c in members.values()]
 
 
+def _audit_dominates(rep: PiecewiseLinearFn, top: np.ndarray, context: str) -> None:
+    """Check a profile against the per-integer-rank maximum of the
+    cumulatives it stands for (ranks 0 .. len(top) - 1)."""
+    rep_grid = sample_integer_ranks(rep, top.size - 1)
+    if np.any(rep_grid + 1e-9 * np.maximum(1.0, top) < top):
+        raise StatsBuildError("profile fails to dominate what it stands for (%s)" % context)
+
+
 def _audit_representative(
     rep: PiecewiseLinearFn, member_fns: list[PiecewiseLinearFn], context: str
 ) -> None:
     upto = int(np.ceil(rep.end))
-    rep_grid = sample_integer_ranks(rep, upto)
+    top = np.zeros(upto + 1)
     for fn in member_fns:
-        grid = sample_integer_ranks(fn, upto)
-        if np.any(rep_grid + 1e-9 * np.maximum(1.0, grid) < grid):
-            raise StatsBuildError("representative fails to dominate a member (%s)" % context)
+        np.maximum(top, sample_integer_ranks(fn, upto), out=top)
+    _audit_dominates(rep, top, context)
 
 
 def _build_groups(
@@ -301,26 +312,71 @@ def _build_groups(
     return tuple(representatives), key_to_group
 
 
+def _codes(data) -> tuple[list, np.ndarray]:
+    """Distinct non-null values of a column and every row's index into
+    them, -1 for null.  Numbers are coded with ``np.unique``, so -0.0 and
+    0.0 are one value, as in :func:`extract_degree_sequence`."""
+    if isinstance(data, np.ndarray):
+        codes = np.full(data.size, -1, dtype=np.intp)
+        live = ~np.isnan(data)
+        values, codes[live] = np.unique(data[live], return_inverse=True)
+        return values.tolist(), codes
+    distinct = dict.fromkeys(data)
+    distinct.pop(None, None)
+    keys = list(distinct)
+    index = {v: i for i, v in enumerate(keys)}
+    index[None] = -1
+    return keys, np.fromiter(map(index.__getitem__, data), dtype=np.intp, count=len(data))
+
+
 def _rows_by_value(rel: Relation, column: str) -> dict:
     """Row indices (ascending) of every non-null value of a column."""
-    data = rel.data[column]
-    if isinstance(data, np.ndarray):
-        rows = np.flatnonzero(~np.isnan(data))
-        values, codes = np.unique(data[rows], return_inverse=True)
-        keys = values.tolist()
-    else:
-        distinct = dict.fromkeys(data)
-        distinct.pop(None, None)
-        keys = list(distinct)
-        index = {v: i for i, v in enumerate(keys)}
-        index[None] = -1
-        all_codes = np.fromiter(map(index.__getitem__, data), dtype=np.intp, count=len(data))
-        rows = np.flatnonzero(all_codes >= 0)
-        codes = all_codes[rows]
+    keys, all_codes = _codes(rel.data[column])
+    rows = np.flatnonzero(all_codes >= 0)
+    codes = all_codes[rows]
     order = np.argsort(codes, kind="stable")
     counts = np.bincount(codes, minlength=len(keys))
     parts = np.split(rows[order], np.cumsum(counts)[:-1])
     return dict(zip(keys, parts))
+
+
+def _tail_majorant(
+    rel: Relation, join_col: str, tail: list[np.ndarray], context: str
+) -> PiecewiseLinearFn:
+    """Least concave majorant of the exact join-column profiles of the
+    given row sets, in one pass over their rows.
+
+    Equal to ``pw_max`` of the exact cumulatives: the per-rank maximum of
+    the running sums of each set's descending degrees, extended flat past
+    each set's distinct count, then its upper concave hull.
+    """
+    join_values, join_codes = _codes(rel.data[join_col])
+    rows = np.concatenate(tail)
+    owner = np.repeat(np.arange(len(tail), dtype=np.int64), [r.size for r in tail])
+    keys = join_codes[rows]
+    live = keys >= 0
+    if not live.any():
+        return zero_cumulative()
+    width = len(join_values)
+    pairs, counts = np.unique(owner[live] * width + keys[live], return_counts=True)
+    owner = pairs // width
+    order = np.lexsort((-counts, owner))
+    owner = owner[order]
+    counts = counts[order]
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    sizes = np.diff(starts, append=owner.size)
+    running = np.cumsum(counts)
+    running -= np.repeat(running[starts] - counts[starts], sizes)
+    rank = np.arange(owner.size) - np.repeat(starts, sizes) + 1
+    top = np.zeros(int(sizes.max()) + 1)
+    np.maximum.at(top, rank, running.astype(np.float64))
+    np.maximum.accumulate(top, out=top)
+    knots, values = _upper_concave_envelope(
+        np.arange(top.size, dtype=np.float64).tolist(), top.tolist()
+    )
+    majorant = PiecewiseLinearFn(knots, values)
+    _audit_dominates(majorant, top, context)
+    return majorant
 
 
 def build_equality_stats(
@@ -336,7 +392,7 @@ def build_equality_stats(
     context = "%s.%s | %s =" % (rel.name, join_col, filter_col)
     representatives, keys = _build_groups(members, params, context)
     if rest:
-        default = pw_max([_audited_profile(rel, join_col, rows, params) for _, rows in rest])
+        default = _tail_majorant(rel, join_col, [rows for _, rows in rest], context)
     else:
         default = zero_cumulative()
     return FilterStats(representatives, default, keys)

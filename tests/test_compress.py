@@ -1,18 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqbound.compress import (
     CompressionConfig,
     compression_distance,
+    distance_matrix,
     is_valid_compression,
     lossless_compress,
     self_join_bound,
     valid_compress,
 )
-from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, cumulate
+from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, cumulate, sample_integer_ranks
 
 EX = DegreeSequence((4, 2, 2, 1, 1, 1))
 
@@ -172,3 +174,31 @@ class TestDistance:
         z = PiecewiseLinearFn((0.0, 1.0), (0.0, 0.0))
         with pytest.raises(ValueError):
             compression_distance(f, z)
+
+    def test_full_grid_up_to_256_ranks(self):
+        rng = random.Random(11)
+        fns = [cumulate(lossless_compress(random_seq(rng, 256, 40))) for _ in range(12)]
+        fns.append(cumulate(lossless_compress(DegreeSequence((3,) * 256))))
+        fns.append(valid_compress(random_seq(rng, 255, 40), CompressionConfig(0.2)))
+        # the full integer grid, unit weights, as one block
+        upto = int(np.ceil(max(fn.end for fn in fns)))
+        assert upto == 256
+        drops = np.diff(np.stack([sample_integer_ranks(fn, upto) for fn in fns]), axis=1)
+        sq = np.einsum("ij,ij->i", drops, drops)
+        pairwise = np.maximum(drops[:, None, :], drops[None, :, :])
+        msq = np.einsum("bij,bij->bi", pairwise, pairwise)
+        reference = msq / sq[:, None] + msq / sq[None, :]
+        assert np.array_equal(distance_matrix(fns), reference)
+
+    def test_sketch_beyond_256_ranks(self):
+        rng = random.Random(5)
+        seqs = [
+            DegreeSequence(sorted((rng.randint(1, 400) for _ in range(d)), reverse=True))
+            for d in (rng.randint(4500, 5500) for _ in range(10))
+        ]
+        fns = [valid_compress(seq) for seq in seqs]
+        fns += [cumulate(lossless_compress(DegreeSequence((2,) * d))) for d in (4800, 5000)]
+        dist = distance_matrix(fns)
+        assert np.array_equal(dist, dist.T)
+        assert np.all(np.diag(dist) == 2.0)
+        assert np.all(dist >= 2.0)

@@ -473,3 +473,23 @@ class TestSoundnessRegressions:
                     true = true_cardinality({"r": r}, query)
                     assert true > 0, sql
                     assert bound_query(catalog, query).bound >= true, sql
+
+    def test_infinite_literals_bound_their_rows(self):
+        # 1e999 parses as inf: a range up to it and an equality on -inf,
+        # over a column holding both infinities, on the MCV path (default
+        # mcv_size) and the tail path (mcv_size=1)
+        f = np.array([-np.inf, -np.inf, 1.0, 1.0, 1.0, 2.0, np.inf, np.inf, np.nan])
+        j = np.array([1.0, 2.0, 1.0, 1.0, 3.0, 3.0, 2.0, 1.0, 1.0])
+        r = Relation("r", [Column("j", "numeric"), Column("f", "numeric")], {"j": j, "f": f}, f.size)
+        schema = {"r": {"j": "numeric", "f": "numeric"}}
+        for params in (BuildParams(), BuildParams(mcv_size=1, hist_depth=2)):
+            catalog = build_catalog({"r": r}, {"r": ColumnRole(("j",), ("f",))}, params=params)
+            for where in ("a.f < 1e999", "a.f = -1e999"):
+                for sql in (
+                    "SELECT COUNT(*) FROM r AS a WHERE " + where,
+                    "SELECT COUNT(*) FROM r AS a, r AS b WHERE a.j = b.j AND " + where,
+                ):
+                    query = parse_query(sql, schema)
+                    true = true_cardinality({"r": r}, query)
+                    assert true > 0, sql
+                    assert bound_query(catalog, query).bound >= true, sql

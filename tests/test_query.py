@@ -303,6 +303,8 @@ ROUND_TRIP_QUERIES = [
     " WHERE orders.total > 3 AND (orders.note LIKE '%x%' OR orders.note = 'y')",
     "SELECT COUNT(*) FROM orders AS o WHERE o.total >= -3 AND o.total < -0.5"
     " AND o.cust BETWEEN -7 AND -1e-3 AND o.id IN (-2, 4) AND -1.5e3 < o.cust",
+    "SELECT COUNT(*) FROM orders WHERE orders.total < 1e999",
+    "SELECT COUNT(*) FROM orders WHERE orders.total > -1e999 AND orders.id IN (1e999, 2)",
 ]
 
 

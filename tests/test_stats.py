@@ -2,8 +2,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, sample_integer_ranks
+from seqbound import stats as stats_module
+from seqbound.pwfn import (
+    DegreeSequence,
+    PiecewiseLinearFn,
+    pw_max,
+    sample_integer_ranks,
+    zero_cumulative,
+)
 from seqbound.relation import Column, ColumnRole, ConfigError, PkFkDeclaration, Relation
 from seqbound.stats import (
     BuildParams,
@@ -111,6 +119,20 @@ class TestClustering:
         fns = [cum((k, 1)) for k in range(2, 12)]
         assert len(cluster_sequence_groups(fns, 3)) == 3
 
+    def test_two_families_of_long_profiles(self):
+        # about 5 000 ranks each, so distances come from the log-rank
+        # sketch: steep Zipf-like profiles and flat ones
+        rng = np.random.default_rng(8)
+        fns = []
+        for i in range(12):
+            d = int(rng.integers(4800, 5200))
+            if i % 2:
+                freqs = np.full(d, int(rng.integers(3, 5)))
+            else:
+                freqs = np.maximum(1, 2000 // np.arange(1, d + 1) ** rng.uniform(1.0, 1.2))
+            fns.append(cum(freqs.astype(int).tolist()))
+        assert cluster_sequence_groups(fns, 2) == [list(range(0, 12, 2)), list(range(1, 12, 2))]
+
 
 def little_relation() -> Relation:
     # join column j is a key; filter f has counts a:3 b:2 c:1
@@ -161,6 +183,98 @@ class TestEqualityStats:
                 grid = sample_integer_ranks(cum(exact.freqs), upto) if exact.distinct else None
                 if grid is not None:
                     assert np.all(rep >= grid - 1e-9)
+
+
+@st.composite
+def tail_relations(draw):
+    """A relation whose filter column has more distinct values than
+    mcv_size, with null join cells, -0.0 keys or text join keys."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        pool = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 7.0, 11.0, np.nan])
+        j = np.array(draw(st.lists(pool, min_size=n, max_size=n)))
+        join_kind = "numeric"
+    else:
+        pool = st.sampled_from(["a", "b", "c", "dd", "", None])
+        j = draw(st.lists(pool, min_size=n, max_size=n))
+        join_kind = "text"
+    f = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, np.nan]),
+                               min_size=n, max_size=n)))
+    distinct = np.unique(f[~np.isnan(f)]).size
+    mcv_size = draw(st.integers(0, max(0, distinct - 1)))
+    budget = draw(st.sampled_from([0.01, 0.3, 1.0]))
+    rel = Relation("r", [Column("j", join_kind), Column("f", "numeric")], {"j": j, "f": f}, n)
+    return rel, BuildParams(compression_budget=budget, mcv_size=mcv_size, clusters=2)
+
+
+def tail_row_sets(rel: Relation, params: BuildParams) -> list[np.ndarray]:
+    by_value = stats_module._rows_by_value(rel, "f")
+    ordered = sorted(by_value.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    return [rows for _, rows in ordered[params.mcv_size :]]
+
+
+def exact_cumulative(rel: Relation, rows: np.ndarray) -> PiecewiseLinearFn:
+    seq = extract_degree_sequence(rel, "j", rows)
+    return cum(seq.freqs) if seq.distinct else zero_cumulative()
+
+
+class TestEqualityDefault:
+    @settings(max_examples=150, deadline=None)
+    @given(tail_relations())
+    def test_default_is_the_least_concave_majorant_of_the_tail(self, case):
+        rel, params = case
+        tail = tail_row_sets(rel, params)
+        default = build_equality_stats(rel, "j", "f", params).default
+        if not tail:
+            assert default == zero_cumulative()
+            return
+        exact = [exact_cumulative(rel, rows) for rows in tail]
+        parent = pw_max([stats_module._audited_profile(rel, "j", rows, params) for rows in tail])
+        upto = int(np.ceil(max(default.end, parent.end)))
+        got = sample_integer_ranks(default, upto)
+        majorant = sample_integer_ranks(pw_max(exact), upto)
+        np.testing.assert_allclose(got, majorant, rtol=1e-12, atol=1e-12)
+        for fn in exact:
+            assert np.all(got >= sample_integer_ranks(fn, upto) - 1e-9)
+        assert np.all(got <= sample_integer_ranks(parent, upto) + 1e-9)
+
+    def test_majorant_that_fails_to_dominate_is_rejected(self, monkeypatch):
+        rel = Relation(
+            "r",
+            [Column("j", "numeric"), Column("f", "numeric")],
+            {"j": np.array([1.0, 1.0, 2.0, 3.0, 1.0, 2.0]), "f": np.arange(6.0)},
+            6,
+        )
+        envelope = stats_module._upper_concave_envelope
+
+        def halved(knots, values):
+            hull_x, hull_y = envelope(knots, values)
+            return hull_x, [y / 2.0 for y in hull_y]
+
+        monkeypatch.setattr(stats_module, "_upper_concave_envelope", halved)
+        with pytest.raises(StatsBuildError, match="fails to dominate"):
+            build_equality_stats(rel, "j", "f", BuildParams(mcv_size=1))
+
+    def test_tail_values_are_not_compressed_one_by_one(self, monkeypatch):
+        n = 50 * 6
+        rel = Relation(
+            "r",
+            [Column("j", "numeric"), Column("f", "numeric")],
+            {"j": np.arange(n) % 7.0, "f": np.repeat(np.arange(50.0), 6)},
+            n,
+        )
+        calls = []
+        compress = stats_module.valid_compress
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(stats_module, "valid_compress", counted)
+        stats = build_equality_stats(rel, "j", "f", BuildParams(mcv_size=4))
+        assert len(calls) == 4
+        assert len(stats.keys) == 4
+        assert stats.default.total == pytest.approx(6.0)
 
 
 class TestRangeStats:
