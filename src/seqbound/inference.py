@@ -49,9 +49,9 @@ from .query import (
     spanning_trees,
 )
 from .stats import (
-    GRAM_LEN,
     RelationStats,
     StatisticsCatalog,
+    _grams,
     lookup_range_group,
 )
 
@@ -81,10 +81,9 @@ def _resolve_like(rel: RelationStats, join_col: str, node: Like) -> PiecewiseLin
     stats = rel.like.get((join_col, node.column))
     if stats is None:
         return None
-    literal = node.pattern.strip("%").lower()
-    if len(literal) < GRAM_LEN:
+    grams = _grams(node.pattern.strip("%"))
+    if not grams:
         return None
-    grams = {literal[i : i + GRAM_LEN] for i in range(len(literal) - GRAM_LEN + 1)}
     hits = [
         stats.representatives[stats.keys[g]] for g in sorted(grams) if g in stats.keys
     ]

@@ -491,8 +491,8 @@ class _Parser:
                 else:
                     by_alias[ref.alias].append(node)
             else:
-                alias = self.single_alias(conjunct)
-                by_alias[alias].append(self.strip(conjunct))
+                alias, node = self.lift(conjunct)
+                by_alias[alias].append(node)
         atoms = self.make_atoms(joins)
         predicates: dict[str, Predicate | None] = {}
         for alias in self.aliases:
@@ -505,48 +505,32 @@ class _Parser:
                 predicates[alias] = And(tuple(nodes))
         return Query(atoms, predicates)
 
-    def single_alias(self, node) -> str:
-        found: set[str] = set()
-        pos = [0]
+    def lift(self, node) -> tuple[str, Predicate]:
+        """The one alias an OR subtree's comparisons name, and the subtree
+        with their column references dropped."""
+        refs: list[_ColRef] = []
 
         def walk(n):
-            if isinstance(n, tuple):
-                if isinstance(n[0], _RawJoin):
-                    raise UnsupportedQueryError(
-                        "join conditions may not appear under OR", n[0].pos
-                    )
-                found.add(n[1].alias)
-                pos[0] = n[1].pos
-                return
-            for c in n.children:
-                walk(c)
+            if not isinstance(n, tuple):
+                return type(n)(tuple(walk(c) for c in n.children))
+            pred, ref = n
+            if isinstance(pred, _RawJoin):
+                raise UnsupportedQueryError(
+                    "join conditions may not appear under OR", pred.pos
+                )
+            refs.append(ref)
+            return pred
 
-        walk(node)
-        if len(found) != 1:
+        tree = walk(node)
+        aliases = {ref.alias for ref in refs}
+        if len(aliases) != 1:
             raise UnsupportedQueryError(
-                "a predicate may only reference one relation", pos[0]
+                "a predicate may only reference one relation", refs[-1].pos
             )
-        return found.pop()
-
-    def strip(self, node):
-        if isinstance(node, tuple):
-            return node[0]
-        return type(node)(tuple(self.strip(c) for c in node.children))
+        return aliases.pop(), tree
 
     def make_atoms(self, joins: list[_RawJoin]) -> tuple[Atom, ...]:
         parent: dict[tuple[str, str], tuple[str, str]] = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
         for j in joins:
             a = (j.left.alias, j.left.column)
             b = (j.right.alias, j.right.column)
@@ -554,10 +538,11 @@ class _Parser:
                 raise UnsupportedQueryError("a column cannot join with itself", j.pos)
             parent.setdefault(a, a)
             parent.setdefault(b, b)
-            union(a, b)
+            ra, rb = _find(parent, a), _find(parent, b)
+            parent[max(ra, rb)] = min(ra, rb)
         classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
         for ref in parent:
-            classes.setdefault(find(ref), []).append(ref)
+            classes.setdefault(_find(parent, ref), []).append(ref)
         for members in classes.values():
             seen_alias: set[str] = set()
             for alias, _ in members:
@@ -582,6 +567,15 @@ class _Parser:
 
 
 _FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _find(parent: dict, x):
+    """Root of ``x`` in a disjoint-set forest stored as child -> parent;
+    a key absent from ``parent`` is its own root.  Halves the path walked."""
+    while (up := parent.get(x, x)) != x:
+        parent[x] = parent.get(up, up)
+        x = parent[x]
+    return x
 
 
 def _flatten_and(tree) -> Iterable:
@@ -639,7 +633,9 @@ def _render(node: Predicate, alias: str, parenthesize: bool = False) -> str:
             ", ".join(_format_literal(v) for v in node.values),
         )
     if isinstance(node, And):
-        text = " AND ".join(_render(c, alias, isinstance(c, Or)) for c in node.children)
+        text = " AND ".join(
+            _render(c, alias, isinstance(c, (And, Or))) for c in node.children
+        )
         return "(%s)" % text if parenthesize else text
     if isinstance(node, Or):
         return "(%s)" % " OR ".join(_render(c, alias, True) for c in node.children)
@@ -647,7 +643,8 @@ def _render(node: Predicate, alias: str, parenthesize: bool = False) -> str:
 
 
 def print_query(query: Query) -> str:
-    """Canonical SQL text for a query (parse of the output reproduces it)."""
+    """Canonical SQL text for a query; parsing the output reproduces any
+    query the parser made, and printing that again gives the same text."""
     tables = ", ".join(
         a.relation if a.relation == a.alias else "%s AS %s" % (a.relation, a.alias)
         for a in query.atoms
@@ -682,50 +679,33 @@ class JoinGraph:
     multi_column_pairs: tuple[tuple[str, str, tuple[str, ...]], ...]
 
 
-def _var_atoms(query: Query) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
+def join_graph(query: Query) -> JoinGraph:
+    var_atoms: dict[str, list[str]] = {}
     for atom in query.atoms:
         for var, _ in atom.var_columns:
-            out.setdefault(var, []).append(atom.alias)
-    return {v: sorted(set(a)) for v, a in out.items()}
-
-
-def join_graph(query: Query) -> JoinGraph:
-    var_atoms = _var_atoms(query)
+            var_atoms.setdefault(var, []).append(atom.alias)
+    variables = {v: tuple(sorted(set(a))) for v, a in var_atoms.items()}
     parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     acyclic = True
-    for var, aliases in var_atoms.items():
+    for var, aliases in variables.items():
         vnode = "var:" + var
         for alias in aliases:
-            anode = "atom:" + alias
-            ra, rv = find(anode), find(vnode)
+            ra, rv = _find(parent, "atom:" + alias), _find(parent, vnode)
             if ra == rv:
                 acyclic = False
             else:
                 parent[ra] = rv
-    roots = {find("atom:" + a.alias) for a in query.atoms}
+    roots = {_find(parent, "atom:" + a.alias) for a in query.atoms}
     connected = len(roots) <= 1
     pairs: list[tuple[str, str, tuple[str, ...]]] = []
     seen_vars: dict[tuple[str, str], list[str]] = {}
-    for var, aliases in sorted(var_atoms.items()):
+    for var, aliases in sorted(variables.items()):
         for a1, a2 in itertools.combinations(aliases, 2):
             seen_vars.setdefault((a1, a2), []).append(var)
     for (a1, a2), vs in sorted(seen_vars.items()):
         if len(vs) >= 2:
             pairs.append((a1, a2, tuple(sorted(vs))))
-    return JoinGraph(
-        {v: tuple(a) for v, a in var_atoms.items()},
-        acyclic,
-        connected,
-        tuple(pairs),
-    )
+    return JoinGraph(variables, acyclic, connected, tuple(pairs))
 
 
 # ---------------------------------------------------------- bound plans
@@ -780,8 +760,7 @@ def decompose(query: Query) -> BoundPlan:
     for atom in query.atoms:
         if not atom.var_columns:
             raise ValueError("atom %r has no join variable" % atom.alias)
-    var_atoms = {v: list(a) for v, a in graph.variables.items()}
-    join_vars = {v for v, als in var_atoms.items() if len(als) >= 2}
+    join_vars = {v for v, als in graph.variables.items() if len(als) >= 2}
     max_vars = max(len(a.var_columns) for a in query.atoms)
     root_alias = min(a.alias for a in query.atoms if len(a.var_columns) == max_vars)
     root_atom = atoms[root_alias]
@@ -795,9 +774,9 @@ def decompose(query: Query) -> BoundPlan:
     def new_id() -> str:
         return "s%d" % next(counter)
 
-    def child_inputs(alias: str, var: str) -> list[str]:
+    def child_inputs(var: str) -> list[str]:
         ids = []
-        for other in var_atoms.get(var, ()):
+        for other in graph.variables.get(var, ()):
             if other not in visited:
                 visited.add(other)
                 ids.append(build(other, var))
@@ -810,31 +789,22 @@ def decompose(query: Query) -> BoundPlan:
         steps.append(MergeStep(out, var, tuple(ids)))
         return out
 
-    def build(alias: str, via: str) -> str:
-        atom = atoms[alias]
+    def build(alias: str, via: str, root: bool = False) -> str:
         children = []
-        for var in atom.variables():
+        for var in atoms[alias].variables():
             if var == via or var not in join_vars:
                 continue
-            ids = child_inputs(alias, var)
+            ids = child_inputs(var)
             if ids:
                 children.append((var, merged(var, ids)))
-        if not children:
+        if not children and not root:
             return base_input(alias, via)
         out = new_id()
         steps.append(JoinStep(out, alias, via, tuple(children)))
         return out
 
-    root_children = []
-    for var in root_atom.variables():
-        if var == anchor or var not in join_vars:
-            continue
-        ids = child_inputs(root_alias, var)
-        if ids:
-            root_children.append((var, merged(var, ids)))
-    root_out = new_id()
-    steps.append(JoinStep(root_out, root_alias, anchor, tuple(root_children)))
-    sibling_ids = child_inputs(root_alias, anchor)
+    root_out = build(root_alias, anchor, root=True)
+    sibling_ids = child_inputs(anchor)
     if sibling_ids:
         out = new_id()
         steps.append(MergeStep(out, anchor, (root_out, *sibling_ids)))
@@ -849,13 +819,12 @@ def decompose(query: Query) -> BoundPlan:
 def fuse_parallel_joins(query: Query) -> Query:
     """Merge variable pairs that join the same two atoms on several columns
     into a single variable carrying the column set on each side."""
-    var_atoms = _var_atoms(query)
     graph = join_graph(query)
     merge_groups: list[tuple[str, ...]] = []
     merged_vars: set[str] = set()
     for a1, a2, vs in graph.multi_column_pairs:
         exclusive = tuple(
-            v for v in vs if var_atoms[v] == [a1, a2] and v not in merged_vars
+            v for v in vs if graph.variables[v] == (a1, a2) and v not in merged_vars
         )
         if len(exclusive) >= 2:
             merge_groups.append(exclusive)
@@ -896,12 +865,11 @@ def spanning_trees(query: Query, cap: int = 64) -> tuple[Query, ...]:
         return (query,)
     if not graph.connected:
         raise ValueError("query is disconnected")
-    var_atoms = {v: list(a) for v, a in graph.variables.items()}
     aliases = sorted(a.alias for a in query.atoms)
     n = len(aliases)
     edges: list[tuple[str, str, str]] = []
-    for var in sorted(var_atoms):
-        for a1, a2 in itertools.combinations(sorted(var_atoms[var]), 2):
+    for var in sorted(graph.variables):
+        for a1, a2 in itertools.combinations(graph.variables[var], 2):
             edges.append((var, a1, a2))
     slot = {a: i for i, a in enumerate(aliases)}
     ends = [(slot[a1], slot[a2]) for _, a1, a2 in edges]
@@ -910,17 +878,10 @@ def spanning_trees(query: Query, cap: int = 64) -> tuple[Query, ...]:
 
     def spans(comp: list[int], start: int) -> bool:
         # do the prefix's components plus edges[start:] connect everything?
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent: dict[int, int] = {}
         left = len(set(comp)) - 1
         for u, v in ends[start:]:
-            ru, rv = find(comp[u]), find(comp[v])
+            ru, rv = _find(parent, comp[u]), _find(parent, comp[v])
             if ru != rv:
                 parent[ru] = rv
                 left -= 1
@@ -945,12 +906,12 @@ def spanning_trees(query: Query, cap: int = 64) -> tuple[Query, ...]:
             chosen.pop()
 
     extend(0, list(range(n)))
-    return tuple(_retie(query, var_atoms, combo) for combo in trees)
+    return tuple(_retie(query, graph.variables, combo) for combo in trees)
 
 
 def _retie(
     query: Query,
-    var_atoms: dict[str, list[str]],
+    var_atoms: dict[str, tuple[str, ...]],
     kept: tuple[tuple[str, str, str], ...],
 ) -> Query:
     kept_by_var: dict[str, list[tuple[str, str]]] = {}
@@ -961,21 +922,14 @@ def _retie(
     for var in sorted(var_atoms):
         aliases = var_atoms[var]
         if len(aliases) == 1:
-            groups.append((var, tuple(aliases)))
+            groups.append((var, aliases))
             continue
-        parent = {a: a for a in aliases}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent: dict[str, str] = {}
         for a1, a2 in kept_by_var.get(var, ()):
-            parent[find(a1)] = find(a2)
+            parent[_find(parent, a1)] = _find(parent, a2)
         comps: dict[str, list[str]] = {}
         for a in aliases:
-            comps.setdefault(find(a), []).append(a)
+            comps.setdefault(_find(parent, a), []).append(a)
         for members in comps.values():
             if len(members) >= 2:
                 groups.append((var, tuple(sorted(members))))

@@ -254,6 +254,13 @@ def load_workspace(schema_path: str) -> Workspace:
                 raise ConfigError(
                     "pk_fk names unknown column %r.%r" % (rel_name, col)
                 )
+        fk_kind = relations[decl.fact].kind_of(decl.fk)
+        pk_kind = relations[decl.dim].kind_of(decl.pk)
+        if fk_kind != pk_kind:
+            raise ConfigError(
+                "pk_fk links %s column %r.%r to %s column %r.%r; key columns must share a kind"
+                % (fk_kind, decl.fact, decl.fk, pk_kind, decl.dim, decl.pk)
+            )
         pkfk.append(decl)
     params = doc.get("params", {})
     if not isinstance(params, dict):

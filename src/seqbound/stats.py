@@ -540,28 +540,32 @@ def precompute_pk_fk(
     (null when the foreign key matches nothing).  Predicates on the
     dimension can then be evaluated against the fact's own statistics.
     """
-    pk_data = dim.data[pk]
-    index: dict = {}
+    if dim.kind_of(pk) != fact.kind_of(fk):
+        raise StatsBuildError(
+            "%s.%s (%s) cannot reference %s.%s (%s): key columns must share a kind"
+            % (fact.name, fk, fact.kind_of(fk), dim.name, pk, dim.kind_of(pk))
+        )
+    pk_data, fk_data = dim.data[pk], fact.data[fk]
     if isinstance(pk_data, np.ndarray):
-        items = enumerate(pk_data.tolist())
-        for i, v in items:
-            if v != v:
-                raise StatsBuildError("%s.%s: null in primary key" % (dim.name, pk))
-            if v in index:
-                raise StatsBuildError("%s.%s: duplicate primary key %r" % (dim.name, pk, v))
-            index[v] = i
+        keys, codes = _codes(np.concatenate([pk_data, fk_data]))
     else:
-        for i, v in enumerate(pk_data):
-            if v is None:
-                raise StatsBuildError("%s.%s: null in primary key" % (dim.name, pk))
-            if v in index:
-                raise StatsBuildError("%s.%s: duplicate primary key %r" % (dim.name, pk, v))
-            index[v] = i
-    fk_data = fact.data[fk]
-    if isinstance(fk_data, np.ndarray):
-        matches = [index.get(v) if v == v else None for v in fk_data.tolist()]
-    else:
-        matches = [index.get(v) if v is not None else None for v in fk_data]
+        keys, codes = _codes([*pk_data, *fk_data])
+    pk_codes = codes[: dim.n_rows]
+    # the first null or repeated key in row order names the error
+    first = np.zeros(dim.n_rows, dtype=bool)
+    first[np.unique(pk_codes, return_index=True)[1]] = True
+    bad = np.flatnonzero((pk_codes < 0) | ~first)
+    if bad.size:
+        row = bad[0]
+        if pk_codes[row] < 0:
+            raise StatsBuildError("%s.%s: null in primary key" % (dim.name, pk))
+        dup = (pk_data.tolist() if isinstance(pk_data, np.ndarray) else pk_data)[row]
+        raise StatsBuildError("%s.%s: duplicate primary key %r" % (dim.name, pk, dup))
+    # Index -1 names the slot past the last key, and past the last row of
+    # each padded dimension column: a null or unmatched key reads a null.
+    row_of = np.full(len(keys) + 1, -1, dtype=np.intp)
+    row_of[pk_codes] = np.arange(dim.n_rows)
+    matches = row_of[codes[dim.n_rows :]]
     columns = list(fact.columns)
     data = dict(fact.data)
     propagated: dict[str, str] = {}
@@ -569,17 +573,12 @@ def precompute_pk_fk(
         prop = "__%s__%s" % (dim.name, col)
         if fact.has_column(prop):
             raise StatsBuildError("propagated column name %r collides" % prop)
-        kind = dim.kind_of(col)
         src = dim.data[col]
-        if kind == "numeric":
-            out = np.full(fact.n_rows, np.nan)
-            for i, m in enumerate(matches):
-                if m is not None:
-                    out[i] = src[m]
-            data[prop] = out
+        if isinstance(src, np.ndarray):
+            data[prop] = np.append(src, np.nan)[matches]
         else:
-            data[prop] = [src[m] if m is not None else None for m in matches]
-        columns.append(Column(prop, kind))
+            data[prop] = list(map([*src, None].__getitem__, matches.tolist()))
+        columns.append(Column(prop, dim.kind_of(col)))
         propagated[col] = prop
     return Relation(fact.name, columns, data, fact.n_rows), propagated
 

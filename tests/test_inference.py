@@ -120,6 +120,10 @@ class TestConditionSequence:
     def test_like_intersects_tracked_grams(self):
         assert self.conditioned(Like("status", "%pen%")).total == 6.0
 
+    def test_like_folds_case_as_the_build_did(self):
+        # the default holds no rows here, so 6.0 means the tracked gram
+        assert self.conditioned(Like("status", "%PEN%")).total == 6.0
+
     def test_like_below_gram_length_is_unconditioned(self):
         assert self.conditioned(Like("status", "%zz%")) is self.fallback
 

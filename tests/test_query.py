@@ -305,6 +305,8 @@ ROUND_TRIP_QUERIES = [
     " AND o.cust BETWEEN -7 AND -1e-3 AND o.id IN (-2, 4) AND -1.5e3 < o.cust",
     "SELECT COUNT(*) FROM orders WHERE orders.total < 1e999",
     "SELECT COUNT(*) FROM orders WHERE orders.total > -1e999 AND orders.id IN (1e999, 2)",
+    "SELECT COUNT(*) FROM orders"
+    " WHERE (orders.id = 1 AND (orders.total = 2 AND orders.cust = 3)) OR orders.id = 5",
 ]
 
 

@@ -155,6 +155,13 @@ class TestLoadWorkspace:
         with pytest.raises(ConfigError):
             load_workspace(str(path))
 
+    def test_pk_fk_columns_of_different_kinds(self, tmp_path):
+        path = make_schema(
+            tmp_path, pk_fk=[{"fact": "r", "fk": "s", "dim": "d", "pk": "k"}]
+        )
+        with pytest.raises(ConfigError, match="key columns must share a kind"):
+            load_workspace(str(path))
+
     def test_not_json(self, tmp_path):
         p = tmp_path / "schema.json"
         write(p, "not json {")

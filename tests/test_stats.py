@@ -394,6 +394,94 @@ class TestPkFk:
         with pytest.raises(StatsBuildError):
             precompute_pk_fk(fact, dim, "fk", "k", ("g",))
 
+    def test_key_columns_of_different_kinds_rejected(self):
+        _, dim = self.make_pair()
+        fact = Relation("f", [Column("fk", "text")], {"fk": ["1", "3", None, "9", "1"]}, 5)
+        with pytest.raises(StatsBuildError, match="key columns must share a kind"):
+            precompute_pk_fk(fact, dim, "fk", "k", ("g",))
+
+
+def cells(data) -> list:
+    """A column as Python values, null as None."""
+    if isinstance(data, np.ndarray):
+        return [None if v != v else v for v in data.tolist()]
+    return list(data)
+
+
+def reference_pk_fk(fact, dim, fk, pk, cols) -> dict[str, list]:
+    """Row-by-row dict lookups; Python's == makes -0.0 and 0.0 one key."""
+    index: dict = {}
+    for i, v in enumerate(cells(dim.data[pk])):
+        if v is None:
+            raise StatsBuildError("%s.%s: null in primary key" % (dim.name, pk))
+        if v in index:
+            raise StatsBuildError("%s.%s: duplicate primary key %r" % (dim.name, pk, v))
+        index[v] = i
+    rows = [index.get(v) for v in cells(fact.data[fk])]
+    return {c: [None if r is None else cells(dim.data[c])[r] for r in rows] for c in cols}
+
+
+def key_pair(kind: str, pk: list, fk: list) -> tuple[Relation, Relation]:
+    def col(values):
+        return np.array(values, dtype=float) if kind == "numeric" else list(values)
+
+    n = len(pk)
+    dim = Relation(
+        "d",
+        [Column("k", kind), Column("g", "text"), Column("x", "numeric")],
+        {
+            "k": col(pk),
+            "g": ["g%d" % i for i in range(n)],
+            "x": np.array([-0.0 if i == 1 else 10.0 * i for i in range(n)]),
+        },
+        n,
+    )
+    return Relation("f", [Column("fk", kind)], {"fk": col(fk)}, len(fk)), dim
+
+
+class TestPkFkValueIdentity:
+    @pytest.mark.parametrize(
+        "kind, pk, fk",
+        [
+            ("text", ["a", "b", "c"], ["b", None, "zz", "a", "b", "C"]),
+            ("numeric", [3.0, -0.0, 7.5], [0.0, -0.0, np.nan, 7.5, 4.0, 3.0]),
+            ("numeric", [0.0, 1.0], [-0.0, 1.0, 2.0]),
+            ("numeric", [1.0, 2.0], []),
+            ("text", [], ["a", None]),
+        ],
+    )
+    def test_matches_dict_lookups(self, kind, pk, fk):
+        fact, dim = key_pair(kind, pk, fk)
+        out, propagated = precompute_pk_fk(fact, dim, "fk", "k", ("g", "x"))
+        assert propagated == {"g": "__d__g", "x": "__d__x"}
+        want = reference_pk_fk(fact, dim, "fk", "k", ("g", "x"))
+        assert cells(out.data["__d__g"]) == want["g"]
+        got_x = out.data["__d__x"]
+        assert isinstance(got_x, np.ndarray) and got_x.dtype == np.float64
+        assert cells(got_x) == want["x"]
+        # propagated numbers keep their bits, the sign of -0.0 included
+        assert [str(v) for v in cells(got_x)] == [str(v) for v in want["x"]]
+
+    @pytest.mark.parametrize(
+        "kind, pk",
+        [
+            ("numeric", [1.0, 2.0, 1.0]),
+            ("numeric", [0.0, 5.0, -0.0]),
+            ("numeric", [4.0, np.nan, 4.0]),
+            ("numeric", [4.0, 4.0, np.nan]),
+            ("text", ["x", "y", "x"]),
+            ("text", ["x", None, "x"]),
+            ("text", ["x", "x", None]),
+        ],
+    )
+    def test_bad_primary_keys_give_the_reference_message(self, kind, pk):
+        fact, dim = key_pair(kind, pk, pk[:1])
+        with pytest.raises(StatsBuildError) as want:
+            reference_pk_fk(fact, dim, "fk", "k", ("g",))
+        with pytest.raises(StatsBuildError) as got:
+            precompute_pk_fk(fact, dim, "fk", "k", ("g",))
+        assert str(got.value) == str(want.value)
+
 
 class TestBuildCatalog:
     def test_families_per_column_pair(self):
