@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from .pwfn import (
     PiecewiseConstantFn,
     PiecewiseLinearFn,
-    cumulate,
+    cumulate,  # noqa: F401  unused; perfbench/bench_trace.py wraps it by this module's name
     compose_ranks,
     discrete_derivative,
     pw_max,  # noqa: F401  unused; perfbench/bench_trace.py wraps it by this module's name
@@ -163,7 +163,7 @@ def plan_bound(
             out = functools.reduce(pw_multiply, (restrict_domain(f, end) for f in fns))
             trace.append(
                 "%s: merge %s over %s -> integral %.6g"
-                % (step.out, "*".join(step.inputs), step.var, cumulate(out).total)
+                % (step.out, "*".join(step.inputs), step.var, out.integral())
             )
         else:
             anchor_fn = profiles[(step.alias, step.anchor)]
@@ -176,11 +176,11 @@ def plan_bound(
                 out = pw_multiply(out, compose_ranks(fetch(uid), through, anchor_fn))
             trace.append(
                 "%s: join %s anchored at %s (mass %.6g) -> integral %.6g"
-                % (step.out, step.alias, step.anchor, mass, cumulate(out).total)
+                % (step.out, step.alias, step.anchor, mass, out.integral())
             )
         values[step.out] = out
     root = values[plan.root] if plan.root in values else fetch(plan.root)
-    return cumulate(root).total, tuple(trace)
+    return root.integral(), tuple(trace)
 
 
 def _rewrite_onto_fact(node: Predicate, mapping: dict[str, str]) -> Predicate | None:

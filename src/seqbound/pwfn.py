@@ -62,14 +62,21 @@ class DegreeSequence:
     __slots__ = ("freqs", "total", "distinct")
 
     def __init__(self, freqs: Iterable[int]):
-        fs = tuple(int(f) for f in freqs)
-        prev = None
-        for f in fs:
-            if f <= 0:
-                raise ValueError("frequencies must be positive, got %r" % (f,))
-            if prev is not None and f > prev:
-                raise ValueError("frequencies must be non-increasing")
-            prev = f
+        items = freqs if isinstance(freqs, (list, tuple, np.ndarray)) else list(freqs)
+        a = np.asarray(items)
+        if a.ndim != 1 or a.dtype.kind != "i":
+            # empty, bool, float, text or beyond int64: int() each item and
+            # compare them as Python ints
+            a = np.array([int(f) for f in items], dtype=object)
+        fs = tuple(a.tolist())
+        # Report the first offending position, as a left-to-right scan would.
+        nonpositive = np.flatnonzero(a <= 0)
+        first_bad = nonpositive[0] if nonpositive.size else len(fs)
+        rises = np.flatnonzero(a[1:] > a[:-1])
+        if rises.size and rises[0] + 1 < first_bad:
+            raise ValueError("frequencies must be non-increasing")
+        if nonpositive.size:
+            raise ValueError("frequencies must be positive, got %r" % (fs[first_bad],))
         self.freqs = fs
         self.total = sum(fs)
         self.distinct = len(fs)
@@ -113,21 +120,23 @@ class PiecewiseConstantFn:
         es: list[float] = []
         vs: list[float] = []
         prev_e = 0.0
-        for e, v in zip(edges, values):
-            e = float(e)
-            v = float(v)
+        last = None
+        for e, v in zip(map(float, edges), map(float, values)):
             if e <= prev_e:
                 raise ValueError("edges must be strictly increasing and positive")
-            if v < -_slack(v):
-                raise ValueError("segment values must be non-negative")
-            if vs and v > vs[-1] + _slack(v, vs[-1]):
-                raise ValueError("segment values must be non-increasing")
-            if vs and v == vs[-1]:
-                es[-1] = e
-            else:
-                es.append(e)
-                vs.append(v)
             prev_e = e
+            # The tolerance is never negative, so it is only worth computing
+            # once the exact comparison has already failed.
+            if v < 0.0 and v < -_slack(v):
+                raise ValueError("segment values must be non-negative")
+            if v == last:
+                es[-1] = e
+                continue
+            if last is not None and v > last and v > last + _slack(v, last):
+                raise ValueError("segment values must be non-increasing")
+            es.append(e)
+            vs.append(v)
+            last = v
         self.edges = tuple(es)
         self.values = tuple(vs)
 
@@ -198,15 +207,14 @@ class PiecewiseLinearFn:
             if w <= 0.0:
                 raise ValueError("knots must be strictly increasing")
             dv = vs[i] - vs[i - 1]
-            if dv < -_slack(vs[i], vs[i - 1]):
-                raise ValueError("function must be non-decreasing")
-            slopes.append(max(dv, 0.0) / w)
-        for i in range(1, len(slopes)):
-            if slopes[i] > slopes[i - 1] + 1e-7 * max(1.0, slopes[i], slopes[i - 1]):
-                raise ValueError(
-                    "slopes must be non-increasing (got %r after %r)"
-                    % (slopes[i], slopes[i - 1])
-                )
+            if dv < 0.0:
+                if dv < -_slack(vs[i], vs[i - 1]):
+                    raise ValueError("function must be non-decreasing")
+                dv = 0.0
+            slopes.append(dv / w)
+        for a, b in zip(slopes, slopes[1:]):
+            if b > a and b > a + 1e-7 * max(1.0, b, a):
+                raise ValueError("slopes must be non-increasing (got %r after %r)" % (b, a))
         self.knots = tuple(ks)
         self.values = tuple(vs)
         self.slopes = tuple(slopes)
@@ -326,16 +334,20 @@ def pw_multiply(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> PiecewiseCons
             "domain ends differ: %r vs %r" % (f.end, g.end)
         )
     end = min(f.end, g.end)
+    f_edges, f_values, g_edges, g_values = f.edges, f.values, g.edges, g.values
+    n_f, n_g = len(f_edges), len(g_edges)
     edges: list[float] = []
     values: list[float] = []
     i = j = 0
-    while i < len(f.edges) and j < len(g.edges):
-        e = min(f.edges[i], g.edges[j], end)
+    while i < n_f and j < n_g:
+        fe = f_edges[i]
+        ge = g_edges[j]
+        e = min(fe, ge, end)
         edges.append(e)
-        values.append(f.values[i] * g.values[j])
-        if f.edges[i] <= e + _slack(e, f.edges[i]):
+        values.append(f_values[i] * g_values[j])
+        if fe <= e or fe <= e + _slack(e, fe):
             i += 1
-        if g.edges[j] <= e + _slack(e, g.edges[j]):
+        if ge <= e or ge <= e + _slack(e, ge):
             j += 1
         if e >= end:
             break
@@ -372,24 +384,42 @@ def _merged_knots(fns: Sequence[PiecewiseLinearFn], end: float) -> list[float]:
     return _dedupe_knots(sorted(merged))
 
 
-def _extended_value(fn: PiecewiseLinearFn, x: float) -> float:
-    """fn(x) with flat extension beyond the domain end."""
-    if x >= fn.knots[-1]:
-        return fn.values[-1]
-    return fn.value_at(x)
+def _values_at_sorted(fn: PiecewiseLinearFn, xs: Iterable[float]) -> list[float]:
+    """fn(x), flat-extended beyond the domain end, for each x of an
+    ascending sequence.
+
+    One forward walk over the knots replaces a bisection per point: the
+    segment used is still the last knot at or below x, and the value is
+    computed by the same expression as :meth:`PiecewiseLinearFn.value_at`.
+    """
+    knots, values, slopes = fn.knots, fn.values, fn.slopes
+    end = knots[-1]
+    total = values[-1]
+    out: list[float] = []
+    i = 0
+    for x in xs:
+        if x >= end:
+            out.append(total)
+        elif x <= 0.0:
+            out.append(0.0)
+        else:
+            while knots[i + 1] <= x:
+                i += 1
+            out.append(values[i] + slopes[i] * (x - knots[i]))
+    return out
 
 
 def _crossings(
     f: PiecewiseLinearFn, g: PiecewiseLinearFn, knots: list[float]
 ) -> list[float]:
+    diffs = [a - b for a, b in zip(_values_at_sorted(f, knots), _values_at_sorted(g, knots))]
     extra: list[float] = []
-    for a, b in zip(knots, knots[1:]):
-        d0 = _extended_value(f, a) - _extended_value(g, a)
-        d1 = _extended_value(f, b) - _extended_value(g, b)
-        s = _slack(d0, d1)
-        if (d0 > s and d1 < -s) or (d0 < -s and d1 > s):
-            t = d0 / (d0 - d1)
-            extra.append(a + t * (b - a))
+    for a, b, d0, d1 in zip(knots, knots[1:], diffs, diffs[1:]):
+        if (d0 > 0.0 and d1 < 0.0) or (d0 < 0.0 and d1 > 0.0):
+            s = _slack(d0, d1)
+            if (d0 > s and d1 < -s) or (d0 < -s and d1 > s):
+                t = d0 / (d0 - d1)
+                extra.append(a + t * (b - a))
     return extra
 
 
@@ -397,7 +427,7 @@ def _combine(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> tuple[list[float], l
     end = max(f.end, g.end)
     knots = _merged_knots((f, g), end)
     knots = _dedupe_knots(sorted(set(knots) | set(_crossings(f, g, knots))))
-    values = [min(_extended_value(f, x), _extended_value(g, x)) for x in knots]
+    values = list(map(min, _values_at_sorted(f, knots), _values_at_sorted(g, knots)))
     return knots, values
 
 
@@ -466,7 +496,8 @@ def pw_sum(fns: Sequence[PiecewiseLinearFn]) -> PiecewiseLinearFn:
         return fns[0]
     end = max(fn.end for fn in fns)
     knots = _merged_knots(fns, end)
-    values = [sum(_extended_value(fn, x) for fn in fns) for x in knots]
+    columns = [_values_at_sorted(fn, knots) for fn in fns]
+    values = [sum(at_x) for at_x in zip(*columns)]
     return PiecewiseLinearFn(knots, values)
 
 
@@ -509,7 +540,8 @@ def compose_ranks(
             "anchor mass %r exceeds child-side mass %r" % (mass_a, mass_t)
         )
     d_anchor = anchor.end
-    if mass_a <= _slack(mass_a):
+    slack_a = _slack(mass_a)
+    if mass_a <= slack_a:
         return PiecewiseConstantFn((d_anchor,), (0.0,))
     d_t = through.end
     # Align the child profile to the domain of `through`: clip past d_t,
@@ -526,17 +558,32 @@ def compose_ranks(
     if not edges or edges[-1] < d_t - _slack(edges[-1], d_t):
         edges.append(d_t)
         values.append(0.0)
+    # y = min(through(x), mass_a) never decreases, so anchor^{-1}(y) is found
+    # as in PiecewiseLinearFn.rank_at but by one forward walk over the
+    # anchor's values.  Since y <= mass_a, the stopping tolerance
+    # _slack(y, mass_a) is slack_a for y >= 0, and a negative y fails the
+    # stopping test under either tolerance.
+    a_knots, a_values, a_slopes = anchor.knots, anchor.values, anchor.slopes
+    j = 1
     out_edges: list[float] = []
     out_values: list[float] = []
     prev = 0.0
-    for e, v in zip(edges, values):
-        y = min(through.value_at(min(e, d_t)), mass_a)
-        r = anchor.rank_at(y)
+    through_at = _values_at_sorted(through, [min(e, d_t) for e in edges])
+    for v, t in zip(values, through_at):
+        y = min(t, mass_a)
+        if y <= 0.0:
+            r = 0.0
+        elif y >= mass_a:
+            r = _flat_onset(anchor)
+        else:
+            while a_values[j] < y:
+                j += 1
+            r = a_knots[j - 1] + (y - a_values[j - 1]) / a_slopes[j - 1]
         if r > prev + 1e-12:
             out_edges.append(r)
             out_values.append(v)
             prev = r
-        if y >= mass_a - _slack(y, mass_a):
+        if y >= mass_a - slack_a:
             break
     tail = values[-1]
     if not out_edges:

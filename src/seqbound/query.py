@@ -531,26 +531,32 @@ class _Parser:
 
     def make_atoms(self, joins: list[_RawJoin]) -> tuple[Atom, ...]:
         parent: dict[tuple[str, str], tuple[str, str]] = {}
+        classes: dict[tuple[str, str], list[tuple[str, str]]] = {}  # root -> members
+        # the first alias with two columns in one class, and the byte where
+        # the join condition that closed that class starts
+        clash: tuple[str, int] | None = None
         for j in joins:
             a = (j.left.alias, j.left.column)
             b = (j.right.alias, j.right.column)
             if a == b:
                 raise UnsupportedQueryError("a column cannot join with itself", j.pos)
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
+            for ref in (a, b):
+                if ref not in classes and ref not in parent:
+                    classes[ref] = [ref]
             ra, rb = _find(parent, a), _find(parent, b)
-            parent[max(ra, rb)] = min(ra, rb)
-        classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
-        for ref in parent:
-            classes.setdefault(_find(parent, ref), []).append(ref)
-        for members in classes.values():
-            seen_alias: set[str] = set()
-            for alias, _ in members:
-                if alias in seen_alias:
-                    raise UnsupportedQueryError(
-                        "two columns of %r fall in the same join class" % alias
-                    )
-                seen_alias.add(alias)
+            if ra == rb:
+                continue
+            root, child = min(ra, rb), max(ra, rb)
+            if clash is None:
+                shared = {x for x, _ in classes[root]} & {x for x, _ in classes[child]}
+                if shared:
+                    clash = (min(shared), j.left.pos)
+            parent[child] = root
+            classes[root] += classes.pop(child)
+        if clash is not None:
+            raise UnsupportedQueryError(
+                "two columns of %r fall in the same join class" % clash[0], clash[1]
+            )
         names: dict[tuple[str, str], str] = {}
         for n, root in enumerate(sorted(classes, key=lambda r: min(classes[r]))):
             for ref in classes[root]:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from seqbound.pwfn import (
     DegreeSequence,
@@ -19,6 +19,7 @@ from seqbound.pwfn import (
     truncate_cumulative,
     zero_cumulative,
 )
+from seqbound.pwfn import _dedupe_knots, _merged_knots, _slack, _values_at_sorted
 
 # The running example throughout the suite: frequencies 4,2,2,1,1,1 over
 # 6 distinct values, 11 rows.  Its exact cumulative profile takes the
@@ -77,6 +78,53 @@ class TestDegreeSequence:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             DegreeSequence((2, 0))
+
+    def test_reports_the_first_offence_in_order(self):
+        with pytest.raises(ValueError, match=r"positive, got 0$"):
+            DegreeSequence((5, 3, 0, -2))
+        with pytest.raises(ValueError, match="non-increasing"):
+            DegreeSequence((5, 6, 0))
+        with pytest.raises(ValueError, match=r"positive, got -1$"):
+            DegreeSequence((5, -1, 6))
+
+    @given(st.lists(st.integers(min_value=-3, max_value=2**64), max_size=8))
+    def test_validation_matches_a_left_to_right_scan(self, freqs):
+        def scan(fs):
+            prev = None
+            for f in fs:
+                if f <= 0:
+                    return "frequencies must be positive, got %r" % (f,)
+                if prev is not None and f > prev:
+                    return "frequencies must be non-increasing"
+                prev = f
+            return None
+
+        for fs in (freqs, sorted(freqs, reverse=True)):
+            want = scan(fs)
+            if want is None:
+                assert DegreeSequence(fs).freqs == tuple(fs)
+            else:
+                with pytest.raises(ValueError) as info:
+                    DegreeSequence(fs)
+                assert str(info.value) == want
+
+    @pytest.mark.parametrize(
+        "given, freqs",
+        [
+            (iter([3, 2, 2]), (3, 2, 2)),
+            (np.array([4, 4, 1], dtype=np.int32), (4, 4, 1)),
+            (np.array([4, 1], dtype=np.uint8), (4, 1)),
+            ([2.7, 1.2], (2, 1)),
+            ([True], (1,)),
+            ([2**70, 2**63, 5], (2**70, 2**63, 5)),
+            ([], ()),
+        ],
+    )
+    def test_accepts_any_iterable_as_python_ints(self, given, freqs):
+        seq = DegreeSequence(given)
+        assert seq.freqs == freqs
+        assert all(type(f) is int for f in seq.freqs)
+        assert seq.total == sum(freqs)
 
 
 class TestPiecewiseConstantFn:
@@ -348,3 +396,195 @@ class TestComposeRanks:
         out = compose_ranks(child, through, zero_cumulative(4.0))
         assert out.integral() == 0.0
         assert out.end == 4.0
+
+
+# ---------------------------------------------------------------------------
+# The kernel's fast paths against per-point references.  Each reference is
+# the plain algorithm: one bisection per point, one generalized inverse per
+# point, and a cumulative built only to read its total.  Agreement is
+# checked with == on floats, so every path must produce the same bits.
+
+
+def extended_value(fn, x):
+    """fn(x) with flat extension beyond the domain end, by bisection."""
+    if x >= fn.end:
+        return fn.total
+    return fn.value_at(x)
+
+
+def ref_pw_min(fns):
+    result = fns[0]
+    for other in fns[1:]:
+        f, g = result, other
+        knots = _merged_knots((f, g), max(f.end, g.end))
+        extra = []
+        for a, b in zip(knots, knots[1:]):
+            d0 = extended_value(f, a) - extended_value(g, a)
+            d1 = extended_value(f, b) - extended_value(g, b)
+            s = _slack(d0, d1)
+            if (d0 > s and d1 < -s) or (d0 < -s and d1 > s):
+                t = d0 / (d0 - d1)
+                extra.append(a + t * (b - a))
+        knots = _dedupe_knots(sorted(set(knots) | set(extra)))
+        values = [min(extended_value(f, x), extended_value(g, x)) for x in knots]
+        result = PiecewiseLinearFn(knots, values)
+    return result
+
+
+def ref_pw_sum(fns):
+    if len(fns) == 1:
+        return fns[0]
+    knots = _merged_knots(fns, max(fn.end for fn in fns))
+    return PiecewiseLinearFn(
+        knots, [sum(extended_value(fn, x) for fn in fns) for x in knots]
+    )
+
+
+def ref_compose_ranks(child, through, anchor):
+    mass_a = anchor.total
+    if mass_a > through.total + _slack(mass_a, through.total):
+        raise InconsistentStatisticsError("anchor mass exceeds child-side mass")
+    d_anchor = anchor.end
+    if mass_a <= _slack(mass_a):
+        return PiecewiseConstantFn((d_anchor,), (0.0,))
+    d_t = through.end
+    edges = list(child.edges)
+    values = list(child.values)
+    while edges and edges[-1] >= d_t + _slack(edges[-1], d_t):
+        if len(edges) >= 2 and edges[-2] >= d_t - _slack(edges[-2], d_t):
+            edges.pop()
+            values.pop()
+        else:
+            edges[-1] = d_t
+            break
+    if not edges or edges[-1] < d_t - _slack(edges[-1], d_t):
+        edges.append(d_t)
+        values.append(0.0)
+    out_edges, out_values = [], []
+    prev = 0.0
+    for e, v in zip(edges, values):
+        y = min(through.value_at(min(e, d_t)), mass_a)
+        r = anchor.rank_at(y)
+        if r > prev + 1e-12:
+            out_edges.append(r)
+            out_values.append(v)
+            prev = r
+        if y >= mass_a - _slack(y, mass_a):
+            break
+    tail = values[-1]
+    if not out_edges:
+        return PiecewiseConstantFn((d_anchor,), (tail,))
+    if out_edges[-1] < d_anchor - 1e-12:
+        if abs(out_values[-1] - tail) < 1e-15:
+            out_edges[-1] = d_anchor
+        else:
+            out_edges.append(d_anchor)
+            out_values.append(tail)
+    else:
+        out_edges[-1] = d_anchor
+    return PiecewiseConstantFn(out_edges, out_values)
+
+
+def cumulatives():
+    return st.one_of(seqs().map(exact_cumulative), concave_fns())
+
+
+def same_linear(a, b):
+    return a.knots == b.knots and a.values == b.values and a.slopes == b.slopes
+
+
+# Its slope times its first knot is not bit-equal to its value there, and
+# its first value divided by its slope is not bit-equal to its first knot,
+# so evaluating or inverting it on the wrong segment shows.
+ROUNDING = PiecewiseLinearFn((0.0, 2.25, 3.25), (0.0, 24.84, 30.36))
+ROUNDING_INVERSE = PiecewiseLinearFn((0.0, 3.38, 4.38), (0.0, 15.48, 15.48 + 15.48 / 3.38 / 2))
+
+
+class TestFastPathsMatchPerPointReferences:
+    def test_rounding_examples_are_sharp(self):
+        assert ROUNDING.slopes[0] * 2.25 != 24.84
+        assert 15.48 / ROUNDING_INVERSE.slopes[0] != 3.38
+
+    @given(cumulatives(), st.lists(st.floats(min_value=-1.0, max_value=40.0), max_size=30))
+    @example(ROUNDING, [])
+    def test_values_at_sorted(self, fn, extra):
+        xs = sorted([*fn.knots, *extra, fn.end * 0.5, fn.end * 2.0])
+        assert _values_at_sorted(fn, xs) == [extended_value(fn, x) for x in xs]
+
+    @given(st.lists(cumulatives(), min_size=1, max_size=4))
+    def test_pw_min(self, fns):
+        assert same_linear(pw_min(fns), ref_pw_min(fns))
+
+    @given(st.lists(cumulatives(), min_size=1, max_size=4))
+    def test_pw_sum(self, fns):
+        assert same_linear(pw_sum(fns), ref_pw_sum(fns))
+
+    @given(
+        cumulatives(),
+        cumulatives(),
+        cumulatives(),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(ROUNDING, ROUNDING, ROUNDING, 1.0)
+    @example(ROUNDING_INVERSE, ROUNDING_INVERSE, ROUNDING_INVERSE, 1.0)
+    def test_compose_ranks(self, child_col, through, anchor, share):
+        # as in plan_bound: the anchor's mass never exceeds the child side's
+        anchor = truncate_cumulative(anchor, through.total * share)
+        child = discrete_derivative(child_col)
+        got = compose_ranks(child, through, anchor)
+        want = ref_compose_ranks(child, through, anchor)
+        assert got.edges == want.edges and got.values == want.values
+
+    @given(cumulatives())
+    def test_integral(self, fn):
+        steps = discrete_derivative(fn)
+        assert steps.integral() == cumulate(steps).total
+
+
+class TestToleranceEdges:
+    """Each invariant check accepts values just inside its tolerance and
+    rejects values just outside it."""
+
+    def test_step_values_non_negative(self):
+        PiecewiseConstantFn((1.0, 2.0), (3.0, -0.5e-9))
+        with pytest.raises(ValueError, match="non-negative"):
+            PiecewiseConstantFn((1.0, 2.0), (3.0, -2e-9))
+
+    def test_step_values_non_increasing(self):
+        # tolerance 1e-9 * 100
+        fn = PiecewiseConstantFn((1.0, 2.0), (100.0, 100.0 + 0.5e-7))
+        assert fn.values == (100.0, 100.0 + 0.5e-7)
+        with pytest.raises(ValueError, match="non-increasing"):
+            PiecewiseConstantFn((1.0, 2.0), (100.0, 100.0 + 2e-7))
+
+    def test_cumulative_non_decreasing(self):
+        # tolerance 1e-9 * 10; a dip inside it becomes a flat segment
+        fn = PiecewiseLinearFn((0.0, 1.0, 2.0), (0.0, 10.0, 10.0 - 0.5e-8))
+        assert fn.slopes == (10.0, 0.0)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            PiecewiseLinearFn((0.0, 1.0, 2.0), (0.0, 10.0, 10.0 - 2e-8))
+
+    def test_cumulative_concave(self):
+        # slopes 2 then 2 + d against a tolerance of 1e-7 * 2
+        PiecewiseLinearFn((0.0, 1.0, 2.0), (0.0, 2.0, 4.0 + 1e-7))
+        with pytest.raises(ValueError, match="slopes must be non-increasing"):
+            PiecewiseLinearFn((0.0, 1.0, 2.0), (0.0, 2.0, 4.0 + 4e-7))
+
+    def test_multiply_edge_advance(self):
+        # an edge within 1e-9 of the other input's edge is the same edge;
+        # one just beyond it leaves a sliver segment
+        f = PiecewiseConstantFn((1.0, 3.0), (4.0, 2.0))
+        near = PiecewiseConstantFn((1.0 + 0.5e-9, 3.0), (5.0, 1.0))
+        far = PiecewiseConstantFn((1.0 + 2e-9, 3.0), (5.0, 1.0))
+        assert pw_multiply(f, near).edges == pw_multiply(near, f).edges == (1.0, 3.0)
+        assert pw_multiply(f, far).edges == pw_multiply(far, f).edges == (1.0, 1.0 + 2e-9, 3.0)
+
+    def test_compose_ranks_stops_at_anchor_mass(self):
+        # through reaches the anchor's mass, to within 1e-9 of it, at rank 1;
+        # the child's later segments collapse into its final value
+        child = PiecewiseConstantFn((1.0, 1.5, 2.0), (5.0, 3.0, 1.0))
+        through = PiecewiseLinearFn((0.0, 1.0, 1.5, 2.0), (0.0, 10.0, 10.0 + 0.5e-12, 10.0 + 1e-12))
+        anchor = PiecewiseLinearFn((0.0, 1.0, 3.0), (0.0, 10.0, 10.0 + 1e-12))
+        out = compose_ranks(child, through, anchor)
+        assert out == ref_compose_ranks(child, through, anchor)
+        assert out.edges == (1.0, 3.0) and out.values == (5.0, 1.0)

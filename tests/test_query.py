@@ -213,6 +213,20 @@ class TestValidation:
             " WHERE o.id = c.id AND o.cust = c.id"
         )
 
+    def test_join_class_error_points_at_the_closing_join(self):
+        # the third join is the first to put two columns of s in one class
+        sql = (
+            "SELECT COUNT(*) FROM r AS x, r AS y, s"
+            " WHERE x.a = y.b AND y.b = s.a AND x.a = s.b"
+        )
+        schema = {name: {"a": "numeric", "b": "numeric"} for name in ("r", "s")}
+        with pytest.raises(UnsupportedQueryError) as info:
+            parse(sql, schema)
+        assert info.value.position == 73 == sql.index("x.a = s.b")
+        assert str(info.value) == (
+            "two columns of 's' fall in the same join class (at byte 73)"
+        )
+
     def test_predicate_must_stay_on_one_relation(self):
         assert "one relation" in self.unsupported(
             "SELECT COUNT(*) FROM orders AS o, customers AS c"
