@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=None, help="relative error budget per profile")
     p.add_argument("--hist-depth", type=int, default=None, help="range histogram depth")
     p.add_argument("--mcv", type=int, default=None, help="most common values tracked per column pair")
-    p.add_argument("--clusters", default=None, help="profile groups per family ('auto' or a count)")
+    p.add_argument("--clusters", default=None, help="most profile groups per family ('auto' or a count)")
 
     p = sub.add_parser("estimate", help="bound a COUNT(*) query against a catalog")
     p.add_argument("--catalog", required=True, help="catalog path")

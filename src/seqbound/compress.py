@@ -33,7 +33,8 @@ __all__ = [
     "valid_compress",
     "is_valid_compression",
     "compression_distance",
-    "distance_matrix",
+    "drop_vectors",
+    "distances_to",
 ]
 
 
@@ -63,9 +64,18 @@ class ValidityReport:
     reason: str | None = None
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def self_join_bound(seq: DegreeSequence) -> int:
     """Exact size of the column joined with itself: sum of squared frequencies."""
-    return sum(f * f for f in seq.freqs)
+    freqs = seq.freqs
+    # freqs descend, so the int64 dot product cannot overflow when
+    # len * freqs[0]^2 fits; past that, Python ints stay exact
+    if not freqs or len(freqs) * freqs[0] * freqs[0] > INT64_MAX:
+        return sum(f * f for f in freqs)
+    a = np.asarray(freqs, dtype=np.int64)
+    return int(np.dot(a, a))
 
 
 def lossless_compress(seq: DegreeSequence) -> PiecewiseConstantFn:
@@ -186,59 +196,63 @@ def is_valid_compression(
     return ValidityReport(True)
 
 
-# Profile ends beyond which distance_matrix reads a log-rank sketch, and
-# the number of sketch ranks.
+# Profile ends beyond which drop_vectors reads a log-rank sketch, and the
+# number of sketch ranks.
 FULL_GRID_RANKS = 256
 SKETCH_RANKS = 64
 
 
-def distance_matrix(fns: list[PiecewiseLinearFn]) -> np.ndarray:
-    """Pairwise dissimilarities of cumulative profiles, for clustering.
+def drop_vectors(fns: list[PiecewiseLinearFn]) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted per-rank frequency drops of cumulative profiles, one row
+    each, and each row's squared norm, for :func:`distances_to`.
 
-    Every profile is read back as per-rank frequency drops (flat-extended
-    past its end); with m the pointwise maximum of two drop vectors a and
-    b, their distance is sum(w*m^2)/sum(w*a^2) + sum(w*m^2)/sum(w*b^2).
-    Always at least 2, exactly 2 for identical profiles; grows as either
-    profile must be inflated to envelope the other.
-
-    When the largest end D is at most FULL_GRID_RANKS the drops are read
-    at every integer rank with unit weights.  Above it they are read at
-    the SKETCH_RANKS ranks r = round(geomspace(1, D)), each drop
-    F(r) - F(r-1) weighted by the ranks w = r - r_prev it stands for, so
-    the cost is independent of D.  Clustering is a heuristic: soundness
-    rests on the representatives and their audit, not on this distance.
-    Pairwise maxima are taken in row blocks of about two million cells.
+    Every profile is read back as per-rank drops, flat-extended past its
+    end.  When the largest end D is at most FULL_GRID_RANKS the drops are
+    read at every integer rank with unit weights.  Above it they are read
+    at the SKETCH_RANKS ranks r = round(geomspace(1, D)), each drop
+    F(r) - F(r-1) scaled by the square root of the ranks w = r - r_prev it
+    stands for, so the cost is independent of D.  Raises ValueError when a
+    profile has zero mass: it has no defined distance.
     """
-    m = len(fns)
     upto = int(np.ceil(max(fn.end for fn in fns)))
     if upto <= FULL_GRID_RANKS:
-        grid = np.stack([sample_integer_ranks(fn, upto) for fn in fns])
-        drops = np.diff(grid, axis=1)
+        drops = np.empty((len(fns), upto))
+        for row, fn in zip(drops, fns):
+            grid = sample_integer_ranks(fn, upto)
+            np.subtract(grid[1:], grid[:-1], out=row)
     else:
         ranks = np.unique(np.round(np.geomspace(1, upto, SKETCH_RANKS)))
-        drops = np.stack(
-            [
-                np.interp(ranks, fn.knots, fn.values)
-                - np.interp(ranks - 1.0, fn.knots, fn.values)
-                for fn in fns
-            ]
-        )
+        drops = np.empty((len(fns), ranks.size))
+        for row, fn in zip(drops, fns):
+            np.subtract(
+                np.interp(ranks, fn.knots, fn.values),
+                np.interp(ranks - 1.0, fn.knots, fn.values),
+                out=row,
+            )
         # sum(w*x^2) is sum((sqrt(w)*x)^2), and scaling by sqrt(w) > 0
-        # commutes with the pairwise maximum
+        # commutes with the pointwise maximum
         drops *= np.sqrt(np.diff(ranks, prepend=0.0))
     sq = np.einsum("ij,ij->i", drops, drops)
     if np.any(sq <= 0.0):
         raise ValueError("profiles with zero mass have no defined distance")
-    dist = np.empty((m, m), dtype=np.float64)
-    block = max(1, int(2_000_000 // max(1, m * drops.shape[1])))
-    for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        pairwise = np.maximum(drops[lo:hi, None, :], drops[None, :, :])
-        msq = np.einsum("bij,bij->bi", pairwise, pairwise)
-        dist[lo:hi] = msq / sq[lo:hi, None] + msq / sq[None, :]
-    return dist
+    return drops, sq
+
+
+def distances_to(drops: np.ndarray, sq: np.ndarray, i: int) -> np.ndarray:
+    """Dissimilarity of every row of :func:`drop_vectors` to row i.
+
+    With m the pointwise maximum of two drop vectors a and b, their
+    distance is sum(m^2)/sum(a^2) + sum(m^2)/sum(b^2): always at least 2,
+    exactly 2 for identical rows, and growing as either profile must be
+    inflated to envelope the other.  Clustering is a heuristic: soundness
+    rests on the representatives and their audit, not on this distance.
+    """
+    top = np.maximum(drops, drops[i])
+    msq = np.einsum("ij,ij->i", top, top)
+    return msq / sq + msq / sq[i]
 
 
 def compression_distance(f1: PiecewiseLinearFn, f2: PiecewiseLinearFn) -> float:
-    """The :func:`distance_matrix` entry of two profiles."""
-    return float(distance_matrix([f1, f2])[0, 1])
+    """The :func:`distances_to` distance of two profiles."""
+    drops, sq = drop_vectors([f1, f2])
+    return float(distances_to(drops, sq, 0)[1])

@@ -362,11 +362,11 @@ def _dedupe_knots(knots: list[float]) -> list[float]:
     the sliver segment between them carries no information, but its
     interpolated endpoint values wobble enough to fake a slope inversion.
     Clusters keep their largest member, except that the leading 0.0 always
-    survives.
+    survives.  Knots are never negative, so the scale is k itself above 1.
     """
     out = [knots[0]]
     for k in knots[1:]:
-        if k - out[-1] <= 1e-12 * max(1.0, abs(k)):
+        if k - out[-1] <= 1e-12 * (k if k > 1.0 else 1.0):
             if len(out) > 1:
                 out[-1] = k
             continue

@@ -34,7 +34,8 @@ import numpy as np
 
 from .compress import (
     CompressionConfig,
-    distance_matrix,
+    distances_to,
+    drop_vectors,
     is_valid_compression,
     valid_compress,
 )
@@ -224,11 +225,22 @@ def _cluster_count(policy: int | str, n_members: int) -> int:
 def cluster_sequence_groups(
     fns: list[PiecewiseLinearFn], n_groups: int
 ) -> list[list[int]]:
-    """Complete-linkage agglomerative clustering of cumulative profiles.
+    """Group cumulative profiles into at most ``n_groups`` clusters of
+    similar shape, by farthest-first traversal (Gonzalez 1985, a
+    2-approximation of the smallest largest distance to a centre).
+
+    Profiles are compared by the :func:`compress.distances_to` distance
+    of their drop vectors.  The first live profile is the first centre;
+    each next centre is the profile farthest from its nearest centre (the
+    first such on ties), until there are ``n_groups`` centres or every
+    profile is identical to one.  Each profile joins its nearest centre,
+    the earliest on ties.  That takes O(m * k * S) time and O(m * S)
+    memory for m profiles, k centres and S <= FULL_GRID_RANKS drop ranks.
+    Zero-mass profiles have no defined distance and are collected into a
+    cluster of their own, which counts towards ``n_groups`` unless that is
+    1: the live profiles always get at least one cluster.
 
     Returns member-index clusters, each sorted, ordered by smallest member.
-    Zero-mass profiles have no defined pairwise distance and are collected
-    into a cluster of their own.
     """
     n = len(fns)
     if n == 0:
@@ -240,35 +252,21 @@ def cluster_sequence_groups(
         clusters.append(zero)
         n_groups = max(1, n_groups - 1)
     if live:
-        if len(live) <= n_groups:
-            clusters.extend([i] for i in live)
-        else:
-            clusters.extend(_agglomerate(fns, live, n_groups))
+        drops, sq = drop_vectors([fns[i] for i in live])
+        nearest = distances_to(drops, sq, 0)
+        owner = np.zeros(len(live), dtype=np.intp)
+        for centre in range(1, n_groups):
+            far = int(np.argmax(nearest))
+            if nearest[far] <= 2.0:
+                break
+            dist = distances_to(drops, sq, far)
+            owner[dist < nearest] = centre
+            np.minimum(nearest, dist, out=nearest)
+        groups: dict[int, list[int]] = defaultdict(list)
+        for i, centre in zip(live, owner.tolist()):
+            groups[centre].append(i)
+        clusters.extend(groups.values())
     return sorted(clusters, key=lambda c: c[0])
-
-
-def _agglomerate(
-    fns: list[PiecewiseLinearFn], live: list[int], n_groups: int
-) -> list[list[int]]:
-    m = len(live)
-    dist = distance_matrix([fns[i] for i in live])
-    np.fill_diagonal(dist, np.inf)
-    members: dict[int, list[int]] = {i: [live[i]] for i in range(m)}
-    remaining = m
-    while remaining > n_groups:
-        flat = int(np.argmin(dist))
-        i, j = divmod(flat, m)
-        if i > j:
-            i, j = j, i
-        members[i].extend(members.pop(j))
-        merged = np.maximum(dist[i], dist[j])
-        dist[i, :] = merged
-        dist[:, i] = merged
-        dist[i, i] = np.inf
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
-        remaining -= 1
-    return [sorted(c) for c in members.values()]
 
 
 def _audit_dominates(rep: PiecewiseLinearFn, top: np.ndarray, context: str) -> None:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from seqbound.compress import (
     CompressionConfig,
     compression_distance,
-    distance_matrix,
+    distances_to,
+    drop_vectors,
     is_valid_compression,
     lossless_compress,
     self_join_bound,
@@ -32,6 +33,22 @@ class TestSelfJoinBound:
 
     def test_key_column(self):
         assert self_join_bound(DegreeSequence((1,) * 9)) == 9
+
+    def test_empty(self):
+        assert self_join_bound(DegreeSequence(())) == 0
+
+    def test_squares_beyond_int64_stay_exact(self):
+        # (2^32)^2 = 2^64 overflows an int64 on its own
+        assert self_join_bound(DegreeSequence((2**32, 2**32, 3))) == 2**65 + 9
+        # the int64 sum would wrap past 2^63 - 1 only in the sum, not in a square
+        seq = DegreeSequence((3 * 10**9,) * 2)
+        assert self_join_bound(seq) == 18 * 10**18
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 2**40), min_size=1, max_size=40))
+    def test_matches_python_sum(self, freqs):
+        seq = DegreeSequence(sorted(freqs, reverse=True))
+        assert self_join_bound(seq) == sum(f * f for f in seq.freqs)
 
 
 class TestLossless:
@@ -180,7 +197,7 @@ class TestDistance:
         fns = [cumulate(lossless_compress(random_seq(rng, 256, 40))) for _ in range(12)]
         fns.append(cumulate(lossless_compress(DegreeSequence((3,) * 256))))
         fns.append(valid_compress(random_seq(rng, 255, 40), CompressionConfig(0.2)))
-        # the full integer grid, unit weights, as one block
+        # the full integer grid, unit weights, every pair at once
         upto = int(np.ceil(max(fn.end for fn in fns)))
         assert upto == 256
         drops = np.diff(np.stack([sample_integer_ranks(fn, upto) for fn in fns]), axis=1)
@@ -188,7 +205,11 @@ class TestDistance:
         pairwise = np.maximum(drops[:, None, :], drops[None, :, :])
         msq = np.einsum("bij,bij->bi", pairwise, pairwise)
         reference = msq / sq[:, None] + msq / sq[None, :]
-        assert np.array_equal(distance_matrix(fns), reference)
+        got_drops, got_sq = drop_vectors(fns)
+        assert np.array_equal(got_drops, drops)
+        assert np.array_equal(got_sq, sq)
+        for i in range(len(fns)):
+            assert np.array_equal(distances_to(got_drops, got_sq, i), reference[i])
 
     def test_sketch_beyond_256_ranks(self):
         rng = random.Random(5)
@@ -198,7 +219,9 @@ class TestDistance:
         ]
         fns = [valid_compress(seq) for seq in seqs]
         fns += [cumulate(lossless_compress(DegreeSequence((2,) * d))) for d in (4800, 5000)]
-        dist = distance_matrix(fns)
+        drops, sq = drop_vectors(fns)
+        assert drops.shape[1] <= 64
+        dist = np.stack([distances_to(drops, sq, i) for i in range(len(fns))])
         assert np.array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 2.0)
         assert np.all(dist >= 2.0)

@@ -11,6 +11,9 @@ bound on purpose regenerates the file and names each moved entry.
 Regenerate with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every bound that moved against the stored file (seed,
+setting, stored -> new bound, true count) before overwriting it.
 """
 
 from __future__ import annotations
@@ -144,9 +147,24 @@ def test_golden_corpus_covers_shapes_and_settings():
     assert any(q["bounds"]["small"] != q["bounds"]["default"] for q in queries)
 
 
+def _moves(stored: list[dict], records: list[dict]):
+    """(seed, setting, stored bound, new bound, true count) of every query
+    in both lists whose bound differs."""
+    before = {(q["seed"], q["sql"]): q["bounds"] for q in stored}
+    for r in records:
+        old = before.get((r["seed"], r.get("sql")), {})
+        for name, bound in r.get("bounds", {}).items():
+            if name in old and old[name] != bound:
+                yield r["seed"], name, old[name], bound, r["true"]
+
+
 if __name__ == "__main__":
+    stored = _load()[1] if os.path.exists(CORPUS) else []
     records = generate()
+    moves = list(_moves(stored, records))
+    for seed, name, old, new, true in moves:
+        print("%d %s %d -> %d (true %d)" % (seed, name, old, new, true))
     with open(CORPUS, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    print("wrote %d records to %s" % (len(records), CORPUS))
+    print("wrote %d records to %s; %d bounds moved" % (len(records), CORPUS, len(moves)))

@@ -1,10 +1,12 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqbound import stats as stats_module
+from seqbound.compress import CompressionConfig, distances_to, drop_vectors, valid_compress
 from seqbound.pwfn import (
     DegreeSequence,
     PiecewiseLinearFn,
@@ -132,6 +134,79 @@ class TestClustering:
                 freqs = np.maximum(1, 2000 // np.arange(1, d + 1) ** rng.uniform(1.0, 1.2))
             fns.append(cum(freqs.astype(int).tolist()))
         assert cluster_sequence_groups(fns, 2) == [list(range(0, 12, 2)), list(range(1, 12, 2))]
+
+    def test_ties_go_to_the_earlier_centre(self):
+        # [4,2,2,2] envelopes both centres, whose squared drops both sum
+        # to 16, so it lies at exactly 1 + 28/16 from each
+        fns = [cum((2, 2, 2, 2)), cum((4,)), cum((4, 2, 2, 2))]
+        assert cluster_sequence_groups(fns, 2) == [[0, 2], [1]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 30), min_size=1, max_size=12).map(
+                lambda f: sorted(f, reverse=True)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(st.integers(0, 7), min_size=1, max_size=30),
+        st.integers(1, 10),
+    )
+    def test_farthest_first_properties(self, pool, picks, n_groups):
+        # members drawn with repetition from a small pool, so some are identical
+        freqs = [pool[i % len(pool)] for i in picks]
+        fns = [cum(f) for f in freqs]
+        clusters = cluster_sequence_groups(fns, n_groups)
+        assert clusters == cluster_sequence_groups(fns, n_groups)
+        assert sorted(i for c in clusters for i in c) == list(range(len(fns)))
+        assert all(c == sorted(c) for c in clusters)
+        assert [c[0] for c in clusters] == sorted(c[0] for c in clusters)
+        assert len(clusters) <= n_groups
+        group_of = {i: g for g, c in enumerate(clusters) for i in c}
+        for i in range(len(fns)):
+            for j in range(i):
+                if freqs[i] == freqs[j]:
+                    assert group_of[i] == group_of[j]
+        # replay the traversal on the same distances: the first member is
+        # the first centre, each next one the first farthest from its
+        # nearest centre, until n_groups or only copies of centres remain
+        drops, sq = drop_vectors(fns)
+        dist = [distances_to(drops, sq, i) for i in range(len(fns))]
+        centres = [0]
+        while len(centres) < n_groups:
+            near = [min(dist[c][j] for c in centres) for j in range(len(fns))]
+            far = max(range(len(fns)), key=lambda j: (near[j], -j))
+            if near[far] <= 2.0:
+                break
+            centres.append(far)
+        assert len(clusters) == len(centres)
+        for cluster in clusters:
+            (own,) = [k for k, c in enumerate(centres) if c in cluster]
+            for j in cluster:
+                assert all(dist[centres[own]][j] <= dist[c][j] for c in centres)
+                # ties go to the centre picked first
+                assert all(dist[c][j] > dist[centres[own]][j] for c in centres[:own])
+
+    def test_clustering_memory_is_linear_in_members(self):
+        # 3 000 profiles of 2-400 ranks, as many as a deep histogram gives
+        # one (join, filter) pair; an m x m float matrix alone is 72 MB
+        rng = np.random.default_rng(12)
+        fns = []
+        for _ in range(3000):
+            d = int(rng.integers(2, 401))
+            freqs = rng.integers(2, 60) // np.arange(1, d + 1) ** rng.uniform(0, 1)
+            seq = DegreeSequence(np.maximum(1, freqs).astype(int).tolist())
+            fns.append(valid_compress(seq, CompressionConfig(0.05)))
+        n_groups = stats_module._cluster_count("auto", len(fns))
+        tracemalloc.start()
+        try:
+            clusters = cluster_sequence_groups(fns, n_groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clusters) <= n_groups
+        assert peak < 16 * 2**20
 
 
 def little_relation() -> Relation:
