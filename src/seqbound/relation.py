@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,61 +93,76 @@ class Workspace:
     load_warnings: tuple[str, ...] = ()
 
 
+def _csv_rows(fh, path: str):
+    """The rows of a CSV file; malformed or undecodable input is a ConfigError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ConfigError("%s: line %d: %s" % (path, reader.line_num, exc)) from exc
+    except UnicodeDecodeError as exc:
+        # The file is decoded in chunks, so the bad byte lies somewhere past
+        # the last line the reader returned.
+        raise ConfigError(
+            "%s: not UTF-8 past line %d (byte 0x%02x: %s)"
+            % (path, reader.line_num, exc.object[exc.start], exc.reason)
+        ) from exc
+
+
 def load_csv(
     path: str, name: str, columns: list[Column]
 ) -> tuple[Relation, int]:
-    """Read a headered CSV into a typed Relation.
+    """Read a headered CSV into a typed Relation in one pass.
 
-    Numeric cells that are empty or fail to parse become nulls; the number
-    of such repairs is returned alongside the relation.
+    Numeric cells are stripped and parsed with ``float``; cells that are
+    empty, missing or unparseable become nulls, and the number of such
+    repairs is returned alongside the relation. Empty text cells are nulls,
+    and equal text cells share one ``str``.
     """
-    warnings = 0
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
+    warnings = 0
+    n_rows = 0
+    sinks: dict[str, array | list] = {}
+    numeric: list[tuple[int, object]] = []
+    text: list[tuple[int, object]] = []
+    shared: dict[str, str] = {}
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("%s: empty file" % path) from None
-        idx: dict[str, int] = {}
+        rows = _csv_rows(fh, path)
+        header = next(rows, None)
+        if header is None:
+            raise ConfigError("%s: empty file" % path)
         for col in columns:
             if col.name not in header:
                 raise ConfigError(
                     "%s: declared column %r missing from header %r"
                     % (path, col.name, header)
                 )
-            idx[col.name] = header.index(col.name)
-        raw: dict[str, list] = {c.name: [] for c in columns}
-        n_rows = 0
-        for row in reader:
+            sink = sinks[col.name] = array("d") if col.kind == "numeric" else []
+            (numeric if col.kind == "numeric" else text).append(
+                (header.index(col.name), sink.append)
+            )
+        for row in rows:
             if not row:
                 continue
             n_rows += 1
-            for col in columns:
-                i = idx[col.name]
-                raw[col.name].append(row[i] if i < len(row) else "")
-    data: dict[str, object] = {}
-    for col in columns:
-        cells = raw[col.name]
-        if col.kind == "numeric":
-            out = np.empty(len(cells), dtype=np.float64)
-            for i, cell in enumerate(cells):
-                cell = cell.strip()
-                if not cell:
-                    out[i] = np.nan
-                    warnings += 1
-                    continue
+            width = len(row)
+            for i, append in numeric:
                 try:
-                    out[i] = float(cell)
+                    value = float(row[i].strip() if i < width else "")
                 except ValueError:
-                    out[i] = np.nan
+                    value = math.nan
                     warnings += 1
-            data[col.name] = out
-        else:
-            data[col.name] = [cell if cell != "" else None for cell in cells]
+                append(value)
+            for i, append in text:
+                cell = row[i] if i < width else ""
+                append(shared.setdefault(cell, cell) if cell else None)
+    data = {
+        col: np.array(sink, dtype=np.float64) if isinstance(sink, array) else sink
+        for col, sink in sinks.items()
+    }
     return Relation(name, columns, data, n_rows), warnings
 
 

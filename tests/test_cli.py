@@ -167,6 +167,20 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "warning:" in err and "unparseable" in err
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"cust,status,total\n1,open,5\n1,\xffopen,10\n",
+            b"cust,status,total\n1," + b"o" * 200_000 + b",5\n",
+        ],
+        ids=["undecodable bytes", "oversize field"],
+    )
+    def test_malformed_csv_exits_2_naming_the_file(self, tmp_path, capsys, body):
+        schema = shop_schema(tmp_path)
+        (tmp_path / "orders.csv").write_bytes(body)
+        assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
+        assert "orders.csv" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_plain_bound_on_stdout(self, tmp_path, capsys):

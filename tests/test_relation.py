@@ -1,7 +1,11 @@
+import csv
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqbound.relation import (
     Column,
@@ -63,6 +67,178 @@ class TestLoadCsv:
         write(p, "a,b\n1,junk\n")
         rel, _ = load_csv(str(p), "t", [Column("a", "numeric")])
         assert not rel.has_column("b")
+
+
+    def test_equal_text_cells_share_one_string(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write(p, "s\nabc\nxyz\nabc\n")
+        rel, _ = load_csv(str(p), "t", [Column("s", "text")])
+        first, _, third = rel.data["s"]
+        assert first == third and first is third
+
+    def test_oversize_field_names_file_and_line(self, tmp_path):
+        p = tmp_path / "big.csv"
+        write(p, "a,b\n1,x\n2," + "y" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(ConfigError, match=r"big\.csv: line 3: field larger"):
+            load_csv(str(p), "t", [Column("a", "numeric"), Column("b", "text")])
+
+    def test_undecodable_bytes_name_file(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"a,b\n1,x\n2,\xffy\n")
+        with pytest.raises(ConfigError, match=r"bad\.csv: not UTF-8 .*byte 0xff"):
+            load_csv(str(p), "t", [Column("a", "numeric"), Column("b", "text")])
+
+    def test_undecodable_header_names_file(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"\xfea\n1\n")
+        with pytest.raises(ConfigError, match=r"bad\.csv: not UTF-8 past line 0"):
+            load_csv(str(p), "t", [Column("a", "numeric")])
+
+    def test_load_peaks_under_12_mb(self, tmp_path):
+        # 10^5 rows, three numeric columns and one text column of 400
+        # phrases; a loader that keeps every cell as a string peaks near 27 MB.
+        rng = np.random.default_rng(0)
+        phrases = ["phrase number %d of the catalogue" % i for i in range(400)]
+        n = 100_000
+        cols = (rng.integers(0, 5000, n), rng.random(n) * 1e4, rng.integers(0, 90, n))
+        p = tmp_path / "big.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            out = csv.writer(fh)
+            out.writerow(["id", "amount", "day", "note"])
+            out.writerows(
+                zip(*(c.tolist() for c in cols), (phrases[i] for i in rng.integers(0, 400, n)))
+            )
+        columns = [Column("id", "numeric"), Column("amount", "numeric"),
+                   Column("day", "numeric"), Column("note", "text")]
+        tracemalloc.start()
+        try:
+            rel, warnings = load_csv(str(p), "big", columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rel.n_rows == n and warnings == 0
+        assert peak < 12 * 2**20
+
+
+def two_pass_load_csv(path, name, columns):
+    """The loader before the one-pass rewrite, kept as the reference: every
+    declared cell is first read as a string, then converted per column."""
+    warnings = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        idx = {col.name: header.index(col.name) for col in columns}
+        raw = {c.name: [] for c in columns}
+        n_rows = 0
+        for row in reader:
+            if not row:
+                continue
+            n_rows += 1
+            for col in columns:
+                i = idx[col.name]
+                raw[col.name].append(row[i] if i < len(row) else "")
+    data = {}
+    for col in columns:
+        cells = raw[col.name]
+        if col.kind == "numeric":
+            out = np.empty(len(cells), dtype=np.float64)
+            for i, cell in enumerate(cells):
+                cell = cell.strip()
+                if not cell:
+                    out[i] = np.nan
+                    warnings += 1
+                    continue
+                try:
+                    out[i] = float(cell)
+                except ValueError:
+                    out[i] = np.nan
+                    warnings += 1
+            data[col.name] = out
+        else:
+            data[col.name] = [cell if cell != "" else None for cell in cells]
+    return Relation(name, columns, data, n_rows), warnings
+
+
+def assert_same_load(path, columns):
+    rel, warnings = load_csv(str(path), "t", columns)
+    ref, ref_warnings = two_pass_load_csv(str(path), "t", columns)
+    assert warnings == ref_warnings
+    assert rel.n_rows == ref.n_rows
+    assert list(rel.data) == list(ref.data)
+    for col in columns:
+        got, want = rel.data[col.name], ref.data[col.name]
+        if col.kind == "numeric":
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+            assert [c is None for c in got] == [c is None for c in want]
+
+
+def csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+N, T = "numeric", "text"
+ODD_NUMBERS = [" 7 ", "\t", "", "abc", "nan", "-0", "1e999", "1_000", "-inf", "0x10", " .5e-3"]
+
+EQUIVALENCE_CASES = {
+    "odd numeric cells": (
+        "a,b\n" + "".join("%s,%d\n" % (c if c.strip() == c else '"%s"' % c, i)
+                          for i, c in enumerate(ODD_NUMBERS)),
+        [Column("a", N), Column("b", N)],
+    ),
+    "short rows and blank lines": (
+        "a,s,b\n1,x,2\n\n3\n4,y\n\n\n,\n",
+        [Column("a", N), Column("s", T), Column("b", N)],
+    ),
+    "quoted commas and newlines": (
+        'a,s\n1,"x,y"\n"2","line\nbreak"\n"3,5","say ""hi"""\n',
+        [Column("a", N), Column("s", T)],
+    ),
+    "empty and repeated text": (
+        "s,t\nx,\n,x\nx,x\n,\ny,x\n",
+        [Column("s", T), Column("t", T)],
+    ),
+    "interleaved kinds": (
+        "t1,n1,t2,n2\na,1,b,2\n,3,,x\nc,,c,4\n",
+        [Column("t1", T), Column("n1", N), Column("t2", T), Column("n2", N)],
+    ),
+    "extra csv columns, declared out of file order": (
+        "x,n,y,t,z\n9,1,9,a,9\n9,2,9,b,9\n",
+        [Column("t", T), Column("n", N)],
+    ),
+}
+
+
+@pytest.mark.parametrize("text, columns", EQUIVALENCE_CASES.values(), ids=list(EQUIVALENCE_CASES))
+def test_one_pass_load_matches_two_pass_reference(tmp_path, text, columns):
+    p = tmp_path / "t.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    assert_same_load(p, columns)
+
+
+CELLS = st.one_of(
+    st.sampled_from(ODD_NUMBERS + ["1", "2.5", "x", "x y"]),
+    st.text(alphabet=list('ab 0159.-e,"\n\r\t'), max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from([N, T, None]), min_size=1, max_size=5),
+    rows=st.lists(st.lists(CELLS, max_size=6), max_size=12),
+)
+def test_random_cells_load_like_the_reference(tmp_path_factory, kinds, rows):
+    # kind None is a CSV column the schema does not declare
+    header = ["c%d" % i for i in range(len(kinds))]
+    columns = [Column(h, k) for h, k in zip(header, kinds) if k is not None]
+    columns.reverse()  # declared order differs from file order
+    p = tmp_path_factory.mktemp("csv") / "t.csv"
+    p.write_text(csv_text([header] + rows), encoding="utf-8", newline="")
+    assert_same_load(p, columns)
 
 
 class TestRelation:
