@@ -49,6 +49,7 @@ from .query import (
     spanning_trees,
 )
 from .stats import (
+    FilterStats,
     RelationStats,
     StatisticsCatalog,
     _grams,
@@ -69,27 +70,10 @@ class BoundResult:
     steps: tuple[str, ...] = ()
 
 
-def _resolve_eq(rel: RelationStats, join_col: str, node: Eq) -> PiecewiseLinearFn | None:
-    stats = rel.equality.get((join_col, node.column))
-    if stats is None:
-        return None
-    group = stats.keys.get(node.value)
+def _resolve_key(stats: FilterStats, key: object) -> PiecewiseLinearFn:
+    """Profile of a key's group, or the default for an untracked key."""
+    group = stats.keys.get(key)
     return stats.default if group is None else stats.representatives[group]
-
-
-def _resolve_like(rel: RelationStats, join_col: str, node: Like) -> PiecewiseLinearFn | None:
-    stats = rel.like.get((join_col, node.column))
-    if stats is None:
-        return None
-    grams = _grams(node.pattern.strip("%"))
-    if not grams:
-        return None
-    hits = [
-        stats.representatives[stats.keys[g]] for g in sorted(grams) if g in stats.keys
-    ]
-    if hits:
-        return pw_min(hits)
-    return stats.default
 
 
 def condition_sequence(
@@ -109,16 +93,21 @@ def condition_sequence(
 
     def resolve(node: Predicate) -> PiecewiseLinearFn:
         if isinstance(node, Eq):
-            found = _resolve_eq(rel, join_col, node)
-            return unconditioned if found is None else found
+            stats = rel.equality.get((join_col, node.column))
+            return unconditioned if stats is None else _resolve_key(stats, node.value)
         if isinstance(node, Range):
             stats = rel.range.get((join_col, node.column))
             if stats is None:
                 return unconditioned
             return lookup_range_group(stats, node.lo, node.hi, node.hi_incl)
         if isinstance(node, Like):
-            found = _resolve_like(rel, join_col, node)
-            return unconditioned if found is None else found
+            # rows matching the pattern hold every one of its grams, so
+            # each gram's profile covers them
+            stats = rel.like.get((join_col, node.column))
+            grams = sorted(_grams(node.pattern.strip("%")))
+            if stats is None or not grams:
+                return unconditioned
+            return pw_min([_resolve_key(stats, g) for g in grams])
         if isinstance(node, InSet):
             parts = [resolve(Eq(node.column, v)) for v in node.values]
             return pw_min([pw_sum(parts), unconditioned])

@@ -7,19 +7,19 @@ pair one :class:`FilterStats` per predicate family.  Each holds the
 dominating representatives of clustered conditioned profiles, a default
 profile, and a key that picks one representative:
 
-* equality: one profile per most-common filter value; ``keys`` maps each
-  tracked value to its group, and the default is the least concave
-  majorant of the exact profiles of every untracked value, built in one
-  pass over their rows;
+* keyed (equality on filter values, substring on the 3-grams of text
+  filters): one profile for each of the ``mcv_size`` keys with the most
+  rows; ``keys`` maps each tracked key to its group, and the default is
+  the least concave majorant of the exact profiles of every untracked
+  key.  The rows a predicate can match are a subset of the rows of any
+  one of its keys (a row matching a pattern holds every gram of it), so
+  each key's profile, tracked or default, covers them;
 * range (numeric filters): nested equi-depth histogram levels whose
   buckets each point at a representative; the default is the
-  unconditioned profile of the join column;
-* substring (text filters): one profile per most-common 3-gram; ``keys``
-  maps each tracked gram to its group, and the default covers every row
-  holding an untracked gram.
+  unconditioned profile of the join column.
 
 Every compressed profile is audited against the exact sequence it stands
-for, and every representative and the equality default against the exact
+for, and every representative and keyed default against the exact
 profiles they cover, before they enter the catalog.
 """
 
@@ -132,12 +132,13 @@ class FilterStats:
     """Conditioned profiles of one join column under one filter column.
 
     ``representatives`` dominate the profiles of their groups' members.
-    ``keys`` maps a tracked filter value (equality) or 3-gram (substring)
-    to the index of its group's representative; anything it lacks
-    resolves to ``default``.  Range statistics have no keys: ``levels``
-    holds the nested histogram levels, finest first, each as (cuts,
-    representative index per bucket), and ``default`` is the join
-    column's unconditioned profile.
+    Keyed statistics (equality and substring) share one shape: ``keys``
+    maps a tracked filter value or 3-gram to the index of its group's
+    representative, and any other key resolves to ``default``, the least
+    concave majorant of every untracked key's exact profile.  Range
+    statistics have no keys: ``levels`` holds the nested histogram
+    levels, finest first, each as (cuts, representative index per
+    bucket), and ``default`` is the join column's unconditioned profile.
     """
 
     representatives: tuple[PiecewiseLinearFn, ...]
@@ -339,36 +340,43 @@ def _rows_by_value(rel: Relation, column: str) -> dict:
 
 
 def _tail_majorant(
-    rel: Relation, join_col: str, tail: list[np.ndarray], context: str
+    rel: Relation, join_col: str, tail: list[list[np.ndarray]], context: str
 ) -> PiecewiseLinearFn:
     """Least concave majorant of the exact join-column profiles of the
-    given row sets, in one pass over their rows.
+    given row sets, each a list of disjoint row-index parts.
 
     Equal to ``pw_max`` of the exact cumulatives: the per-rank maximum of
     the running sums of each set's descending degrees, extended flat past
-    each set's distinct count, then its upper concave hull.
+    each set's distinct count, then its upper concave hull.  Whole sets go
+    through in batches of about ``rel.n_rows`` rows, so the work arrays
+    stay near the relation's size however many sets share a row.
     """
     join_values, join_codes = _codes(rel.data[join_col])
-    rows = np.concatenate(tail)
-    owner = np.repeat(np.arange(len(tail), dtype=np.int64), [r.size for r in tail])
-    keys = join_codes[rows]
-    live = keys >= 0
-    if not live.any():
-        return zero_cumulative()
     width = len(join_values)
-    pairs, counts = np.unique(owner[live] * width + keys[live], return_counts=True)
-    owner = pairs // width
-    order = np.lexsort((-counts, owner))
-    owner = owner[order]
-    counts = counts[order]
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    sizes = np.diff(starts, append=owner.size)
-    running = np.cumsum(counts)
-    running -= np.repeat(running[starts] - counts[starts], sizes)
-    rank = np.arange(owner.size) - np.repeat(starts, sizes) + 1
-    top = np.zeros(int(sizes.max()) + 1)
-    np.maximum.at(top, rank, running.astype(np.float64))
-    np.maximum.accumulate(top, out=top)
+    top = np.zeros(width + 1)
+    sizes = [sum(part.size for part in parts) for parts in tail]
+    # a set joins the batch in which its last row falls
+    batch_of = (np.cumsum(sizes) - 1) // rel.n_rows
+    cuts = [0, *(np.flatnonzero(np.diff(batch_of)) + 1).tolist(), len(tail)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        keys = join_codes[np.concatenate([part for parts in tail[lo:hi] for part in parts])]
+        owner = np.repeat(np.arange(lo, hi, dtype=np.int64), sizes[lo:hi])
+        live = keys >= 0
+        pairs, counts = np.unique(owner[live] * width + keys[live], return_counts=True)
+        owner = pairs // width
+        order = np.lexsort((-counts, owner))
+        owner = owner[order]
+        counts = counts[order]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        runs = np.diff(starts, append=owner.size)
+        running = np.cumsum(counts)
+        running -= np.repeat(running[starts] - counts[starts], runs)
+        rank = np.arange(owner.size) - np.repeat(starts, runs) + 1
+        np.maximum.at(top, rank, running.astype(np.float64))
+    reached = np.flatnonzero(top)
+    if reached.size == 0:
+        return zero_cumulative()
+    top = np.maximum.accumulate(top[: reached[-1] + 1])
     knots, values = _upper_concave_envelope(
         np.arange(top.size, dtype=np.float64).tolist(), top.tolist()
     )
@@ -377,23 +385,35 @@ def _tail_majorant(
     return majorant
 
 
+def _keyed_stats(
+    rel: Relation,
+    join_col: str,
+    rows_by_key: dict[object, list[np.ndarray]],
+    params: BuildParams,
+    context: str,
+) -> FilterStats:
+    """Statistics keyed by filter value or 3-gram, each key's rows given as
+    disjoint parts: audited and clustered profiles of the ``mcv_size`` keys
+    with the most rows, and the tail majorant of every other key."""
+    ordered = sorted(
+        rows_by_key.items(), key=lambda kv: (-sum(p.size for p in kv[1]), kv[0])
+    )
+    members = [
+        (key, _audited_profile(rel, join_col, np.concatenate(parts), params))
+        for key, parts in ordered[: params.mcv_size]
+    ]
+    representatives, keys = _build_groups(members, params, context)
+    tail = [parts for _, parts in ordered[params.mcv_size :]]
+    default = _tail_majorant(rel, join_col, tail, context) if tail else zero_cumulative()
+    return FilterStats(representatives, default, keys)
+
+
 def build_equality_stats(
     rel: Relation, join_col: str, filter_col: str, params: BuildParams
 ) -> FilterStats:
-    by_value = _rows_by_value(rel, filter_col)
-    ordered = sorted(by_value.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    mcv = ordered[: params.mcv_size]
-    rest = ordered[params.mcv_size :]
-    members = [
-        (value, _audited_profile(rel, join_col, rows, params)) for value, rows in mcv
-    ]
+    rows_by_value = {v: [rows] for v, rows in _rows_by_value(rel, filter_col).items()}
     context = "%s.%s | %s =" % (rel.name, join_col, filter_col)
-    representatives, keys = _build_groups(members, params, context)
-    if rest:
-        default = _tail_majorant(rel, join_col, [rows for _, rows in rest], context)
-    else:
-        default = zero_cumulative()
-    return FilterStats(representatives, default, keys)
+    return _keyed_stats(rel, join_col, rows_by_value, params, context)
 
 
 def _equi_depth_cuts(values: np.ndarray, depth: int) -> list[float]:
@@ -492,36 +512,14 @@ def build_like_stats(
 ) -> FilterStats:
     if isinstance(rel.data[filter_col], np.ndarray):
         raise StatsBuildError("substring statistics need a text filter column")
-    by_text = _rows_by_value(rel, filter_col)
-    text_grams = {text: _grams(text) for text in by_text}
-    gram_texts: dict[str, list[str]] = defaultdict(list)
-    gram_count: dict[str, int] = defaultdict(int)
-    for text, grams in text_grams.items():
-        for g in grams:
-            gram_texts[g].append(text)
-            gram_count[g] += len(by_text[text])
-    ordered = sorted(gram_count, key=lambda g: (-gram_count[g], g))
-    mcv = ordered[: params.mcv_size]
-    mcv_set = set(mcv)
-
-    def rows_of(texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate([by_text[t] for t in texts])
-
-    members = [
-        (gram, _audited_profile(rel, join_col, rows_of(gram_texts[gram]), params))
-        for gram in mcv
-    ]
-    context = "%s.%s | %s like" % (rel.name, join_col, filter_col)
-    representatives, keys = _build_groups(members, params, context)
-    # A pattern made only of untracked grams can match any row holding one
-    # of them, tracked grams or not, so the default covers every such row.
     # Gram-less rows (null or shorter than a gram) can never match a
     # pattern long enough to consult these statistics.
-    uncovered = [t for t, grams in text_grams.items() if grams - mcv_set]
-    default = _audited_profile(rel, join_col, rows_of(uncovered), params)
-    return FilterStats(representatives, default, keys)
+    rows_by_gram: dict[str, list[np.ndarray]] = defaultdict(list)
+    for text, rows in _rows_by_value(rel, filter_col).items():
+        for g in _grams(text):
+            rows_by_gram[g].append(rows)
+    context = "%s.%s | %s like" % (rel.name, join_col, filter_col)
+    return _keyed_stats(rel, join_col, rows_by_gram, params, context)
 
 
 def precompute_pk_fk(

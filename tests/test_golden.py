@@ -13,7 +13,9 @@ Regenerate with::
     PYTHONPATH=src python tests/test_golden.py
 
 which prints every bound that moved against the stored file (seed,
-setting, stored -> new bound, true count) before overwriting it.
+setting, stored -> new bound, true count) and how many moved up and down
+before overwriting it.  If any new bound is below its true count it
+prints those, leaves the file as it was and exits with status 1.
 """
 
 from __future__ import annotations
@@ -164,7 +166,20 @@ if __name__ == "__main__":
     moves = list(_moves(stored, records))
     for seed, name, old, new, true in moves:
         print("%d %s %d -> %d (true %d)" % (seed, name, old, new, true))
+    up = sum(new > old for _, _, old, new, _ in moves)
+    print("%d bounds moved: %d up, %d down" % (len(moves), up, len(moves) - up))
+    unsound = [
+        (r["seed"], name, r["sql"], bound, r["true"])
+        for r in records
+        for name, bound in r.get("bounds", {}).items()
+        if bound < r["true"]
+    ]
+    for seed, name, sql, bound, true in unsound:
+        print("UNSOUND %d %s %s: bound %d < true %d" % (seed, name, sql, bound, true))
+    if unsound:
+        print("%d bounds below their true count; %s left as it was" % (len(unsound), CORPUS))
+        raise SystemExit(1)
     with open(CORPUS, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    print("wrote %d records to %s; %d bounds moved" % (len(records), CORPUS, len(moves)))
+    print("wrote %d records to %s" % (len(records), CORPUS))

@@ -7,9 +7,11 @@ arithmetic can be checked to the row.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqbound.inference import bound_query, condition_sequence
 from seqbound.oracle import corrupt_catalog, true_cardinality
+from seqbound.pwfn import PiecewiseLinearFn, sample_integer_ranks, zero_cumulative
 from seqbound.query import (
     And,
     Eq,
@@ -18,12 +20,24 @@ from seqbound.query import (
     Or,
     Range,
     UnsupportedQueryError,
+    like_matches,
     parse_query,
 )
 from seqbound.relation import Column, ColumnRole, PkFkDeclaration, Relation
 from seqbound.stats import BuildParams, build_catalog
 
 EXACT = BuildParams(compression_budget=1e-9)
+
+
+def exact_profile(join_values: np.ndarray) -> PiecewiseLinearFn:
+    """Exact cumulative degree profile of the non-null join values."""
+    _, counts = np.unique(join_values[~np.isnan(join_values)], return_counts=True)
+    running = np.cumsum(np.sort(counts)[::-1])
+    if running.size == 0:
+        return zero_cumulative()
+    return PiecewiseLinearFn(
+        np.arange(running.size + 1.0).tolist(), [0.0, *running.astype(float).tolist()]
+    )
 
 
 def skew_relation(name="rr"):
@@ -439,6 +453,29 @@ class TestSoundnessRegressions:
         ):
             assert bound(catalog, sql, schema).bound >= true, sql
 
+    def test_like_mixing_tracked_and_untracked_grams_takes_both(self):
+        # 'aaa' is tracked and holds all 530 rows, but the pattern's
+        # untracked grams hold only the 30 'aaaxyz' rows; a matching row
+        # holds every gram, so their default tightens the tracked profile
+        text = ["aaaxyz"] * 30 + ["aaabbb"] * 500
+        j = np.arange(len(text)) % 7.0
+        r = Relation(
+            "r", [Column("j", "numeric"), Column("s", "text")], {"j": j, "s": text}, len(text)
+        )
+        catalog = build_catalog(
+            {"r": r}, {"r": ColumnRole(("j",), ("s",))},
+            params=BuildParams(mcv_size=4, compression_budget=1e-9),
+        )
+        stats = catalog.relations["r"].like[("j", "s")]
+        assert "aaa" in stats.keys and "xyz" not in stats.keys
+        tracked = stats.representatives[stats.keys["aaa"]]
+        got = condition_sequence(catalog, "r", "j", Like("s", "%aaaxyz%"))
+        assert got.total < tracked.total
+        upto = int(np.ceil(max(got.end, tracked.end)))
+        assert np.all(sample_integer_ranks(got, upto) <= sample_integer_ranks(tracked, upto))
+        exact = exact_profile(j[:30])
+        assert np.all(sample_integer_ranks(got, 7) >= sample_integer_ranks(exact, 7) - 1e-9)
+
     def test_negative_zero_rows_answer_a_zero_literal(self):
         # -0.0 and 0.0 are one tracked value; the literal 0 must find it
         f = np.array([-0.0] * 5 + [1.0] * 3)
@@ -497,3 +534,45 @@ class TestSoundnessRegressions:
                     true = true_cardinality({"r": r}, query)
                     assert true > 0, sql
                     assert bound_query(catalog, query).bound >= true, sql
+
+
+@st.composite
+def like_cases(draw):
+    """Rows drawn from a few texts over a few letters (with nulls and a
+    character whose lower case is longer), a join column with nulls, an
+    mcv budget, and patterns cut from those texts or drawn at random."""
+    letters = "abcAİ"
+    pool = draw(st.lists(st.text(letters, max_size=9), min_size=1, max_size=6))
+    n = draw(st.integers(1, 40))
+    texts = draw(st.lists(st.none() | st.sampled_from(pool), min_size=n, max_size=n))
+    j = np.array(draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0, np.nan]),
+                               min_size=n, max_size=n)))
+    mcv_size = draw(st.sampled_from([0, 1, 2, 4, 8]))
+    cores = draw(st.lists(st.text(letters, min_size=3, max_size=6), max_size=2))
+    for text in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)):
+        lo = draw(st.integers(0, len(text)))
+        cores.append(text[lo : draw(st.integers(lo, len(text)))])
+    forms = ("%{}%", "{}%", "%{}", "{}")
+    patterns = [draw(st.sampled_from(forms)).format(core) for core in cores]
+    return texts, j, mcv_size, patterns
+
+
+class TestLikeSoundness:
+    @settings(max_examples=200, deadline=None)
+    @given(like_cases())
+    def test_resolved_like_profiles_dominate_the_matching_rows(self, case):
+        texts, j, mcv_size, patterns = case
+        r = Relation(
+            "r", [Column("j", "numeric"), Column("s", "text")], {"j": j, "s": texts}, len(texts)
+        )
+        catalog = build_catalog(
+            {"r": r}, {"r": ColumnRole(("j",), ("s",))}, params=BuildParams(mcv_size=mcv_size)
+        )
+        for pattern in patterns:
+            got = condition_sequence(catalog, "r", "j", Like("s", pattern))
+            matching = np.array([like_matches(t, pattern) for t in texts], dtype=bool)
+            exact = exact_profile(j[matching])
+            upto = int(np.ceil(max(got.end, exact.end)))
+            assert np.all(
+                sample_integer_ranks(got, upto) >= sample_integer_ranks(exact, upto) - 1e-9
+            ), pattern

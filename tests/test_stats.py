@@ -431,7 +431,41 @@ class TestLikeStats:
         )
         stats = build_like_stats(rel, "j", "s", BuildParams(mcv_size=1))
         assert set(stats.keys) == {"aaa"}
-        assert stats.default.total == pytest.approx(2.0)
+        # the untracked grams bbb and ccc hold one row each, and a pattern
+        # of untracked grams matches at most the rows of any one of them
+        assert stats.default.total == pytest.approx(1.0)
+
+    def test_batched_default_is_the_majorant_of_every_gram(self):
+        # Gram k (k = 1..K, one CJK token each) holds join values 1..k with
+        # a - k rows apiece, nested so that row i of value v holds the run
+        # of grams v..min(K, a - i).  Gram k alone reaches the strictly
+        # concave maximum k * (a - k) at rank k, and the grams crossing two
+        # tokens stay below it, so a batch that drops or splits any set
+        # lowers the default somewhere.
+        K, a = 20, 42
+        token = ["".join(chr(0x4E00 + 3 * k + c) for c in range(3)) for k in range(K + 1)]
+        j, s = [], []
+        for v in range(1, K + 1):
+            for i in range(1, a - v + 1):
+                j.append(float(v))
+                s.append("".join(token[v : min(K, a - i) + 1]))
+        rel = Relation(
+            "r", [Column("j", "numeric"), Column("s", "text")],
+            {"j": np.array(j), "s": s}, len(s),
+        )
+        rows_by_gram: dict[str, list[int]] = {}
+        for row, text in enumerate(s):
+            for g in stats_module._grams(text):
+                rows_by_gram.setdefault(g, []).append(row)
+        # the tail's gram-rows span at least three batches of n_rows rows
+        assert sum(map(len, rows_by_gram.values())) >= 3 * rel.n_rows
+        default = build_like_stats(rel, "j", "s", BuildParams(mcv_size=0)).default
+        exact = [exact_cumulative(rel, np.array(rows)) for rows in rows_by_gram.values()]
+        want = sample_integer_ranks(pw_max(exact), K + 1)
+        np.testing.assert_allclose(want[1 : K + 1], [k * (a - k) for k in range(1, K + 1)])
+        np.testing.assert_allclose(
+            sample_integer_ranks(default, K + 1), want, rtol=0, atol=1e-9
+        )
 
 
 class TestPkFk:
