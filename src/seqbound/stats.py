@@ -18,6 +18,17 @@ profile, and a key that picks one representative:
   buckets each point at a representative; the default is the
   unconditioned profile of the join column.
 
+Every profile is a degree sequence: the descending value frequencies of
+one column over some rows.  :func:`_codes` is the only definition of
+value identity (nulls dropped, -0.0 equal to 0.0).  The builder codes
+each column of a relation once, and a column's fallback is the bincount
+of its codes (:func:`extract_degree_sequence`).  It groups the rows of
+one filter column at a time by value, for all of that column's families.
+The exact join-column degrees of tracked keys, histogram buckets and the
+keyed tail all come from one batched pass, :func:`_degree_batches`,
+which counts (row set, join code) pairs a batch of whole row sets at a
+time.
+
 Every compressed profile is audited against the exact sequence it stands
 for, and every representative and keyed default against the exact
 profiles they cover, before they enter the catalog.
@@ -29,6 +40,7 @@ import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,41 +192,94 @@ class StatisticsCatalog:
     pkfk: tuple[PkFkEdge, ...] = ()
 
 
-def extract_degree_sequence(
-    rel: Relation, column: str, rows: np.ndarray | None = None
-) -> DegreeSequence:
-    """Degree sequence of a column restricted to the given row indices
-    (all rows when omitted); nulls are dropped, they never join."""
-    data = rel.data[column]
+def _codes(data) -> tuple[list, np.ndarray]:
+    """The one definition of value identity: the distinct non-null values
+    of a column and every row's index into them, -1 for null.  Numbers are
+    coded with ``np.unique`` (ascending, and -0.0 and 0.0 are one value);
+    texts keep the order in which they first appear."""
     if isinstance(data, np.ndarray):
-        vals = data if rows is None else data[rows]
-        vals = vals[~np.isnan(vals)]
-        if vals.size == 0:
-            return DegreeSequence(())
-        _, counts = np.unique(vals, return_counts=True)
-        return DegreeSequence(sorted(counts.tolist(), reverse=True))
-    if rows is None:
-        it = data
-    else:
-        it = (data[i] for i in rows.tolist())
-    counts_map: dict[str, int] = defaultdict(int)
-    for v in it:
-        if v is not None:
-            counts_map[v] += 1
-    return DegreeSequence(sorted(counts_map.values(), reverse=True))
+        codes = np.full(data.size, -1, dtype=np.intp)
+        live = ~np.isnan(data)
+        values, codes[live] = np.unique(data[live], return_inverse=True)
+        return values.tolist(), codes
+    distinct = dict.fromkeys(data)
+    distinct.pop(None, None)
+    keys = list(distinct)
+    index = {v: i for i, v in enumerate(keys)}
+    index[None] = -1
+    return keys, np.fromiter(map(index.__getitem__, data), dtype=np.intp, count=len(data))
 
 
-def _audited_profile(
-    rel: Relation, column: str, rows: np.ndarray | None, params: BuildParams
-) -> PiecewiseLinearFn:
-    seq = extract_degree_sequence(rel, column, rows)
+def extract_degree_sequence(codes: np.ndarray) -> DegreeSequence:
+    """Degree sequence of a coded column (see :func:`_codes`); nulls, coded
+    -1, are dropped: they never join."""
+    return DegreeSequence.from_counts(np.bincount(codes[codes >= 0]))
+
+
+class RowGroups(NamedTuple):
+    """The non-null rows of a filter column grouped by value: ``rows``
+    lists them value by value, in ascending row order within one, and
+    ``values[i]`` holds ``rows[bounds[i]:bounds[i + 1]]``."""
+
+    column: str
+    values: list
+    rows: np.ndarray
+    bounds: np.ndarray
+
+    def parts(self) -> list[np.ndarray]:
+        return np.split(self.rows, self.bounds[1:-1])
+
+
+def _row_groups(column: str, values: list, codes: np.ndarray) -> RowGroups:
+    live = np.flatnonzero(codes >= 0)
+    order = np.argsort(codes[live], kind="stable")
+    counts = np.bincount(codes[live], minlength=len(values))
+    return RowGroups(column, values, live[order], np.concatenate(([0], np.cumsum(counts))))
+
+
+def _degree_batches(join_codes: np.ndarray, sets: list[list[np.ndarray]]):
+    """Exact degrees of a coded join column over row sets, each given as
+    one or more disjoint row-index parts.
+
+    One ``np.unique`` counts the (set, join code) pairs of a batch and one
+    ``np.lexsort`` orders each set's counts descending.  Whole sets go
+    through in batches: a set joins the batch in which its last row falls,
+    at a quarter of the column's rows per batch, so the work arrays stay
+    near that plus the largest set however many sets share a row.  Each
+    batch yields ``(degrees, offsets)``: its k-th set's degrees are
+    ``degrees[offsets[k]:offsets[k + 1]]``.
+    """
+    width = int(join_codes.max(initial=-1)) + 1
+    sizes = np.array([sum(part.size for part in parts) for parts in sets], dtype=np.int64)
+    batch_of = (np.cumsum(sizes) - 1) // max(1, join_codes.size // 4)
+    cuts = [*np.flatnonzero(np.diff(batch_of, prepend=-2)).tolist(), len(sets)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        keys = join_codes[np.concatenate([part for parts in sets[lo:hi] for part in parts])]
+        owner = np.repeat(np.arange(hi - lo, dtype=np.int64), sizes[lo:hi])
+        live = keys >= 0
+        pairs, counts = np.unique(owner[live] * width + keys[live], return_counts=True)
+        owner = pairs // width
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=hi - lo))))
+        yield counts[np.lexsort((-counts, owner))], offsets
+
+
+def _audited_profile(seq: DegreeSequence, params: BuildParams, context: str) -> PiecewiseLinearFn:
     fn = valid_compress(seq, params.compression())
     report = is_valid_compression(seq, fn)
     if not report.ok:
-        raise StatsBuildError(
-            "compression audit failed for %s.%s: %s" % (rel.name, column, report.reason)
-        )
+        raise StatsBuildError("compression audit failed for %s: %s" % (context, report.reason))
     return fn
+
+
+def _member_profiles(
+    join_codes: np.ndarray, sets: list[list[np.ndarray]], params: BuildParams, context: str
+) -> list[PiecewiseLinearFn]:
+    """Audited compressed join-column profiles of the given row sets."""
+    return [
+        _audited_profile(DegreeSequence(degrees), params, context)
+        for batch, offsets in _degree_batches(join_codes, sets)
+        for degrees in np.split(batch, offsets[1:-1])
+    ]
 
 
 def _cluster_count(policy: int | str, n_members: int) -> int:
@@ -289,89 +354,38 @@ def _audit_representative(
 
 
 def _build_groups(
-    members: list[tuple[object, PiecewiseLinearFn]],
-    params: BuildParams,
-    context: str,
-) -> tuple[tuple[PiecewiseLinearFn, ...], dict[object, int]]:
-    """Cluster keyed profiles; returns the groups' audited representatives
-    and the index of every key's representative."""
-    if not members:
-        return (), {}
-    fns = [fn for _, fn in members]
-    n_groups = _cluster_count(params.clusters, len(members))
+    fns: list[PiecewiseLinearFn], params: BuildParams, context: str
+) -> tuple[tuple[PiecewiseLinearFn, ...], list[int]]:
+    """Cluster member profiles; returns the groups' audited representatives
+    and the index of every member's representative."""
     representatives: list[PiecewiseLinearFn] = []
-    key_to_group: dict[object, int] = {}
-    for cluster in cluster_sequence_groups(fns, n_groups):
+    group_of = [0] * len(fns)
+    for cluster in cluster_sequence_groups(fns, _cluster_count(params.clusters, len(fns))):
         member_fns = [fns[i] for i in cluster]
         rep = pw_max(member_fns)
         _audit_representative(rep, member_fns, context)
         for i in cluster:
-            key_to_group[members[i][0]] = len(representatives)
+            group_of[i] = len(representatives)
         representatives.append(rep)
-    return tuple(representatives), key_to_group
-
-
-def _codes(data) -> tuple[list, np.ndarray]:
-    """Distinct non-null values of a column and every row's index into
-    them, -1 for null.  Numbers are coded with ``np.unique``, so -0.0 and
-    0.0 are one value, as in :func:`extract_degree_sequence`."""
-    if isinstance(data, np.ndarray):
-        codes = np.full(data.size, -1, dtype=np.intp)
-        live = ~np.isnan(data)
-        values, codes[live] = np.unique(data[live], return_inverse=True)
-        return values.tolist(), codes
-    distinct = dict.fromkeys(data)
-    distinct.pop(None, None)
-    keys = list(distinct)
-    index = {v: i for i, v in enumerate(keys)}
-    index[None] = -1
-    return keys, np.fromiter(map(index.__getitem__, data), dtype=np.intp, count=len(data))
-
-
-def _rows_by_value(rel: Relation, column: str) -> dict:
-    """Row indices (ascending) of every non-null value of a column."""
-    keys, all_codes = _codes(rel.data[column])
-    rows = np.flatnonzero(all_codes >= 0)
-    codes = all_codes[rows]
-    order = np.argsort(codes, kind="stable")
-    counts = np.bincount(codes, minlength=len(keys))
-    parts = np.split(rows[order], np.cumsum(counts)[:-1])
-    return dict(zip(keys, parts))
+    return tuple(representatives), group_of
 
 
 def _tail_majorant(
-    rel: Relation, join_col: str, tail: list[list[np.ndarray]], context: str
+    join_codes: np.ndarray, sets: list[list[np.ndarray]], context: str
 ) -> PiecewiseLinearFn:
     """Least concave majorant of the exact join-column profiles of the
-    given row sets, each a list of disjoint row-index parts.
+    given row sets, :func:`zero_cumulative` when there are none.
 
     Equal to ``pw_max`` of the exact cumulatives: the per-rank maximum of
     the running sums of each set's descending degrees, extended flat past
-    each set's distinct count, then its upper concave hull.  Whole sets go
-    through in batches of about ``rel.n_rows`` rows, so the work arrays
-    stay near the relation's size however many sets share a row.
+    each set's distinct count, then its upper concave hull.
     """
-    join_values, join_codes = _codes(rel.data[join_col])
-    width = len(join_values)
-    top = np.zeros(width + 1)
-    sizes = [sum(part.size for part in parts) for parts in tail]
-    # a set joins the batch in which its last row falls
-    batch_of = (np.cumsum(sizes) - 1) // rel.n_rows
-    cuts = [0, *(np.flatnonzero(np.diff(batch_of)) + 1).tolist(), len(tail)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        keys = join_codes[np.concatenate([part for parts in tail[lo:hi] for part in parts])]
-        owner = np.repeat(np.arange(lo, hi, dtype=np.int64), sizes[lo:hi])
-        live = keys >= 0
-        pairs, counts = np.unique(owner[live] * width + keys[live], return_counts=True)
-        owner = pairs // width
-        order = np.lexsort((-counts, owner))
-        owner = owner[order]
-        counts = counts[order]
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        runs = np.diff(starts, append=owner.size)
-        running = np.cumsum(counts)
-        running -= np.repeat(running[starts] - counts[starts], runs)
-        rank = np.arange(owner.size) - np.repeat(starts, runs) + 1
+    top = np.zeros(int(join_codes.max(initial=-1)) + 2)
+    for degrees, offsets in _degree_batches(join_codes, sets):
+        sizes = np.diff(offsets)
+        running = np.concatenate(([0], np.cumsum(degrees)))
+        running = running[1:] - np.repeat(running[offsets[:-1]], sizes)
+        rank = np.arange(1, degrees.size + 1) - np.repeat(offsets[:-1], sizes)
         np.maximum.at(top, rank, running.astype(np.float64))
     reached = np.flatnonzero(top)
     if reached.size == 0:
@@ -386,104 +400,72 @@ def _tail_majorant(
 
 
 def _keyed_stats(
-    rel: Relation,
-    join_col: str,
-    rows_by_key: dict[object, list[np.ndarray]],
-    params: BuildParams,
-    context: str,
+    join_codes: np.ndarray, rows_by_key: dict, params: BuildParams, context: str
 ) -> FilterStats:
     """Statistics keyed by filter value or 3-gram, each key's rows given as
     disjoint parts: audited and clustered profiles of the ``mcv_size`` keys
     with the most rows, and the tail majorant of every other key."""
-    ordered = sorted(
-        rows_by_key.items(), key=lambda kv: (-sum(p.size for p in kv[1]), kv[0])
-    )
-    members = [
-        (key, _audited_profile(rel, join_col, np.concatenate(parts), params))
-        for key, parts in ordered[: params.mcv_size]
-    ]
-    representatives, keys = _build_groups(members, params, context)
+    ordered = sorted(rows_by_key.items(), key=lambda kv: (-sum(p.size for p in kv[1]), kv[0]))
+    tracked = ordered[: params.mcv_size]
+    fns = _member_profiles(join_codes, [parts for _, parts in tracked], params, context)
+    representatives, group_of = _build_groups(fns, params, context)
     tail = [parts for _, parts in ordered[params.mcv_size :]]
-    default = _tail_majorant(rel, join_col, tail, context) if tail else zero_cumulative()
+    default = _tail_majorant(join_codes, tail, context)
+    keys = {key: group for (key, _), group in zip(tracked, group_of)}
     return FilterStats(representatives, default, keys)
 
 
 def build_equality_stats(
-    rel: Relation, join_col: str, filter_col: str, params: BuildParams
+    rel: Relation, join_col: str, join_codes: np.ndarray, groups: RowGroups, params: BuildParams
 ) -> FilterStats:
-    rows_by_value = {v: [rows] for v, rows in _rows_by_value(rel, filter_col).items()}
-    context = "%s.%s | %s =" % (rel.name, join_col, filter_col)
-    return _keyed_stats(rel, join_col, rows_by_value, params, context)
+    rows_by_value = {v: [rows] for v, rows in zip(groups.values, groups.parts())}
+    context = "%s.%s | %s =" % (rel.name, join_col, groups.column)
+    return _keyed_stats(join_codes, rows_by_value, params, context)
 
 
-def _equi_depth_cuts(values: np.ndarray, depth: int) -> list[float]:
-    """Cuts splitting the values into 2**depth buckets of near-equal count;
-    each cut is the smallest value of the bucket that it starts."""
-    uniq, counts = np.unique(values, return_counts=True)
+def _equi_depth_cuts(uniq: np.ndarray, counts: np.ndarray, depth: int) -> list[float]:
+    """Cuts splitting values (``uniq`` ascending, ``counts`` rows of each)
+    into 2**depth buckets of near-equal count; each cut is the smallest
+    value of the bucket that it starts."""
     if uniq.size < 2:
         return []
     cum = np.cumsum(counts)
     total = int(cum[-1])
     # With 2**depth >= 2 * total the targets lie at most half a row apart,
     # so every value but the smallest starts a bucket.  Deciding this first
-    # keeps a deep histogram on few rows from looping 2**depth times.
+    # keeps a deep histogram on few rows from making 2**depth targets.
     if (total - 1).bit_length() < depth:
         return uniq[1:].tolist()
     parts = 2 ** depth
-    cuts: list[float] = []
-    for j in range(1, parts):
-        target = j * total / parts
-        idx = int(np.searchsorted(cum, target, side="left"))
-        if idx + 1 < uniq.size:
-            cut = float(uniq[idx + 1])
-            if not cuts or cut > cuts[-1]:
-                cuts.append(cut)
-    return cuts
+    idx = np.searchsorted(cum, np.arange(1, parts) * total / parts, side="left")
+    return np.unique(uniq[idx[idx + 1 < uniq.size] + 1]).tolist()
 
 
 def build_range_stats(
     rel: Relation,
     join_col: str,
-    filter_col: str,
+    join_codes: np.ndarray,
+    groups: RowGroups,
     params: BuildParams,
     root: PiecewiseLinearFn,
 ) -> FilterStats:
-    data = rel.data[filter_col]
-    if not isinstance(data, np.ndarray):
+    if not isinstance(rel.data[groups.column], np.ndarray):
         raise StatsBuildError("range statistics need a numeric filter column")
-    mask = ~np.isnan(data)
-    values = data[mask]
-    row_ids = np.nonzero(mask)[0]
-    if values.size == 0:
-        return FilterStats((), root)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    sorted_rows = row_ids[order]
-    finest = _equi_depth_cuts(values, params.hist_depth)
+    uniq = np.array(groups.values, dtype=np.float64)
     level_cuts: list[list[float]] = []
-    cuts = finest
+    cuts = _equi_depth_cuts(uniq, np.diff(groups.bounds), params.hist_depth)
     while cuts:
         level_cuts.append(cuts)
         cuts = cuts[1::2]
-    members: list[tuple[object, PiecewiseLinearFn]] = []
-    level_keys: list[list[tuple[int, int]]] = []
-    for li, lc in enumerate(level_cuts):
-        bounds = np.searchsorted(sorted_vals, np.asarray(lc), side="left")
-        starts = [0, *bounds.tolist()]
-        ends = [*bounds.tolist(), sorted_vals.size]
-        keys: list[tuple[int, int]] = []
-        for bi, (s, e) in enumerate(zip(starts, ends)):
-            key = (li, bi)
-            rows = sorted_rows[s:e]
-            members.append((key, _audited_profile(rel, join_col, rows, params)))
-            keys.append(key)
-        level_keys.append(keys)
-    context = "%s.%s | %s range" % (rel.name, join_col, filter_col)
-    representatives, key_to_group = _build_groups(members, params, context)
-    levels = tuple(
-        (tuple(lc), tuple(key_to_group[k] for k in keys))
-        for lc, keys in zip(level_cuts, level_keys)
-    )
+    buckets: list[list[np.ndarray]] = []
+    for lc in level_cuts:
+        edges = groups.bounds[[0, *np.searchsorted(uniq, lc).tolist(), uniq.size]].tolist()
+        buckets += [[groups.rows[s:e]] for s, e in zip(edges, edges[1:])]
+    context = "%s.%s | %s range" % (rel.name, join_col, groups.column)
+    fns = _member_profiles(join_codes, buckets, params, context)
+    representatives, group_of = _build_groups(fns, params, context)
+    ids = iter(group_of)
+    levels = tuple((tuple(lc), tuple(next(ids) for _ in range(len(lc) + 1))) for lc in level_cuts)
     return FilterStats(representatives, root, levels=levels)
 
 
@@ -508,18 +490,18 @@ def _grams(text: str) -> set[str]:
 
 
 def build_like_stats(
-    rel: Relation, join_col: str, filter_col: str, params: BuildParams
+    rel: Relation, join_col: str, join_codes: np.ndarray, groups: RowGroups, params: BuildParams
 ) -> FilterStats:
-    if isinstance(rel.data[filter_col], np.ndarray):
+    if isinstance(rel.data[groups.column], np.ndarray):
         raise StatsBuildError("substring statistics need a text filter column")
     # Gram-less rows (null or shorter than a gram) can never match a
     # pattern long enough to consult these statistics.
     rows_by_gram: dict[str, list[np.ndarray]] = defaultdict(list)
-    for text, rows in _rows_by_value(rel, filter_col).items():
+    for text, rows in zip(groups.values, groups.parts()):
         for g in _grams(text):
             rows_by_gram[g].append(rows)
-    context = "%s.%s | %s like" % (rel.name, join_col, filter_col)
-    return _keyed_stats(rel, join_col, rows_by_gram, params, context)
+    context = "%s.%s | %s like" % (rel.name, join_col, groups.column)
+    return _keyed_stats(join_codes, rows_by_gram, params, context)
 
 
 def precompute_pk_fk(
@@ -579,6 +561,43 @@ def precompute_pk_fk(
     return Relation(fact.name, columns, data, fact.n_rows), propagated
 
 
+def _relation_stats(rel: Relation, role: ColumnRole, params: BuildParams) -> RelationStats:
+    """Every statistic of one relation.  Each column is coded once, and
+    the row groups of one filter column at a time serve all its families."""
+    fallback: dict[str, PiecewiseLinearFn] = {}
+
+    def coded(column: str) -> tuple[list, np.ndarray]:
+        values, codes = _codes(rel.data[column])
+        seq = extract_degree_sequence(codes)
+        fallback[column] = _audited_profile(seq, params, "%s.%s" % (rel.name, column))
+        return values, codes
+
+    joins = {j: coded(j)[1] for j in role.join_columns}
+    families: dict[str, dict[tuple[str, str], FilterStats]] = {f: {} for f in FAMILIES}
+    for f in role.filter_columns:
+        groups = _row_groups(f, *coded(f))
+        for j, codes in joins.items():
+            families["equality"][(j, f)] = build_equality_stats(rel, j, codes, groups, params)
+            if rel.kind_of(f) == "numeric":
+                families["range"][(j, f)] = build_range_stats(
+                    rel, j, codes, groups, params, fallback[j]
+                )
+            else:
+                families["like"][(j, f)] = build_like_stats(rel, j, codes, groups, params)
+    for col in rel.columns:
+        if col.name not in fallback:
+            coded(col.name)
+    return RelationStats(
+        name=rel.name,
+        cardinality=rel.n_rows,
+        column_kinds={c.name: c.kind for c in rel.columns},
+        join_columns=role.join_columns,
+        filter_columns=role.filter_columns,
+        fallback={c.name: fallback[c.name] for c in rel.columns},
+        **families,
+    )
+
+
 def build_catalog(
     relations: dict[str, Relation],
     roles: dict[str, ColumnRole],
@@ -607,33 +626,5 @@ def build_catalog(
             old.join_columns, old.filter_columns + tuple(propagated.values())
         )
         edges.append(PkFkEdge(decl.fact, decl.fk, decl.dim, decl.pk, propagated))
-    rel_stats: dict[str, RelationStats] = {}
-    for name in sorted(work):
-        rel = work[name]
-        role = work_roles[name]
-        fallback = {
-            col.name: _audited_profile(rel, col.name, None, params)
-            for col in rel.columns
-        }
-        equality: dict[tuple[str, str], FilterStats] = {}
-        range_: dict[tuple[str, str], FilterStats] = {}
-        like: dict[tuple[str, str], FilterStats] = {}
-        for j in role.join_columns:
-            for f in role.filter_columns:
-                equality[(j, f)] = build_equality_stats(rel, j, f, params)
-                if rel.kind_of(f) == "numeric":
-                    range_[(j, f)] = build_range_stats(rel, j, f, params, fallback[j])
-                else:
-                    like[(j, f)] = build_like_stats(rel, j, f, params)
-        rel_stats[name] = RelationStats(
-            name=name,
-            cardinality=rel.n_rows,
-            column_kinds={c.name: c.kind for c in rel.columns},
-            join_columns=role.join_columns,
-            filter_columns=role.filter_columns,
-            fallback=fallback,
-            equality=equality,
-            range=range_,
-            like=like,
-        )
+    rel_stats = {name: _relation_stats(work[name], work_roles[name], params) for name in sorted(work)}
     return StatisticsCatalog(params, rel_stats, tuple(edges))

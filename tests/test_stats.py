@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,6 +38,26 @@ def cum(freqs) -> PiecewiseLinearFn:
         knots.append(float(i))
         values.append(values[-1] + f)
     return PiecewiseLinearFn(knots, values)
+
+
+def codes_of(rel: Relation, column: str) -> np.ndarray:
+    return stats_module._codes(rel.data[column])[1]
+
+
+def row_groups(rel: Relation, column: str) -> stats_module.RowGroups:
+    return stats_module._row_groups(column, *stats_module._codes(rel.data[column]))
+
+
+def family(build, rel: Relation, join_col: str, filter_col: str, params: BuildParams, *root):
+    """A family builder called as ``build_catalog`` calls it."""
+    return build(rel, join_col, codes_of(rel, join_col), row_groups(rel, filter_col), params, *root)
+
+
+def audited(rel: Relation, rows: np.ndarray, params: BuildParams) -> PiecewiseLinearFn:
+    """The compressed, audited profile of ``j`` over the given rows."""
+    return stats_module._audited_profile(
+        extract_degree_sequence(codes_of(rel, "j")[rows]), params, "r.j"
+    )
 
 
 class TestBuildParams:
@@ -86,7 +107,7 @@ class TestExtractDegreeSequence:
             {"a": np.array([1.0, 1.0, 2.0, np.nan, 1.0])},
             5,
         )
-        assert extract_degree_sequence(rel, "a") == DegreeSequence((3, 1))
+        assert extract_degree_sequence(codes_of(rel, "a")) == DegreeSequence((3, 1))
 
     def test_text_restricted_rows(self):
         rel = Relation(
@@ -96,7 +117,80 @@ class TestExtractDegreeSequence:
             5,
         )
         rows = np.array([0, 2, 3], dtype=np.intp)
-        assert extract_degree_sequence(rel, "s", rows) == DegreeSequence((2,))
+        assert extract_degree_sequence(codes_of(rel, "s")[rows]) == DegreeSequence((2,))
+
+
+def counter_degrees(cells: list, sets: list[list[np.ndarray]]) -> list[list[int]]:
+    """Descending degrees of each row set, counted cell by cell; Python's ==
+    makes -0.0 and 0.0 one key, and None and NaN never join."""
+    out = []
+    for parts in sets:
+        keys = [cells[r] for part in parts for r in part.tolist()]
+        live = Counter(k for k in keys if k is not None and k == k)
+        out.append(sorted(live.values(), reverse=True))
+    return out
+
+
+def shared_pass(column, sets: list[list[np.ndarray]], pad: int) -> list[list[int]]:
+    """The shared pass over a column with ``pad`` null rows appended: rows
+    no set holds, which only widen the batches (a quarter of the rows)."""
+    if isinstance(column, np.ndarray):
+        column = np.append(column, np.full(pad, np.nan))
+    else:
+        column = column + [None] * pad
+    return [
+        degrees.tolist()
+        for batch, offsets in stats_module._degree_batches(stats_module._codes(column)[1], sets)
+        for degrees in np.split(batch, offsets[1:-1])
+    ]
+
+
+@st.composite
+def coded_sets(draw):
+    """A numeric join column with NaN, -0.0 and 0.0 keys, or a text one
+    with None keys, and row sets of one to three disjoint parts."""
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        pool = st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0, np.nan])
+        column = np.array(draw(st.lists(pool, min_size=n, max_size=n)), dtype=np.float64)
+    else:
+        column = draw(st.lists(st.sampled_from(["a", "b", "", "cc", None]), min_size=n, max_size=n))
+    sets = []
+    for _ in range(draw(st.integers(0, 8))):
+        rows = draw(st.lists(st.integers(0, max(0, n - 1)), unique=True, max_size=n)) if n else []
+        cut = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+        bounds = [0, *cut, len(rows)]
+        sets.append([np.array(rows[a:b], dtype=np.intp) for a, b in zip(bounds, bounds[1:])])
+    return column, sets, draw(st.integers(0, 4 * n + 8))
+
+
+class TestSharedDegreePass:
+    @settings(max_examples=300, deadline=None)
+    @given(coded_sets())
+    def test_matches_counting_every_set(self, case):
+        column, sets, pad = case
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        assert shared_pass(column, sets, pad) == counter_degrees(cells, sets)
+
+    def test_pinned_sets_across_batch_boundaries(self):
+        column = np.array([0.0, -0.0, np.nan, 1.0, 1.0, 0.0, np.nan, 2.0, -0.0, 1.0])
+        sets = [
+            [np.array([0, 1, 3])],
+            [np.array([2, 6])],  # only null keys
+            [np.array([], dtype=np.intp)],  # no rows
+            [np.array([4, 5]), np.array([8, 9, 7])],  # two parts
+            [np.array([0, 1, 5, 8, 3, 4, 9])],  # longer than most batches
+            [np.array([7])],
+        ]
+        want = [[2, 1], [], [], [2, 2, 1], [4, 3], [1]]
+        assert counter_degrees(column.tolist(), sets) == want
+        # batches of 2, 3, 4, 5 and 7 rows split some set across a batch
+        # boundary; one of 22 rows holds every set
+        for pad in (0, 2, 6, 10, 18, 80):
+            assert shared_pass(column, sets, pad) == want
+        assert shared_pass(column, [], 0) == []
+        text = ["a", None, "b", "a", None]
+        assert shared_pass(text, [[np.array([1, 4])], [np.array([0, 3, 2])]], 0) == [[], [2, 1]]
 
 
 class TestClustering:
@@ -225,14 +319,14 @@ def little_relation() -> Relation:
 class TestEqualityStats:
     def test_mcv_split_and_keys(self):
         rel = little_relation()
-        stats = build_equality_stats(rel, "j", "f", BuildParams(mcv_size=2))
+        stats = family(build_equality_stats, rel, "j", "f", BuildParams(mcv_size=2))
         assert set(stats.keys) == {"a", "b"}
         assert sorted(set(stats.keys.values())) == list(range(len(stats.representatives)))
         assert stats.default.total == pytest.approx(1.0)
 
     def test_conditioned_masses(self):
         rel = little_relation()
-        stats = build_equality_stats(rel, "j", "f", BuildParams(mcv_size=10))
+        stats = family(build_equality_stats, rel, "j", "f", BuildParams(mcv_size=10))
         by_value = {m: stats.representatives[g] for m, g in stats.keys.items()}
         assert by_value["a"].total >= 3.0 - 1e-9
         assert by_value["b"].total >= 2.0 - 1e-9
@@ -248,13 +342,13 @@ class TestEqualityStats:
             {"j": j, "f": f},
             200,
         )
-        stats = build_equality_stats(rel, "j", "f", BuildParams(clusters=3))
+        stats = family(build_equality_stats, rel, "j", "f", BuildParams(clusters=3))
         for g, representative in enumerate(stats.representatives):
             upto = int(np.ceil(representative.end))
             rep = sample_integer_ranks(representative, upto)
             for value in [v for v, group in stats.keys.items() if group == g]:
                 rows = np.nonzero(f == value)[0]
-                exact = extract_degree_sequence(rel, "j", rows)
+                exact = extract_degree_sequence(codes_of(rel, "j")[rows])
                 grid = sample_integer_ranks(cum(exact.freqs), upto) if exact.distinct else None
                 if grid is not None:
                     assert np.all(rep >= grid - 1e-9)
@@ -283,13 +377,14 @@ def tail_relations(draw):
 
 
 def tail_row_sets(rel: Relation, params: BuildParams) -> list[np.ndarray]:
-    by_value = stats_module._rows_by_value(rel, "f")
+    groups = row_groups(rel, "f")
+    by_value = dict(zip(groups.values, groups.parts()))
     ordered = sorted(by_value.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     return [rows for _, rows in ordered[params.mcv_size :]]
 
 
 def exact_cumulative(rel: Relation, rows: np.ndarray) -> PiecewiseLinearFn:
-    seq = extract_degree_sequence(rel, "j", rows)
+    seq = extract_degree_sequence(codes_of(rel, "j")[rows])
     return cum(seq.freqs) if seq.distinct else zero_cumulative()
 
 
@@ -299,12 +394,12 @@ class TestEqualityDefault:
     def test_default_is_the_least_concave_majorant_of_the_tail(self, case):
         rel, params = case
         tail = tail_row_sets(rel, params)
-        default = build_equality_stats(rel, "j", "f", params).default
+        default = family(build_equality_stats, rel, "j", "f", params).default
         if not tail:
             assert default == zero_cumulative()
             return
         exact = [exact_cumulative(rel, rows) for rows in tail]
-        parent = pw_max([stats_module._audited_profile(rel, "j", rows, params) for rows in tail])
+        parent = pw_max([audited(rel, rows, params) for rows in tail])
         upto = int(np.ceil(max(default.end, parent.end)))
         got = sample_integer_ranks(default, upto)
         majorant = sample_integer_ranks(pw_max(exact), upto)
@@ -328,7 +423,7 @@ class TestEqualityDefault:
 
         monkeypatch.setattr(stats_module, "_upper_concave_envelope", halved)
         with pytest.raises(StatsBuildError, match="fails to dominate"):
-            build_equality_stats(rel, "j", "f", BuildParams(mcv_size=1))
+            family(build_equality_stats, rel, "j", "f", BuildParams(mcv_size=1))
 
     def test_tail_values_are_not_compressed_one_by_one(self, monkeypatch):
         n = 50 * 6
@@ -346,10 +441,31 @@ class TestEqualityDefault:
             return compress(*args, **kwargs)
 
         monkeypatch.setattr(stats_module, "valid_compress", counted)
-        stats = build_equality_stats(rel, "j", "f", BuildParams(mcv_size=4))
+        stats = family(build_equality_stats, rel, "j", "f", BuildParams(mcv_size=4))
         assert len(calls) == 4
         assert len(stats.keys) == 4
         assert stats.default.total == pytest.approx(6.0)
+
+
+def target_loop_cuts(values: np.ndarray, depth: int) -> list[float]:
+    """Equi-depth cuts by one ``searchsorted`` per target, keeping each cut
+    above the last: the reference for ``_equi_depth_cuts``' single search."""
+    uniq, counts = np.unique(values, return_counts=True)
+    if uniq.size < 2:
+        return []
+    cum = np.cumsum(counts)
+    total = int(cum[-1])
+    if (total - 1).bit_length() < depth:
+        return uniq[1:].tolist()
+    parts = 2 ** depth
+    cuts: list[float] = []
+    for j in range(1, parts):
+        idx = int(np.searchsorted(cum, j * total / parts, side="left"))
+        if idx + 1 < uniq.size:
+            cut = float(uniq[idx + 1])
+            if not cuts or cut > cuts[-1]:
+                cuts.append(cut)
+    return cuts
 
 
 class TestRangeStats:
@@ -362,7 +478,7 @@ class TestRangeStats:
         )
         params = BuildParams(hist_depth=hist_depth, clusters=100)
         root = cum((1,) * 8)
-        return build_range_stats(rel, "j", "f", params, root), root
+        return family(build_range_stats, rel, "j", "f", params, root), root
 
     def test_level_structure(self):
         stats, _ = self.make()
@@ -389,7 +505,7 @@ class TestRangeStats:
     def test_text_column_rejected(self):
         rel = little_relation()
         with pytest.raises(StatsBuildError):
-            build_range_stats(rel, "j", "f", BuildParams(), cum((1,) * 6))
+            family(build_range_stats, rel, "j", "f", BuildParams(), cum((1,) * 6))
 
     def test_deep_histogram_on_few_rows_is_bounded(self):
         # 2**40 buckets over 8 rows: every value but the smallest is a
@@ -399,6 +515,25 @@ class TestRangeStats:
         assert time.perf_counter() - start < 1.0
         assert deep.levels == self.make(hist_depth=7)[0].levels
         assert deep.levels[0][0] == (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["integers", "zipf", "normal"]),
+        st.integers(1, 3000),
+        st.integers(1, 13),
+    )
+    def test_equi_depth_cuts_match_the_target_loop(self, seed, shape, n, depth):
+        rng = np.random.default_rng(seed)
+        if shape == "integers":
+            values = rng.integers(0, int(rng.integers(1, 2 * n + 2)), n).astype(np.float64)
+        elif shape == "zipf":
+            values = rng.zipf(1.0 + rng.uniform(0.1, 2.0), n).astype(np.float64)
+        else:
+            values = rng.normal(0.0, 10.0, n).round(int(rng.integers(0, 3)))
+        uniq, counts = np.unique(values, return_counts=True)
+        got = stats_module._equi_depth_cuts(uniq, counts, depth)
+        assert got == target_loop_cuts(values, depth)
 
 
 class TestLikeStats:
@@ -412,7 +547,7 @@ class TestLikeStats:
             },
             4,
         )
-        stats = build_like_stats(rel, "j", "s", BuildParams())
+        stats = family(build_like_stats, rel, "j", "s", BuildParams())
         assert "gra" in stats.keys  # grape + grapefruit share it
         assert stats.representatives[stats.keys["gra"]].total >= 2.0 - 1e-9
         # every gram of every row is tracked at the default mcv budget, so
@@ -429,7 +564,7 @@ class TestLikeStats:
             },
             4,
         )
-        stats = build_like_stats(rel, "j", "s", BuildParams(mcv_size=1))
+        stats = family(build_like_stats, rel, "j", "s", BuildParams(mcv_size=1))
         assert set(stats.keys) == {"aaa"}
         # the untracked grams bbb and ccc hold one row each, and a pattern
         # of untracked grams matches at most the rows of any one of them
@@ -459,7 +594,7 @@ class TestLikeStats:
                 rows_by_gram.setdefault(g, []).append(row)
         # the tail's gram-rows span at least three batches of n_rows rows
         assert sum(map(len, rows_by_gram.values())) >= 3 * rel.n_rows
-        default = build_like_stats(rel, "j", "s", BuildParams(mcv_size=0)).default
+        default = family(build_like_stats, rel, "j", "s", BuildParams(mcv_size=0)).default
         exact = [exact_cumulative(rel, np.array(rows)) for rows in rows_by_gram.values()]
         want = sample_integer_ranks(pw_max(exact), K + 1)
         np.testing.assert_allclose(want[1 : K + 1], [k * (a - k) for k in range(1, K + 1)])
@@ -630,3 +765,39 @@ class TestBuildCatalog:
         rel = little_relation()
         with pytest.raises(ConfigError):
             build_catalog({"r": rel}, {"r": ColumnRole(("nope",), ())})
+
+    def test_each_column_is_coded_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 300
+        data = {
+            "j1": rng.integers(0, 20, n).astype(np.float64),
+            "j2": rng.integers(0, 7, n).astype(np.float64),
+            "a": rng.integers(0, 30, n).astype(np.float64),
+            "b": rng.normal(size=n).round(1),
+            "s": [["ab", "abc", "bcd", "xyz", None][i] for i in rng.integers(0, 5, n)],
+        }
+        rel = Relation("r", [Column(c, "text" if c == "s" else "numeric") for c in data], data, n)
+        column_of = {id(cells): c for c, cells in data.items()}
+        coded: Counter = Counter()
+        grouped: Counter = Counter()
+        codes, row_groups_of = stats_module._codes, stats_module._row_groups
+
+        def counting_codes(cells):
+            coded[column_of.get(id(cells), "?")] += 1
+            return codes(cells)
+
+        def counting_row_groups(column, *args):
+            grouped[column] += 1
+            return row_groups_of(column, *args)
+
+        monkeypatch.setattr(stats_module, "_codes", counting_codes)
+        monkeypatch.setattr(stats_module, "_row_groups", counting_row_groups)
+        catalog = build_catalog(
+            {"r": rel},
+            {"r": ColumnRole(("j1", "j2"), ("a", "b", "s"))},
+            params=BuildParams(mcv_size=3, hist_depth=3),
+        )
+        assert coded == Counter(dict.fromkeys(data, 1))
+        assert grouped == Counter({"a": 1, "b": 1, "s": 1})
+        rs = catalog.relations["r"]
+        assert (len(rs.equality), len(rs.range), len(rs.like)) == (6, 4, 2)
