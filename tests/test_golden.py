@@ -5,16 +5,20 @@
 seeds, the integer bound under two build settings (the defaults, and
 ``mcv_size=4, clusters=2`` so that multi-member groups, the equality
 default and the LIKE default are all reached) and the true COUNT(*).
-A refactor must reproduce every bound exactly; a change that moves a
-bound on purpose regenerates the file and names each moved entry.
+Each database's record also holds, per setting, the SHA-256 of its
+saved catalog file, so a change that alters any stored statistic shows
+even where no corpus query reads it.  A refactor must reproduce every
+bound and every fingerprint exactly; a change that moves one on purpose
+regenerates the file and names each moved entry.
 
 Regenerate with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints every bound that moved against the stored file (seed,
-setting, stored -> new bound, true count) and how many moved up and down
-before overwriting it.  If any new bound is below its true count it
+which prints every catalog fingerprint that moved (seed, setting) and
+every bound that moved against the stored file (seed, setting, stored ->
+new bound, true count), and how many moved up and down, before
+overwriting it.  If any new bound is below its true count it
 prints those, leaves the file as it was and exits with status 1.
 """
 
@@ -24,9 +28,11 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 
 import numpy as np
 
+from seqbound.catalog_io import save_catalog
 from seqbound.oracle import (
     GenerationImpossible,
     OracleCapExceeded,
@@ -75,18 +81,38 @@ def _digest(relations) -> str:
     return h.hexdigest()[:16]
 
 
+def _fingerprints(catalogs) -> dict[str, str]:
+    """SHA-256 of each catalog's saved file, by setting."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "catalog.bin")
+        for name, cat in catalogs.items():
+            save_catalog(cat, path)
+            with open(path, "rb") as fh:
+                out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
 def _bounds(catalogs, query) -> dict[str, int]:
     return {name: bound_query(cat, query).bound for name, cat in catalogs.items()}
 
 
 def generate() -> list[dict]:
-    """One record per database (seed, shape, data digest), each followed by
-    one record per query (seed, sql, true count, bound per setting)."""
+    """One record per database (seed, shape, data digest, catalog
+    fingerprint per setting), each followed by one record per query (seed,
+    sql, true count, bound per setting)."""
     records = []
     for seed, shape, n_q, rng, relations, roles, pkfk in _workspaces():
         catalogs = {n: build_catalog(relations, roles, pkfk, p) for n, p in PARAMS.items()}
         schema = _schema(relations)
-        records.append({"seed": seed, "shape": shape, "digest": _digest(relations)})
+        records.append(
+            {
+                "seed": seed,
+                "shape": shape,
+                "digest": _digest(relations),
+                "catalogs": _fingerprints(catalogs),
+            }
+        )
         for _ in range(n_q):
             try:
                 sql, query = generate_query(rng, relations, roles, shape)
@@ -117,12 +143,15 @@ def test_golden_bounds_reproduce():
         by_seed.setdefault(q["seed"], []).append(q)
     changed = []
     unsound = []
+    rebuilt = []
     for seed, shape, _, _, relations, roles, pkfk in _workspaces():
         assert databases[seed]["shape"] == shape
         assert databases[seed]["digest"] == _digest(relations), (
             "generator output moved for seed %d" % seed
         )
         catalogs = {n: build_catalog(relations, roles, pkfk, p) for n, p in PARAMS.items()}
+        stored = databases[seed]["catalogs"]
+        rebuilt += [(seed, n) for n, fp in _fingerprints(catalogs).items() if stored[n] != fp]
         schema = _schema(relations)
         for entry in by_seed.get(seed, ()):
             got = _bounds(catalogs, parse_query(entry["sql"], schema))
@@ -133,6 +162,7 @@ def test_golden_bounds_reproduce():
                     changed.append((seed, name, entry["sql"], entry["bounds"][name], bound))
     assert set(by_seed) <= set(databases)
     assert not unsound, "bounds below the true count: %r" % unsound[:5]
+    assert not rebuilt, "%d catalogs moved (seed, setting): %r" % (len(rebuilt), rebuilt[:10])
     assert not changed, "%d bounds moved (seed, setting, sql, stored, now): %r" % (
         len(changed),
         changed[:5],
@@ -144,6 +174,7 @@ def test_golden_corpus_covers_shapes_and_settings():
     assert len(queries) >= 900
     assert {databases[q["seed"]]["shape"] for q in queries} == {s for s, _, _ in SHAPES}
     assert all(set(q["bounds"]) == set(PARAMS) for q in queries)
+    assert all(set(d["catalogs"]) == set(PARAMS) for d in databases.values())
     # the small setting must differ from the defaults somewhere, or it
     # exercises nothing the default catalog does not
     assert any(q["bounds"]["small"] != q["bounds"]["default"] for q in queries)
@@ -160,9 +191,22 @@ def _moves(stored: list[dict], records: list[dict]):
                 yield r["seed"], name, old[name], bound, r["true"]
 
 
+def _moved_catalogs(databases: dict[int, dict], records: list[dict]):
+    """(seed, setting) of every stored catalog fingerprint that differs."""
+    for r in records:
+        old = databases.get(r["seed"], {}).get("catalogs", {})
+        for name, fp in r.get("catalogs", {}).items():
+            if name in old and old[name] != fp:
+                yield r["seed"], name
+
+
 if __name__ == "__main__":
-    stored = _load()[1] if os.path.exists(CORPUS) else []
+    databases, stored = _load() if os.path.exists(CORPUS) else ({}, [])
     records = generate()
+    rebuilt = list(_moved_catalogs(databases, records))
+    for seed, name in rebuilt:
+        print("%d %s catalog fingerprint moved" % (seed, name))
+    print("%d catalog fingerprints moved" % len(rebuilt))
     moves = list(_moves(stored, records))
     for seed, name, old, new, true in moves:
         print("%d %s %d -> %d (true %d)" % (seed, name, old, new, true))
