@@ -211,9 +211,13 @@ def drop_vectors(fns: list[PiecewiseLinearFn]) -> tuple[np.ndarray, np.ndarray]:
     read at every integer rank with unit weights.  Above it they are read
     at the SKETCH_RANKS ranks r = round(geomspace(1, D)), each drop
     F(r) - F(r-1) scaled by the square root of the ranks w = r - r_prev it
-    stands for, so the cost is independent of D.  Raises ValueError when a
-    profile has zero mass: it has no defined distance.
+    stands for, so the cost is independent of D.  A profile object that
+    appears several times is read once and its row repeated.  Raises
+    ValueError when a profile has zero mass: it has no defined distance.
     """
+    row_of: dict[int, int] = {}
+    index = [row_of.setdefault(id(fn), len(row_of)) for fn in fns]
+    fns = list({id(fn): fn for fn in fns}.values())
     upto = int(np.ceil(max(fn.end for fn in fns)))
     if upto <= FULL_GRID_RANKS:
         drops = np.empty((len(fns), upto))
@@ -235,7 +239,7 @@ def drop_vectors(fns: list[PiecewiseLinearFn]) -> tuple[np.ndarray, np.ndarray]:
     sq = np.einsum("ij,ij->i", drops, drops)
     if np.any(sq <= 0.0):
         raise ValueError("profiles with zero mass have no defined distance")
-    return drops, sq
+    return drops[index], sq[index]
 
 
 def distances_to(drops: np.ndarray, sq: np.ndarray, i: int) -> np.ndarray:

@@ -27,11 +27,14 @@ one filter column at a time by value, for all of that column's families.
 The exact join-column degrees of tracked keys, histogram buckets and the
 keyed tail all come from one batched pass, :func:`_degree_batches`,
 which counts (row set, join code) pairs a batch of whole row sets at a
-time.
+time, a quarter of the column's rows or ``BATCH_MIN_ROWS`` per batch.
 
 Every compressed profile is audited against the exact sequence it stands
 for, and every representative and keyed default against the exact
-profiles they cover, before they enter the catalog.
+profiles they cover, before they enter the catalog.  Equal sequences
+(one-value buckets and their value, short groups, relations of one
+shape) share one audited profile object: :func:`build_catalog` hands
+every builder one profile table per call, keyed by exact run-length form.
 """
 
 from __future__ import annotations
@@ -81,6 +84,9 @@ __all__ = [
 ]
 
 GRAM_LEN = 3
+# Smallest batch of _degree_batches, in rows: below it numpy's fixed cost
+# per batch outweighs the smaller work arrays.
+BATCH_MIN_ROWS = 16384
 
 
 class StatsBuildError(RuntimeError):
@@ -244,14 +250,14 @@ def _degree_batches(join_codes: np.ndarray, sets: list[list[np.ndarray]]):
     One ``np.unique`` counts the (set, join code) pairs of a batch and one
     ``np.lexsort`` orders each set's counts descending.  Whole sets go
     through in batches: a set joins the batch in which its last row falls,
-    at a quarter of the column's rows per batch, so the work arrays stay
-    near that plus the largest set however many sets share a row.  Each
-    batch yields ``(degrees, offsets)``: its k-th set's degrees are
-    ``degrees[offsets[k]:offsets[k + 1]]``.
+    at a quarter of the column's rows or ``BATCH_MIN_ROWS`` per batch,
+    whichever is more, so the work arrays stay near that plus the largest
+    set however many sets share a row.  Each batch yields ``(degrees,
+    offsets)``: its k-th set's degrees are ``degrees[offsets[k]:offsets[k + 1]]``.
     """
     width = int(join_codes.max(initial=-1)) + 1
     sizes = np.array([sum(part.size for part in parts) for parts in sets], dtype=np.int64)
-    batch_of = (np.cumsum(sizes) - 1) // max(1, join_codes.size // 4)
+    batch_of = (np.cumsum(sizes) - 1) // max(BATCH_MIN_ROWS, join_codes.size // 4)
     cuts = [*np.flatnonzero(np.diff(batch_of, prepend=-2)).tolist(), len(sets)]
     for lo, hi in zip(cuts, cuts[1:]):
         keys = join_codes[np.concatenate([part for parts in sets[lo:hi] for part in parts])]
@@ -272,14 +278,26 @@ def _audited_profile(seq: DegreeSequence, params: BuildParams, context: str) -> 
 
 
 def _member_profiles(
-    join_codes: np.ndarray, sets: list[list[np.ndarray]], params: BuildParams, context: str
+    batches, params: BuildParams, context: str, profiles: dict
 ) -> list[PiecewiseLinearFn]:
-    """Audited compressed join-column profiles of the given row sets."""
-    return [
-        _audited_profile(DegreeSequence(degrees), params, context)
-        for batch, offsets in _degree_batches(join_codes, sets)
-        for degrees in np.split(batch, offsets[1:-1])
-    ]
+    """Audited compressed profiles of the degree sequences in ``batches``,
+    given as :func:`_degree_batches` yields them, through the build's
+    profile table: its key is a sequence's (degree, run length) pairs as
+    int64 bytes, and only a sequence not in it is compressed and audited."""
+    fns = []
+    for degrees, offsets in batches:
+        head = np.diff(degrees, prepend=0) != 0
+        head[offsets[:-1][offsets[:-1] < degrees.size]] = True
+        starts = np.flatnonzero(head)
+        runs = np.stack((degrees[starts], np.diff(starts, append=degrees.size)), axis=1)
+        first, bounds = np.searchsorted(starts, offsets).tolist(), offsets.tolist()
+        for k in range(len(bounds) - 1):
+            key = runs[first[k] : first[k + 1]].tobytes()
+            if key not in profiles:
+                seq = DegreeSequence(degrees[bounds[k] : bounds[k + 1]])
+                profiles[key] = _audited_profile(seq, params, context)
+            fns.append(profiles[key])
+    return fns
 
 
 def _cluster_count(policy: int | str, n_members: int) -> int:
@@ -348,7 +366,7 @@ def _audit_representative(
 ) -> None:
     upto = int(np.ceil(rep.end))
     top = np.zeros(upto + 1)
-    for fn in member_fns:
+    for fn in {id(fn): fn for fn in member_fns}.values():
         np.maximum(top, sample_integer_ranks(fn, upto), out=top)
     _audit_dominates(rep, top, context)
 
@@ -400,14 +418,15 @@ def _tail_majorant(
 
 
 def _keyed_stats(
-    join_codes: np.ndarray, rows_by_key: dict, params: BuildParams, context: str
+    join_codes: np.ndarray, rows_by_key: dict, params: BuildParams, context: str, profiles: dict
 ) -> FilterStats:
     """Statistics keyed by filter value or 3-gram, each key's rows given as
     disjoint parts: audited and clustered profiles of the ``mcv_size`` keys
     with the most rows, and the tail majorant of every other key."""
     ordered = sorted(rows_by_key.items(), key=lambda kv: (-sum(p.size for p in kv[1]), kv[0]))
     tracked = ordered[: params.mcv_size]
-    fns = _member_profiles(join_codes, [parts for _, parts in tracked], params, context)
+    batches = _degree_batches(join_codes, [parts for _, parts in tracked])
+    fns = _member_profiles(batches, params, context, profiles)
     representatives, group_of = _build_groups(fns, params, context)
     tail = [parts for _, parts in ordered[params.mcv_size :]]
     default = _tail_majorant(join_codes, tail, context)
@@ -416,11 +435,16 @@ def _keyed_stats(
 
 
 def build_equality_stats(
-    rel: Relation, join_col: str, join_codes: np.ndarray, groups: RowGroups, params: BuildParams
+    rel: Relation,
+    join_col: str,
+    join_codes: np.ndarray,
+    groups: RowGroups,
+    params: BuildParams,
+    profiles: dict,
 ) -> FilterStats:
     rows_by_value = {v: [rows] for v, rows in zip(groups.values, groups.parts())}
     context = "%s.%s | %s =" % (rel.name, join_col, groups.column)
-    return _keyed_stats(join_codes, rows_by_value, params, context)
+    return _keyed_stats(join_codes, rows_by_value, params, context, profiles)
 
 
 def _equi_depth_cuts(uniq: np.ndarray, counts: np.ndarray, depth: int) -> list[float]:
@@ -448,6 +472,7 @@ def build_range_stats(
     groups: RowGroups,
     params: BuildParams,
     root: PiecewiseLinearFn,
+    profiles: dict,
 ) -> FilterStats:
     if not isinstance(rel.data[groups.column], np.ndarray):
         raise StatsBuildError("range statistics need a numeric filter column")
@@ -462,7 +487,7 @@ def build_range_stats(
         edges = groups.bounds[[0, *np.searchsorted(uniq, lc).tolist(), uniq.size]].tolist()
         buckets += [[groups.rows[s:e]] for s, e in zip(edges, edges[1:])]
     context = "%s.%s | %s range" % (rel.name, join_col, groups.column)
-    fns = _member_profiles(join_codes, buckets, params, context)
+    fns = _member_profiles(_degree_batches(join_codes, buckets), params, context, profiles)
     representatives, group_of = _build_groups(fns, params, context)
     ids = iter(group_of)
     levels = tuple((tuple(lc), tuple(next(ids) for _ in range(len(lc) + 1))) for lc in level_cuts)
@@ -490,7 +515,12 @@ def _grams(text: str) -> set[str]:
 
 
 def build_like_stats(
-    rel: Relation, join_col: str, join_codes: np.ndarray, groups: RowGroups, params: BuildParams
+    rel: Relation,
+    join_col: str,
+    join_codes: np.ndarray,
+    groups: RowGroups,
+    params: BuildParams,
+    profiles: dict,
 ) -> FilterStats:
     if isinstance(rel.data[groups.column], np.ndarray):
         raise StatsBuildError("substring statistics need a text filter column")
@@ -501,7 +531,7 @@ def build_like_stats(
         for g in _grams(text):
             rows_by_gram[g].append(rows)
     context = "%s.%s | %s like" % (rel.name, join_col, groups.column)
-    return _keyed_stats(join_codes, rows_by_gram, params, context)
+    return _keyed_stats(join_codes, rows_by_gram, params, context, profiles)
 
 
 def precompute_pk_fk(
@@ -561,7 +591,9 @@ def precompute_pk_fk(
     return Relation(fact.name, columns, data, fact.n_rows), propagated
 
 
-def _relation_stats(rel: Relation, role: ColumnRole, params: BuildParams) -> RelationStats:
+def _relation_stats(
+    rel: Relation, role: ColumnRole, params: BuildParams, profiles: dict
+) -> RelationStats:
     """Every statistic of one relation.  Each column is coded once, and
     the row groups of one filter column at a time serve all its families."""
     fallback: dict[str, PiecewiseLinearFn] = {}
@@ -569,7 +601,9 @@ def _relation_stats(rel: Relation, role: ColumnRole, params: BuildParams) -> Rel
     def coded(column: str) -> tuple[list, np.ndarray]:
         values, codes = _codes(rel.data[column])
         seq = extract_degree_sequence(codes)
-        fallback[column] = _audited_profile(seq, params, "%s.%s" % (rel.name, column))
+        batch = np.array(seq.freqs, dtype=np.int64), np.array([0, seq.distinct])
+        context = "%s.%s" % (rel.name, column)
+        [fallback[column]] = _member_profiles([batch], params, context, profiles)
         return values, codes
 
     joins = {j: coded(j)[1] for j in role.join_columns}
@@ -577,13 +611,12 @@ def _relation_stats(rel: Relation, role: ColumnRole, params: BuildParams) -> Rel
     for f in role.filter_columns:
         groups = _row_groups(f, *coded(f))
         for j, codes in joins.items():
-            families["equality"][(j, f)] = build_equality_stats(rel, j, codes, groups, params)
+            args = (rel, j, codes, groups, params)
+            families["equality"][(j, f)] = build_equality_stats(*args, profiles)
             if rel.kind_of(f) == "numeric":
-                families["range"][(j, f)] = build_range_stats(
-                    rel, j, codes, groups, params, fallback[j]
-                )
+                families["range"][(j, f)] = build_range_stats(*args, fallback[j], profiles)
             else:
-                families["like"][(j, f)] = build_like_stats(rel, j, codes, groups, params)
+                families["like"][(j, f)] = build_like_stats(*args, profiles)
     for col in rel.columns:
         if col.name not in fallback:
             coded(col.name)
@@ -626,5 +659,6 @@ def build_catalog(
             old.join_columns, old.filter_columns + tuple(propagated.values())
         )
         edges.append(PkFkEdge(decl.fact, decl.fk, decl.dim, decl.pk, propagated))
-    rel_stats = {name: _relation_stats(work[name], work_roles[name], params) for name in sorted(work)}
+    profiles: dict[bytes, PiecewiseLinearFn] = {}
+    rel_stats = {n: _relation_stats(work[n], work_roles[n], params, profiles) for n in sorted(work)}
     return StatisticsCatalog(params, rel_stats, tuple(edges))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqbound import compress as compress_module
 from seqbound.compress import (
     CompressionConfig,
     compression_distance,
@@ -210,6 +211,29 @@ class TestDistance:
         assert np.array_equal(got_sq, sq)
         for i in range(len(fns)):
             assert np.array_equal(distances_to(got_drops, got_sq, i), reference[i])
+
+    @pytest.mark.parametrize("length", [40, 3000])
+    def test_repeated_profiles_are_read_once(self, monkeypatch, length):
+        rng = random.Random(length)
+        seqs = [sorted((rng.randint(1, 30) for _ in range(length)), reverse=True) for _ in range(4)]
+        pool = [valid_compress(DegreeSequence(seq)) for seq in seqs]
+        repeated = [pool[i] for i in (0, 1, 0, 2, 3, 3, 1, 0)]
+        copies = [PiecewiseLinearFn(fn.knots, fn.values) for fn in repeated]
+        want_drops, want_sq = drop_vectors(copies)
+        sampled = []
+        sample = compress_module.sample_integer_ranks
+
+        def counted(fn, upto):
+            sampled.append(fn)
+            return sample(fn, upto)
+
+        monkeypatch.setattr(compress_module, "sample_integer_ranks", counted)
+        drops, sq = drop_vectors(repeated)
+        assert np.array_equal(drops, want_drops)
+        assert np.array_equal(sq, want_sq)
+        # the full grid samples each distinct profile once; the log sketch
+        # above FULL_GRID_RANKS reads knots directly
+        assert sampled == (pool if length <= 256 else [])
 
     def test_sketch_beyond_256_ranks(self):
         rng = random.Random(5)

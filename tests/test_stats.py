@@ -49,8 +49,10 @@ def row_groups(rel: Relation, column: str) -> stats_module.RowGroups:
 
 
 def family(build, rel: Relation, join_col: str, filter_col: str, params: BuildParams, *root):
-    """A family builder called as ``build_catalog`` calls it."""
-    return build(rel, join_col, codes_of(rel, join_col), row_groups(rel, filter_col), params, *root)
+    """A family builder called as ``build_catalog`` calls it, with a fresh
+    profile table."""
+    codes, groups = codes_of(rel, join_col), row_groups(rel, filter_col)
+    return build(rel, join_col, codes, groups, params, *root, {})
 
 
 def audited(rel: Relation, rows: np.ndarray, params: BuildParams) -> PiecewiseLinearFn:
@@ -131,16 +133,40 @@ def counter_degrees(cells: list, sets: list[list[np.ndarray]]) -> list[list[int]
     return out
 
 
-def shared_pass(column, sets: list[list[np.ndarray]], pad: int) -> list[list[int]]:
-    """The shared pass over a column with ``pad`` null rows appended: rows
-    no set holds, which only widen the batches (a quarter of the rows)."""
+FLOOR = stats_module.BATCH_MIN_ROWS
+
+
+def padded(column, sets: list[list[np.ndarray]], pad: int, nulls=()):
+    """The join codes of a column with ``pad`` null rows appended, and the
+    sets with the first ``nulls[k]`` of those rows added to set k as one
+    more part.  Null rows never join, but they count towards the batches
+    (``BATCH_MIN_ROWS`` rows or a quarter of the column, whichever is more),
+    so they move batch boundaries into the sets."""
+    n = len(column)
     if isinstance(column, np.ndarray):
         column = np.append(column, np.full(pad, np.nan))
     else:
         column = column + [None] * pad
+    extra = [[np.arange(n, n + k, dtype=np.intp)] for k in nulls]
+    grown = [parts + more for parts, more in zip(sets, extra)] + sets[len(extra) :]
+    return stats_module._codes(column)[1], grown
+
+
+def straddles(codes: np.ndarray, sets: list[list[np.ndarray]]) -> int:
+    """How many sets have rows in more than one batch of the shared pass."""
+    width = max(FLOOR, codes.size // 4)
+    sizes = np.array([sum(part.size for part in parts) for parts in sets], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    return int(np.sum((ends > starts) & (starts // width != (ends - 1) // width)))
+
+
+def shared_pass(column, sets: list[list[np.ndarray]], pad: int, nulls=()) -> list[list[int]]:
+    """The shared pass over :func:`padded` sets."""
+    codes, sets = padded(column, sets, pad, nulls)
     return [
         degrees.tolist()
-        for batch, offsets in stats_module._degree_batches(stats_module._codes(column)[1], sets)
+        for batch, offsets in stats_module._degree_batches(codes, sets)
         for degrees in np.split(batch, offsets[1:-1])
     ]
 
@@ -148,7 +174,8 @@ def shared_pass(column, sets: list[list[np.ndarray]], pad: int) -> list[list[int
 @st.composite
 def coded_sets(draw):
     """A numeric join column with NaN, -0.0 and 0.0 keys, or a text one
-    with None keys, and row sets of one to three disjoint parts."""
+    with None keys, row sets of one to three disjoint parts, and null
+    padding in multiples of the batch floor, some of it added to the sets."""
     n = draw(st.integers(0, 40))
     if draw(st.booleans()):
         pool = st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0, np.nan])
@@ -161,16 +188,18 @@ def coded_sets(draw):
         cut = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=2)))
         bounds = [0, *cut, len(rows)]
         sets.append([np.array(rows[a:b], dtype=np.intp) for a, b in zip(bounds, bounds[1:])])
-    return column, sets, draw(st.integers(0, 4 * n + 8))
+    pad = FLOOR * draw(st.integers(0, 2))
+    nulls = draw(st.lists(st.integers(0, pad), max_size=len(sets)))
+    return column, sets, pad, nulls
 
 
 class TestSharedDegreePass:
     @settings(max_examples=300, deadline=None)
     @given(coded_sets())
     def test_matches_counting_every_set(self, case):
-        column, sets, pad = case
+        column, sets, pad, nulls = case
         cells = column.tolist() if isinstance(column, np.ndarray) else column
-        assert shared_pass(column, sets, pad) == counter_degrees(cells, sets)
+        assert shared_pass(column, sets, pad, nulls) == counter_degrees(cells, sets)
 
     def test_pinned_sets_across_batch_boundaries(self):
         column = np.array([0.0, -0.0, np.nan, 1.0, 1.0, 0.0, np.nan, 2.0, -0.0, 1.0])
@@ -184,13 +213,129 @@ class TestSharedDegreePass:
         ]
         want = [[2, 1], [], [], [2, 2, 1], [4, 3], [1]]
         assert counter_degrees(column.tolist(), sets) == want
-        # batches of 2, 3, 4, 5 and 7 rows split some set across a batch
-        # boundary; one of 22 rows holds every set
-        for pad in (0, 2, 6, 10, 18, 80):
-            assert shared_pass(column, sets, pad) == want
+        # one batch holds every set; null rows added to the sets then put
+        # batch boundaries (every FLOOR, FLOOR + 2 or 2 * FLOOR + 2 rows)
+        # inside two to four of them
+        assert shared_pass(column, sets, 0) == want
+        assert straddles(*padded(column, sets, 0)) == 0
+        for pad, nulls in (
+            (FLOOR, (FLOOR // 2,) * 6),
+            (FLOOR, (FLOOR, 1, 0, FLOOR - 3, 2, FLOOR)),
+            (4 * FLOOR, (0, 3 * FLOOR, FLOOR, 2, 0, 4 * FLOOR)),
+            (8 * FLOOR, (8 * FLOOR, 0, 0, 5 * FLOOR)),
+        ):
+            assert straddles(*padded(column, sets, pad, nulls)) >= 1
+            assert shared_pass(column, sets, pad, nulls) == want
         assert shared_pass(column, [], 0) == []
         text = ["a", None, "b", "a", None]
         assert shared_pass(text, [[np.array([1, 4])], [np.array([0, 3, 2])]], 0) == [[], [2, 1]]
+
+
+@st.composite
+def member_sets(draw):
+    """A join column whose first 12 rows give the sequences (3, 1), (2, 2)
+    and (2, 1, 1), equal in length or total, then random keys; the sets of
+    those rows, an empty set and random sets, in any order, with null
+    padding in multiples of the batch floor, some of it added to the sets."""
+    tail = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan]), max_size=30))
+    column = np.array([10, 10, 10, 11, 12, 12, 13, 13, 14, 14, 15, 16, *tail], dtype=np.float64)
+    sets = [[np.arange(0, 4)], [np.arange(4, 8)], [np.arange(8, 12)], [np.arange(0)]]
+    for _ in range(draw(st.integers(0, 6))):
+        rows = draw(st.lists(st.integers(0, column.size - 1), unique=True, max_size=column.size))
+        sets.append([np.array(rows, dtype=np.intp)])
+    sets = draw(st.permutations(sets))
+    pad = FLOOR * draw(st.integers(0, 2))
+    return column, sets, pad, draw(st.lists(st.integers(0, pad), max_size=len(sets)))
+
+
+def counting(monkeypatch, *names: str) -> dict[str, list]:
+    """Wrap the named ``seqbound.stats`` functions to record the first
+    argument of every call."""
+    calls: dict[str, list] = {name: [] for name in names}
+    for name in names:
+        fn, log = getattr(stats_module, name), calls[name]
+
+        def wrapped(first, *args, _fn=fn, _log=log, **kwargs):
+            _log.append(first)
+            return _fn(first, *args, **kwargs)
+
+        monkeypatch.setattr(stats_module, name, wrapped)
+    return calls
+
+
+def twin_relations() -> dict[str, Relation]:
+    """Two equal relations; each of the five values of f has 5 rows and
+    its own join-column degrees (5), (4, 1), (3, 1, 1), (2, 2, 1), (1,) * 5."""
+    j = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 1, 1, 2, 0, 1, 2, 3, 4.0])
+    f = np.repeat(np.arange(5.0), 5)
+    columns = [Column("j", "numeric"), Column("f", "numeric")]
+    return {name: Relation(name, columns, {"j": j.copy(), "f": f.copy()}, 25) for name in "rs"}
+
+
+def member_profiles(codes, sets, params: BuildParams, profiles: dict) -> list[PiecewiseLinearFn]:
+    batches = stats_module._degree_batches(codes, sets)
+    return stats_module._member_profiles(batches, params, "r.j", profiles)
+
+
+class TestProfileTable:
+    ROLES = {name: ColumnRole(("j",), ("f",)) for name in "rs"}
+
+    def test_each_distinct_sequence_is_compressed_and_audited_once(self, monkeypatch):
+        relations = twin_relations()
+        calls = counting(monkeypatch, "valid_compress", "is_valid_compression")
+        members = []
+        cluster = stats_module.cluster_sequence_groups
+
+        def recorded(fns, n_groups):
+            members.append(fns)
+            return cluster(fns, n_groups)
+
+        monkeypatch.setattr(stats_module, "cluster_sequence_groups", recorded)
+        # at hist_depth 6 the finest range level has one bucket per value
+        catalog = build_catalog(relations, self.ROLES, params=BuildParams(hist_depth=6))
+        r_eq, r_range, s_eq, s_range = members
+        assert all(a is b for a, b in zip(r_eq + r_range, s_eq + s_range, strict=True))
+        assert all(a is b for a, b in zip(r_eq, r_range[:5], strict=True))
+        r, s = catalog.relations["r"], catalog.relations["s"]
+        assert r.fallback["j"] is s.fallback["j"] is s.range[("j", "f")].default
+        # every sequence a profile stands for: both fallbacks, each value
+        # and each bucket of every histogram level
+        rel = relations["r"]
+        codes, f = codes_of(rel, "j"), rel.data["f"]
+        seqs = {extract_degree_sequence(codes_of(rel, c)) for c in ("j", "f")}
+        seqs |= {extract_degree_sequence(codes[f == v]) for v in range(5)}
+        for cuts, _ in r.range[("j", "f")].levels:
+            edges = [-np.inf, *cuts, np.inf]
+            for lo, hi in zip(edges, edges[1:]):
+                seqs.add(extract_degree_sequence(codes[(f >= lo) & (f < hi)]))
+        assert len(seqs) == 10 < len(r_eq + r_range + s_eq + s_range) + 4
+        for name in ("valid_compress", "is_valid_compression"):
+            assert Counter(calls[name]) == Counter(dict.fromkeys(seqs, 1))
+
+    def test_no_table_outlives_a_build(self, monkeypatch):
+        relations = twin_relations()
+        calls = counting(monkeypatch, "valid_compress")["valid_compress"]
+        build_catalog(relations, self.ROLES)
+        first = len(calls)
+        build_catalog(relations, self.ROLES)
+        assert len(calls) == 2 * first > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(member_sets())
+    def test_profiles_match_their_own_sequences(self, case):
+        column, sets, pad, nulls = case
+        codes, grown = padded(column, sets, pad, nulls)
+        params = BuildParams()
+        profiles: dict = {}
+        # two calls on one table: the second also reads what the first stored
+        half = len(grown) // 2
+        got = [
+            *member_profiles(codes, grown[:half], params, profiles),
+            *member_profiles(codes, grown[half:], params, profiles),
+        ]
+        want = counter_degrees(column.tolist(), sets)
+        for fn, degrees in zip(got, want, strict=True):
+            assert fn == stats_module._audited_profile(DegreeSequence(degrees), params, "r.j")
 
 
 class TestClustering:
@@ -203,6 +348,16 @@ class TestClustering:
         fns = [cum((3, 1)), PiecewiseLinearFn((0, 2), (0, 0)), cum((3, 1))]
         clusters = cluster_sequence_groups(fns, 2)
         assert [1] in clusters
+
+    def test_repeated_objects_cluster_like_copies(self):
+        short = [cum(freqs) for freqs in [(2, 2), (4,), (3, 1), (9, 1), (2, 2, 1)]]
+        # a profile longer than FULL_GRID_RANKS switches to the log sketch
+        for pool in (short, short + [cum((1,) * 300)]):
+            repeated = [pool[i % len(pool)] for i in (0, 1, 0, 2, 3, 0, 1, 4, 2, 5, 5)]
+            copies = [PiecewiseLinearFn(fn.knots, fn.values) for fn in repeated]
+            for n_groups in (1, 2, 3, 5):
+                want = cluster_sequence_groups(copies, n_groups)
+                assert cluster_sequence_groups(repeated, n_groups) == want
 
     def test_fewer_members_than_groups(self):
         fns = [cum((2,)), cum((9, 1))]
@@ -353,6 +508,11 @@ class TestEqualityStats:
                 if grid is not None:
                     assert np.all(rep >= grid - 1e-9)
 
+    def test_audit_catches_a_repeated_member(self):
+        small, big = cum((2, 1)), cum((3, 1))
+        with pytest.raises(StatsBuildError, match="fails to dominate"):
+            stats_module._audit_representative(small, [small, big, small, big, big], "r.j")
+
 
 @st.composite
 def tail_relations(draw):
@@ -425,26 +585,35 @@ class TestEqualityDefault:
         with pytest.raises(StatsBuildError, match="fails to dominate"):
             family(build_equality_stats, rel, "j", "f", BuildParams(mcv_size=1))
 
-    def test_tail_values_are_not_compressed_one_by_one(self, monkeypatch):
+    @staticmethod
+    def compressed_with_four_tracked(monkeypatch, head: list[float]):
+        """The sequences ``valid_compress`` gets while the equality family
+        of 50 values of 6 rows each is built with ``mcv_size`` 4; the join
+        column starts with ``head`` and then cycles through 7 keys."""
         n = 50 * 6
+        j = np.concatenate([head, np.arange(len(head), n) % 7.0])
         rel = Relation(
             "r",
             [Column("j", "numeric"), Column("f", "numeric")],
-            {"j": np.arange(n) % 7.0, "f": np.repeat(np.arange(50.0), 6)},
+            {"j": j, "f": np.repeat(np.arange(50.0), 6)},
             n,
         )
-        calls = []
-        compress = stats_module.valid_compress
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return compress(*args, **kwargs)
-
-        monkeypatch.setattr(stats_module, "valid_compress", counted)
+        calls = counting(monkeypatch, "valid_compress")["valid_compress"]
         stats = family(build_equality_stats, rel, "j", "f", BuildParams(mcv_size=4))
-        assert len(calls) == 4
         assert len(stats.keys) == 4
         assert stats.default.total == pytest.approx(6.0)
+        return calls
+
+    def test_tail_values_are_not_compressed_one_by_one(self, monkeypatch):
+        # the 4 tracked values (the first 24 rows) all have the degree
+        # sequence (1, 1, 1, 1, 1, 1), so one compression serves them
+        calls = self.compressed_with_four_tracked(monkeypatch, [])
+        assert calls == [DegreeSequence((1,) * 6)]
+
+    def test_distinct_tracked_sequences_are_compressed_once_each(self, monkeypatch):
+        head = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 2, 0, 0, 0, 1, 1, 2]
+        calls = self.compressed_with_four_tracked(monkeypatch, head)
+        assert [c.freqs for c in calls] == [(6,), (5, 1), (4, 1, 1), (3, 2, 1)]
 
 
 def target_loop_cuts(values: np.ndarray, depth: int) -> list[float]:
