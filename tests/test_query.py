@@ -183,6 +183,34 @@ class TestValidation:
         message = self.err("SELECT COUNT(*) FROM nosuch")
         assert "at byte" in message
 
+    # Malformed text in a predicate position of an otherwise valid query
+    # (the predicate starts at position 34), plus empty and all-blank text.
+    WHERE = "SELECT COUNT(*) FROM orders WHERE "
+
+    @pytest.mark.parametrize(
+        "sql, message, position",
+        [
+            (WHERE + "#", "unexpected character '#'", 34),
+            (WHERE + "orders.total = é", "unexpected character 'é'", 49),
+            (WHERE + "orders.total = 5;", "unexpected character ';'", 50),
+            # a non-breaking space and a line separator are one-character blanks
+            (WHERE + "orders.total =\xa05 #", "unexpected character '#'", 51),
+            (WHERE + "orders.total = 5\u2028#", "unexpected character '#'", 51),
+            (WHERE + "orders.note = 'abc", "unexpected character \"'\"", 48),
+            (WHERE + "orders.total = -x", "unexpected character '-'", 49),
+            (WHERE + "orders.total = a--b", "unexpected character '-'", 50),
+            (WHERE + "orders.total = 1.2.3", "unexpected trailing input '.'", 52),
+            (WHERE + "orders.note = 'a\nb' #", "unexpected character '#'", 54),
+            ("", "expected SELECT, got 'end'", 0),
+            (" \t\n ", "expected SELECT, got 'end'", 4),
+        ],
+    )
+    def test_error_messages_and_positions(self, sql, message, position):
+        with pytest.raises(QueryParseError) as info:
+            parse(sql)
+        assert str(info.value) == "%s (at byte %d)" % (message, position)
+        assert info.value.position == position
+
     def test_unsupported_operators(self):
         assert "negation" in self.unsupported(
             "SELECT COUNT(*) FROM orders WHERE NOT orders.total = 5"
