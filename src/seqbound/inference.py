@@ -125,6 +125,7 @@ def condition_sequence(
 def plan_bound(
     plan: BoundPlan,
     profiles: dict[tuple[str, str], PiecewiseLinearFn],
+    derivatives: dict[PiecewiseLinearFn, PiecewiseConstantFn] | None = None,
 ) -> tuple[float, tuple[str, ...]]:
     """Evaluate a plan against per-(alias, variable) conditioned profiles.
 
@@ -133,17 +134,27 @@ def plan_bound(
     all of them to join), then multiply the anchor's frequency profile by
     each child's profile re-expressed in anchor ranks.  Merge steps multiply
     unary profiles after restricting them to the shortest domain.  The
-    plan's value is the integral of the root profile.
+    plan's value is the integral of the root profile.  ``derivatives``
+    memoizes each profile's discrete derivative; ``bound_query`` shares one
+    memo across a query's spanning trees.
     """
     values: dict[str, PiecewiseConstantFn] = {}
     trace: list[str] = []
+    if derivatives is None:
+        derivatives = {}
+
+    def derive(fn: PiecewiseLinearFn) -> PiecewiseConstantFn:
+        got = derivatives.get(fn)
+        if got is None:
+            got = derivatives[fn] = discrete_derivative(fn)
+        return got
 
     def fetch(uid: str) -> PiecewiseConstantFn:
         got = values.get(uid)
         if got is not None:
             return got
         alias, var = uid.split("/", 1)
-        return discrete_derivative(profiles[(alias, var)])
+        return derive(profiles[(alias, var)])
 
     for step in plan.steps:
         if isinstance(step, MergeStep):
@@ -159,7 +170,7 @@ def plan_bound(
             child_fns = [profiles[(step.alias, var)] for var, _ in step.children]
             mass = min([anchor_fn.total, *(c.total for c in child_fns)])
             anchor_fn = truncate_cumulative(anchor_fn, mass)
-            out = discrete_derivative(anchor_fn)
+            out = derive(anchor_fn)
             for (var, uid), child_col in zip(step.children, child_fns):
                 through = truncate_cumulative(child_col, mass)
                 out = pw_multiply(out, compose_ranks(fetch(uid), through, anchor_fn))
@@ -323,12 +334,13 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
     """Upper-bound the COUNT(*) of a join query against the catalog."""
     _validate(catalog, query)
     notes: list[str] = []
-    q = _apply_pkfk(catalog, query, notes)
-    fused = fuse_parallel_joins(q)
+    q = _ensure_join_vars(catalog, _apply_pkfk(catalog, query, notes), notes)
+    graph = join_graph(q)
+    fused = fuse_parallel_joins(q, graph)
     if fused is not q:
         notes.append("fused parallel join edges into multi-column variables")
-    q = _ensure_join_vars(catalog, fused, notes)
-    graph = join_graph(q)
+        q = fused
+        graph = join_graph(q)
     if not graph.connected:
         raise UnsupportedQueryError(
             "query is a cross product; every relation must join the rest"
@@ -337,19 +349,20 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
         trees = (q,)
         strategy = "acyclic"
     else:
-        trees = spanning_trees(q, SPANNING_TREE_CAP)
+        trees = spanning_trees(q, SPANNING_TREE_CAP, graph)
         strategy = "min-over-%d-spanning-trees" % len(trees)
     conditioner = _Conditioner(catalog, q, notes)
     best = math.inf
     best_steps: tuple[str, ...] = ()
+    derivatives: dict[PiecewiseLinearFn, PiecewiseConstantFn] = {}
     for idx, tree in enumerate(trees):
-        plan = decompose(tree)
+        plan = decompose(tree, graph if tree is q else None)
         profiles = {
             (atom.alias, var): conditioner.variable_profile(atom, var)
             for atom in tree.atoms
             for var in atom.variables()
         }
-        value, steps = plan_bound(plan, profiles)
+        value, steps = plan_bound(plan, profiles, derivatives)
         if len(trees) > 1:
             notes.append("spanning tree %d/%d -> %.6g" % (idx + 1, len(trees), value))
         if value < best:

@@ -409,10 +409,25 @@ def _values_at_sorted(fn: PiecewiseLinearFn, xs: Iterable[float]) -> list[float]
     return out
 
 
-def _crossings(
-    f: PiecewiseLinearFn, g: PiecewiseLinearFn, knots: list[float]
-) -> list[float]:
-    diffs = [a - b for a, b in zip(_values_at_sorted(f, knots), _values_at_sorted(g, knots))]
+def _combine(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
+    """Pointwise minimum of two cumulative profiles.
+
+    Both are evaluated once at their merged knots.  An input at or below
+    the other at every one of them that also reaches the common end is the
+    minimum, and comes back as it is.  Otherwise the minimum gains a knot
+    wherever the difference changes sign by more than rounding noise.
+    """
+    if f is g:
+        return f
+    end = max(f.end, g.end)
+    knots = _merged_knots((f, g), end)
+    f_at = _values_at_sorted(f, knots)
+    g_at = _values_at_sorted(g, knots)
+    diffs = [a - b for a, b in zip(f_at, g_at)]
+    if f.end == end and max(diffs) <= 0.0:
+        return f
+    if g.end == end and min(diffs) >= 0.0:
+        return g
     extra: list[float] = []
     for a, b, d0, d1 in zip(knots, knots[1:], diffs, diffs[1:]):
         if (d0 > 0.0 and d1 < 0.0) or (d0 < 0.0 and d1 > 0.0):
@@ -420,15 +435,13 @@ def _crossings(
             if (d0 > s and d1 < -s) or (d0 < -s and d1 > s):
                 t = d0 / (d0 - d1)
                 extra.append(a + t * (b - a))
-    return extra
-
-
-def _combine(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> tuple[list[float], list[float]]:
-    end = max(f.end, g.end)
-    knots = _merged_knots((f, g), end)
-    knots = _dedupe_knots(sorted(set(knots) | set(_crossings(f, g, knots))))
-    values = list(map(min, _values_at_sorted(f, knots), _values_at_sorted(g, knots)))
-    return knots, values
+    values = list(map(min, f_at, g_at))
+    if extra:
+        at = dict(zip(knots, values))
+        at.update(zip(extra, map(min, _values_at_sorted(f, extra), _values_at_sorted(g, extra))))
+        knots = _dedupe_knots(sorted(at))
+        values = [at[k] for k in knots]
+    return PiecewiseLinearFn(knots, values)
 
 
 def _upper_concave_envelope(
@@ -451,15 +464,16 @@ def _upper_concave_envelope(
 
 
 def pw_min(fns: Sequence[PiecewiseLinearFn]) -> PiecewiseLinearFn:
-    """Pointwise minimum of cumulative profiles (flat-extended to a common end)."""
+    """Pointwise minimum of cumulative profiles (flat-extended to a common end).
+
+    Inputs merge left to right; where one of two already lies at or below
+    the other and reaches their common end, that input object is the result.
+    """
     if not fns:
         raise ValueError("need at least one function")
-    if len(fns) == 1:
-        return fns[0]
     result = fns[0]
     for other in fns[1:]:
-        knots, values = _combine(result, other)
-        result = PiecewiseLinearFn(knots, values)
+        result = _combine(result, other)
     return result
 
 

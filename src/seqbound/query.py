@@ -19,7 +19,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "QueryError",
@@ -178,12 +178,15 @@ def predicate_matches(node: Predicate, get: Callable[[str], float | str | None])
 
 # ------------------------------------------------------------ tokenizer
 
+# Each match is the blanks before one token and the token; a character no
+# token kind accepts falls to the last group.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<string>'(?:[^']|'')*')
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op><=|>=|<>|!=|=|<|>|\(|\)|,|\.|\*|%)
+    r"""(\s*)
+      (?: (-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+        | ('(?:[^']|'')*')
+        | ([A-Za-z_][A-Za-z0-9_]*)
+        | (<=|>=|<>|!=|=|<|>|\(|\)|,|\.|\*|%)
+        | (\S) )
     """,
     re.VERBOSE,
 )
@@ -194,8 +197,7 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -204,18 +206,21 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QueryParseError("unexpected character %r" % text[pos], pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tok_text = m.group()
-            if kind == "ident" and tok_text.upper() in _KEYWORDS:
-                tokens.append(_Token("kw", tok_text.upper(), pos))
-            else:
-                tokens.append(_Token(kind, tok_text, pos))
-        pos = m.end()
+    for blanks, number, string, ident, op, bad in _TOKEN_RE.findall(text):
+        pos += len(blanks)
+        if bad:
+            raise QueryParseError("unexpected character %r" % bad, pos)
+        if ident:
+            word = ident.upper()
+            tok = _Token("kw", word, pos) if word in _KEYWORDS else _Token("ident", ident, pos)
+        elif number:
+            tok = _Token("number", number, pos)
+        elif string:
+            tok = _Token("string", string, pos)
+        else:
+            tok = _Token("op", op, pos)
+        tokens.append(tok)
+        pos += len(number or string or ident or op)
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 
@@ -747,7 +752,7 @@ def base_input(alias: str, var: str) -> str:
     return "%s/%s" % (alias, var)
 
 
-def decompose(query: Query) -> BoundPlan:
+def decompose(query: Query, graph: JoinGraph | None = None) -> BoundPlan:
     """Turn an acyclic connected query into a bottom-up plan of merge and
     join steps whose root evaluates to the cardinality bound.
 
@@ -755,9 +760,10 @@ def decompose(query: Query) -> BoundPlan:
     alias); its anchor is a variable shared with no other atom when one
     exists, the alphabetically first variable otherwise.  Atoms with a
     single join variable and nothing beneath them feed their profiles in
-    directly; each atom's profile is consumed exactly once.
+    directly; each atom's profile is consumed exactly once.  ``graph``, when
+    given, is the query's join graph.
     """
-    graph = join_graph(query)
+    graph = join_graph(query) if graph is None else graph
     if not graph.connected:
         raise ValueError("cannot plan a disconnected query")
     if not graph.acyclic:
@@ -822,10 +828,11 @@ def decompose(query: Query) -> BoundPlan:
 
 # ------------------------------------------------------ query rewrites
 
-def fuse_parallel_joins(query: Query) -> Query:
+def fuse_parallel_joins(query: Query, graph: JoinGraph | None = None) -> Query:
     """Merge variable pairs that join the same two atoms on several columns
-    into a single variable carrying the column set on each side."""
-    graph = join_graph(query)
+    into a single variable carrying the column set on each side.
+    ``graph``, when given, is the query's join graph."""
+    graph = join_graph(query) if graph is None else graph
     merge_groups: list[tuple[str, ...]] = []
     merged_vars: set[str] = set()
     for a1, a2, vs in graph.multi_column_pairs:
@@ -853,7 +860,9 @@ def fuse_parallel_joins(query: Query) -> Query:
     return Query(tuple(atoms), dict(query.predicates))
 
 
-def spanning_trees(query: Query, cap: int = 64) -> tuple[Query, ...]:
+def spanning_trees(
+    query: Query, cap: int = 64, graph: JoinGraph | None = None
+) -> tuple[Query, ...]:
     """All acyclic reshapes of a cyclic query, as one query per spanning
     tree of its atom-level join multigraph (up to ``cap``, in canonical
     edge order).  Dropped edges split their variable; a column whose edge
@@ -864,9 +873,10 @@ def spanning_trees(query: Query, cap: int = 64) -> tuple[Query, ...]:
     that closes a cycle is skipped, and a prefix stops extending once it
     plus the edges after it can no longer connect every alias.  Every
     branch the search enters therefore ends in a tree, so finding ``cap``
-    trees takes polynomial work.
+    trees takes polynomial work.  ``graph``, when given, is the query's
+    join graph.
     """
-    graph = join_graph(query)
+    graph = join_graph(query) if graph is None else graph
     if graph.acyclic and graph.connected:
         return (query,)
     if not graph.connected:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqbound.inference
+import seqbound.query
 from seqbound.inference import bound_query, condition_sequence
 from seqbound.oracle import corrupt_catalog, true_cardinality
 from seqbound.pwfn import PiecewiseLinearFn, sample_integer_ranks, zero_cumulative
@@ -372,6 +374,77 @@ class TestBoundQuery:
                    "customers": SHOP_SCHEMA["customers"]}
         with pytest.raises(UnsupportedQueryError, match="has no column"):
             bound(catalog, "SELECT COUNT(*) FROM orders WHERE orders.ghost = 1", drifted)
+
+
+def counted(monkeypatch, name, *modules):
+    """Wrap ``name`` where each module looks it up; returns the first
+    argument of every call, in call order."""
+    args = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def wrapper(first, *rest, _original=original, **kwargs):
+            args.append(first)
+            return _original(first, *rest, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return args
+
+
+def ring_catalog(n):
+    """n binary relations e1..en over skewed (u, v) pairs, and their schema."""
+    rng = np.random.default_rng(5)
+    rels = {}
+    for i in range(1, n + 1):
+        cols = {c: rng.zipf(1.6, 40).clip(max=9).astype(float) for c in ("u", "v")}
+        rels["e%d" % i] = Relation(
+            "e%d" % i, [Column("u", "numeric"), Column("v", "numeric")], cols, 40
+        )
+    catalog = build_catalog(rels, {r: ColumnRole(("u", "v"), ()) for r in rels}, params=EXACT)
+    return catalog, rels, {r: {"u": "numeric", "v": "numeric"} for r in rels}
+
+
+class TestWorkPerQuery:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(*) FROM orders AS o, customers AS c WHERE o.cust = c.id",
+            # the dimension predicate is pushed onto the fact side
+            "SELECT COUNT(*) FROM orders AS o, customers AS c"
+            " WHERE o.cust = c.id AND c.region = 'east'",
+            "SELECT COUNT(*) FROM orders AS o WHERE o.status = 'open'",
+        ],
+    )
+    def test_acyclic_query_builds_one_join_graph(self, monkeypatch, sql):
+        catalog, _ = shop_catalog()
+        query = parse_query(sql, SHOP_SCHEMA)
+        graphs = counted(monkeypatch, "join_graph", seqbound.inference, seqbound.query)
+        assert bound_query(catalog, query).strategy == "acyclic"
+        assert len(graphs) == 1
+
+    def test_cycle_derives_each_profile_once(self, monkeypatch):
+        catalog, rels, schema = ring_catalog(5)
+        query = parse_query(
+            "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c, e4 AS d, e5 AS e"
+            " WHERE a.v = b.u AND b.v = c.u AND c.v = d.u AND d.v = e.u AND e.v = a.u",
+            schema,
+        )
+        unshared = seqbound.inference.plan_bound
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                seqbound.inference,
+                "plan_bound",
+                lambda plan, profiles, derivatives=None: unshared(plan, profiles),
+            )
+            derived_per_tree = counted(patch, "discrete_derivative", seqbound.inference)
+            want = bound_query(catalog, query)
+        derived = counted(monkeypatch, "discrete_derivative", seqbound.inference)
+        got = bound_query(catalog, query)
+        assert got == want
+        assert got.strategy == "min-over-5-spanning-trees"
+        assert got.bound >= true_cardinality(rels, query)
+        assert len({id(fn) for fn in derived}) == len(derived)
+        assert len(derived) < len(derived_per_tree)
 
 
 class TestMonotonicity:

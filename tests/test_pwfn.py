@@ -253,9 +253,11 @@ class TestPointwiseCombinators:
     B = PiecewiseLinearFn((0, 4), (0, 9))
 
     def test_min_frozen(self):
+        # B lies below A at every knot and reaches the common end, so B is
+        # the minimum: it comes back without A's collinear knot at 2
         lo = pw_min([self.A, self.B])
-        assert lo.knots == (0.0, 2.0, 4.0)
-        assert lo.values == (0.0, 4.5, 9.0)
+        assert lo.knots == (0.0, 4.0)
+        assert lo.values == (0.0, 9.0)
 
     def test_max_frozen(self):
         hi = pw_max([self.A, self.B])
@@ -416,7 +418,17 @@ def ref_pw_min(fns):
     result = fns[0]
     for other in fns[1:]:
         f, g = result, other
-        knots = _merged_knots((f, g), max(f.end, g.end))
+        end = max(f.end, g.end)
+        knots = _merged_knots((f, g), end)
+        # an input at or below the other at every knot that reaches the
+        # common end is the minimum as it stands
+        f_at = [extended_value(f, x) for x in knots]
+        g_at = [extended_value(g, x) for x in knots]
+        if f.end == end and all(a <= b for a, b in zip(f_at, g_at)):
+            continue
+        if g.end == end and all(a >= b for a, b in zip(f_at, g_at)):
+            result = g
+            continue
         extra = []
         for a, b in zip(knots, knots[1:]):
             d0 = extended_value(f, a) - extended_value(g, a)
@@ -539,6 +551,75 @@ class TestFastPathsMatchPerPointReferences:
     def test_integral(self, fn):
         steps = discrete_derivative(fn)
         assert steps.integral() == cumulate(steps).total
+
+
+def _rescaled(fn, dx, dy):
+    """fn with its rank axis stretched by dx and its mass by dy."""
+    return PiecewiseLinearFn([k * dx for k in fn.knots], [v * dy for v in fn.values])
+
+
+def _min_pair(kind, f, g, dx, dy, swap):
+    if kind == "same":
+        g = f
+    elif kind == "truncated":  # touches f up to the cap, then lies below
+        g = truncate_cumulative(f, f.total * min(dy, 0.9))
+    elif kind == "rescaled":  # above, below or crossing f, ends unequal
+        g = _rescaled(f, dx, dy)
+    elif kind == "equal-totals" and g.total > 0.0:
+        g = _rescaled(g, 1.0, f.total / g.total)
+    elif kind == "equal-ends":
+        g = _rescaled(g, f.end / g.end, 1.0)
+    return (g, f) if swap else (f, g)
+
+
+def min_pairs():
+    """Pairs of cumulative profiles that cross, touch, dominate one another,
+    share their totals or ends, or are one object."""
+    kinds = st.sampled_from(
+        ("independent", "same", "truncated", "rescaled", "equal-totals", "equal-ends")
+    )
+    factors = st.floats(min_value=0.25, max_value=4.0)
+    return st.tuples(kinds, cumulatives(), cumulatives(), factors, factors, st.booleans()).map(
+        lambda args: _min_pair(*args)
+    )
+
+
+SHORT_LOW = PiecewiseLinearFn((0, 1), (0, 1))
+LONG_HIGH = PiecewiseLinearFn((0, 2), (0, 4))
+CROSSES = PiecewiseLinearFn((0, 1, 2), (0, 4, 5))
+
+
+class TestMinDominance:
+    @given(min_pairs())
+    @example((SHORT_LOW, LONG_HIGH))  # below everywhere but ends early
+    @example((LONG_HIGH, SHORT_LOW))
+    @example((TestPointwiseCombinators.A, TestPointwiseCombinators.B))
+    @example((TestPointwiseCombinators.B, TestPointwiseCombinators.A))
+    @example((CROSSES, LONG_HIGH))
+    def test_min_of_two(self, pair):
+        f, g = pair
+        lo = pw_min([f, g])
+        end = max(f.end, g.end)
+        assert lo.end == end
+        xs = sorted({*f.knots, *g.knots})
+        f_at = [extended_value(f, x) for x in xs]
+        g_at = [extended_value(g, x) for x in xs]
+        diffs = [a - b for a, b in zip(f_at, g_at)]
+        crossings = [
+            a + d0 / (d0 - d1) * (b - a)
+            for a, b, d0, d1 in zip(xs, xs[1:], diffs, diffs[1:])
+            if (d0 > 0.0 > d1) or (d0 < 0.0 < d1)
+        ]
+        for x in xs + crossings:
+            want = min(extended_value(f, x), extended_value(g, x))
+            assert abs(extended_value(lo, x) - want) <= _slack(want)
+        dominated = [
+            h
+            for h, h_at, other_at in ((f, f_at, g_at), (g, g_at, f_at))
+            if h.end == end and all(a <= b for a, b in zip(h_at, other_at))
+        ]
+        if dominated:
+            assert any(lo is h for h in dominated)
 
 
 class TestToleranceEdges:
