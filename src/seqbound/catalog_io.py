@@ -42,8 +42,14 @@ def _fn_plain(fn: PiecewiseLinearFn) -> dict:
     return {"knots": fn.knots, "values": fn.values}
 
 
-def _fn_load(plain: dict) -> PiecewiseLinearFn:
-    return PiecewiseLinearFn(plain["knots"], plain["values"])
+def _fn_load(plain: dict, interned: dict) -> PiecewiseLinearFn:
+    """The profile stored in ``plain``, as the one object that ``interned``
+    (one dict per loaded catalog) holds for every equal profile."""
+    key = (tuple(plain["knots"]), tuple(plain["values"]))
+    fn = interned.get(key)
+    if fn is None:
+        fn = interned[key] = PiecewiseLinearFn(*key)
+    return fn
 
 
 def _stats_plain(join: str, filter_: str, stats: FilterStats) -> dict:
@@ -62,7 +68,7 @@ def _stats_plain(join: str, filter_: str, stats: FilterStats) -> dict:
     }
 
 
-def _stats_load(plain: dict) -> FilterStats:
+def _stats_load(plain: dict, interned: dict) -> FilterStats:
     groups = plain["groups"]
     keys = {k: i for i, g in enumerate(groups) for k in g["keys"]}
     levels = []
@@ -79,8 +85,8 @@ def _stats_load(plain: dict) -> FilterStats:
             )
         levels.append((cuts, ids))
     return FilterStats(
-        tuple(_fn_load(g["representative"]) for g in groups),
-        _fn_load(plain["default"]),
+        tuple(_fn_load(g["representative"], interned) for g in groups),
+        _fn_load(plain["default"], interned),
         keys,
         tuple(levels),
     )
@@ -130,6 +136,7 @@ def _check_references(rs: RelationStats) -> None:
 
 def _catalog_load(plain: dict) -> StatisticsCatalog:
     relations = {}
+    interned: dict = {}
     for name, rp in plain["relations"].items():
         relations[name] = RelationStats(
             name=name,
@@ -137,9 +144,9 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
             column_kinds=dict(rp["column_kinds"]),
             join_columns=tuple(rp["join_columns"]),
             filter_columns=tuple(rp["filter_columns"]),
-            fallback={c: _fn_load(fn) for c, fn in rp["fallback"].items()},
+            fallback={c: _fn_load(fn, interned) for c, fn in rp["fallback"].items()},
             **{
-                family: {(e["join"], e["filter"]): _stats_load(e) for e in rp[family]}
+                family: {(e["join"], e["filter"]): _stats_load(e, interned) for e in rp[family]}
                 for family in FAMILIES
             },
         )

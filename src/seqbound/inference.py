@@ -125,7 +125,7 @@ def condition_sequence(
 def plan_bound(
     plan: BoundPlan,
     profiles: dict[tuple[str, str], PiecewiseLinearFn],
-    derivatives: dict[PiecewiseLinearFn, PiecewiseConstantFn] | None = None,
+    memo: dict | None = None,
 ) -> tuple[float, tuple[str, ...]]:
     """Evaluate a plan against per-(alias, variable) conditioned profiles.
 
@@ -134,19 +134,24 @@ def plan_bound(
     all of them to join), then multiply the anchor's frequency profile by
     each child's profile re-expressed in anchor ranks.  Merge steps multiply
     unary profiles after restricting them to the shortest domain.  The
-    plan's value is the integral of the root profile.  ``derivatives``
-    memoizes each profile's discrete derivative; ``bound_query`` shares one
-    memo across a query's spanning trees.
+    plan's value is the integral of the root profile.
+
+    ``memo`` maps each profile to its discrete derivative and each step's
+    inputs to its result: a join step's key is its anchor profile and its
+    (child-column profile, child result) pairs, a merge step's key its
+    inputs in order, all compared by value.  Every step is a pure function
+    of those inputs, so a hit reuses the stored output, integral and mass;
+    ``bound_query`` shares one memo across a query's spanning trees.
     """
     values: dict[str, PiecewiseConstantFn] = {}
     trace: list[str] = []
-    if derivatives is None:
-        derivatives = {}
+    if memo is None:
+        memo = {}
 
     def derive(fn: PiecewiseLinearFn) -> PiecewiseConstantFn:
-        got = derivatives.get(fn)
+        got = memo.get(fn)
         if got is None:
-            got = derivatives[fn] = discrete_derivative(fn)
+            got = memo[fn] = discrete_derivative(fn)
         return got
 
     def fetch(uid: str) -> PiecewiseConstantFn:
@@ -158,25 +163,36 @@ def plan_bound(
 
     for step in plan.steps:
         if isinstance(step, MergeStep):
-            fns = [fetch(i) for i in step.inputs]
-            end = min(f.end for f in fns)
-            out = functools.reduce(pw_multiply, (restrict_domain(f, end) for f in fns))
+            fns = tuple(fetch(i) for i in step.inputs)
+            key = ("merge", fns)
+            got = memo.get(key)
+            if got is None:
+                end = min(f.end for f in fns)
+                out = functools.reduce(pw_multiply, (restrict_domain(f, end) for f in fns))
+                got = memo[key] = (out, out.integral())
+            out, integral = got
             trace.append(
                 "%s: merge %s over %s -> integral %.6g"
-                % (step.out, "*".join(step.inputs), step.var, out.integral())
+                % (step.out, "*".join(step.inputs), step.var, integral)
             )
         else:
             anchor_fn = profiles[(step.alias, step.anchor)]
             child_fns = [profiles[(step.alias, var)] for var, _ in step.children]
-            mass = min([anchor_fn.total, *(c.total for c in child_fns)])
-            anchor_fn = truncate_cumulative(anchor_fn, mass)
-            out = derive(anchor_fn)
-            for (var, uid), child_col in zip(step.children, child_fns):
-                through = truncate_cumulative(child_col, mass)
-                out = pw_multiply(out, compose_ranks(fetch(uid), through, anchor_fn))
+            child_outs = [fetch(uid) for _, uid in step.children]
+            key = ("join", anchor_fn, tuple(zip(child_fns, child_outs)))
+            got = memo.get(key)
+            if got is None:
+                mass = min([anchor_fn.total, *(c.total for c in child_fns)])
+                anchor_fn = truncate_cumulative(anchor_fn, mass)
+                out = derive(anchor_fn)
+                for child_out, child_col in zip(child_outs, child_fns):
+                    through = truncate_cumulative(child_col, mass)
+                    out = pw_multiply(out, compose_ranks(child_out, through, anchor_fn))
+                got = memo[key] = (out, out.integral(), mass)
+            out, integral, mass = got
             trace.append(
                 "%s: join %s anchored at %s (mass %.6g) -> integral %.6g"
-                % (step.out, step.alias, step.anchor, mass, out.integral())
+                % (step.out, step.alias, step.anchor, mass, integral)
             )
         values[step.out] = out
     root = values[plan.root] if plan.root in values else fetch(plan.root)
@@ -292,6 +308,7 @@ class _Conditioner:
         self.predicates = query.predicates
         self.notes = notes
         self.by_column: dict[tuple[str, str], PiecewiseLinearFn] = {}
+        self.fused: dict[tuple[str, tuple[str, ...]], PiecewiseLinearFn] = {}
         self.caps: dict[str, float] = {}
 
     def column_profile(self, atom: Atom, col: str) -> PiecewiseLinearFn:
@@ -326,8 +343,13 @@ class _Conditioner:
 
     def variable_profile(self, atom: Atom, var: str) -> PiecewiseLinearFn:
         cols = atom.columns_for(var)
-        fns = [self.column_profile(atom, c) for c in cols]
-        return fns[0] if len(fns) == 1 else pw_min(fns)
+        if len(cols) == 1:
+            return self.column_profile(atom, cols[0])
+        key = (atom.alias, cols)
+        got = self.fused.get(key)
+        if got is None:
+            got = self.fused[key] = pw_min([self.column_profile(atom, c) for c in cols])
+        return got
 
 
 def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
@@ -354,7 +376,7 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
     conditioner = _Conditioner(catalog, q, notes)
     best = math.inf
     best_steps: tuple[str, ...] = ()
-    derivatives: dict[PiecewiseLinearFn, PiecewiseConstantFn] = {}
+    memo: dict = {}
     for idx, tree in enumerate(trees):
         plan = decompose(tree, graph if tree is q else None)
         profiles = {
@@ -362,7 +384,7 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
             for atom in tree.atoms
             for var in atom.variables()
         }
-        value, steps = plan_bound(plan, profiles, derivatives)
+        value, steps = plan_bound(plan, profiles, memo)
         if len(trees) > 1:
             notes.append("spanning tree %d/%d -> %.6g" % (idx + 1, len(trees), value))
         if value < best:

@@ -190,9 +190,10 @@ class PiecewiseLinearFn:
     Stored as knot positions (starting at 0.0, strictly increasing) and the
     function values at those knots (starting at 0.0); linear in between.
     The final knot is the domain end, the final value the total mass.
+    Instances are immutable, so the hash is computed once, on first use.
     """
 
-    __slots__ = ("knots", "values", "slopes")
+    __slots__ = ("knots", "values", "slopes", "_hash")
 
     def __init__(self, knots: Sequence[float], values: Sequence[float]):
         if len(knots) != len(values) or len(knots) < 2:
@@ -218,6 +219,7 @@ class PiecewiseLinearFn:
         self.knots = tuple(ks)
         self.values = tuple(vs)
         self.slopes = tuple(slopes)
+        self._hash = None
 
     @property
     def end(self) -> float:
@@ -259,7 +261,10 @@ class PiecewiseLinearFn:
         )
 
     def __hash__(self) -> int:
-        return hash((self.knots, self.values))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.knots, self.values))
+        return h
 
     def __repr__(self) -> str:
         parts = ", ".join("%g:%g" % (k, v) for k, v in zip(self.knots, self.values))
@@ -333,7 +338,7 @@ def pw_multiply(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> PiecewiseCons
         raise InconsistentStatisticsError(
             "domain ends differ: %r vs %r" % (f.end, g.end)
         )
-    end = min(f.end, g.end)
+    end = f.end if f.end <= g.end else g.end
     f_edges, f_values, g_edges, g_values = f.edges, f.values, g.edges, g.values
     n_f, n_g = len(f_edges), len(g_edges)
     edges: list[float] = []
@@ -342,12 +347,15 @@ def pw_multiply(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> PiecewiseCons
     while i < n_f and j < n_g:
         fe = f_edges[i]
         ge = g_edges[j]
-        e = min(fe, ge, end)
+        e = fe if fe <= ge else ge
+        if e > end:
+            e = end
         edges.append(e)
         values.append(f_values[i] * g_values[j])
-        if fe <= e or fe <= e + _slack(e, fe):
+        # Edges are positive and e <= fe, so this tolerance is _slack(e, fe).
+        if fe <= e or fe <= e + ABS_TOL * (fe if fe > 1.0 else 1.0):
             i += 1
-        if ge <= e or ge <= e + _slack(e, ge):
+        if ge <= e or ge <= e + ABS_TOL * (ge if ge > 1.0 else 1.0):
             j += 1
         if e >= end:
             break

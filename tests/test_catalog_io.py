@@ -90,6 +90,30 @@ class TestRoundTrip:
         save_catalog(load_catalog(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_equal_profiles_load_as_one_object(self, tmp_path):
+        rels = {
+            name: Relation(
+                name,
+                [Column("k", "numeric"), Column("f", "numeric")],
+                {"k": np.array([1.0, 1.0, 2.0, 3.0]), "f": np.array([5.0, 6.0, 5.0, 7.0])},
+                4,
+            )
+            for name in ("left", "right")
+        }
+        cat = build_catalog(rels, {r: ColumnRole(("k",), ("f",)) for r in rels})
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_catalog(cat, str(p1))
+        back = load_catalog(str(p1))
+        left, right = back.relations["left"], back.relations["right"]
+        assert left.fallback["k"] == cat.relations["left"].fallback["k"]
+        assert left.fallback["k"] is right.fallback["k"]
+        assert left.fallback["f"] is right.fallback["f"]
+        assert left.equality[("k", "f")].default is right.equality[("k", "f")].default
+        loaded = [fn for rs in back.relations.values() for fn in _profiles(rs)]
+        assert len({id(fn) for fn in loaded}) == len(set(loaded)) < len(loaded)
+        save_catalog(back, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
 
 class TestFormatErrors:
     def write_good(self, tmp_path):
@@ -218,6 +242,15 @@ def _assert_bit_identical(a, b):
             _assert_bit_identical(x, y)
     else:
         assert a == b
+
+
+def _profiles(rs: RelationStats) -> list:
+    """Every profile a relation's statistics hold."""
+    fns = list(rs.fallback.values())
+    for family in FAMILIES:
+        for st in getattr(rs, family).values():
+            fns += [*st.representatives, st.default]
+    return fns
 
 
 def _stored_values(cat: StatisticsCatalog) -> list:

@@ -11,14 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 import seqbound.inference
 import seqbound.query
-from seqbound.inference import bound_query, condition_sequence
+from seqbound.inference import bound_query, condition_sequence, plan_bound
 from seqbound.oracle import corrupt_catalog, true_cardinality
 from seqbound.pwfn import PiecewiseLinearFn, sample_integer_ranks, zero_cumulative
 from seqbound.query import (
     And,
+    BoundPlan,
     Eq,
     InSet,
+    JoinStep,
     Like,
+    MergeStep,
     Or,
     Range,
     UnsupportedQueryError,
@@ -391,17 +394,40 @@ def counted(monkeypatch, name, *modules):
     return args
 
 
-def ring_catalog(n):
-    """n binary relations e1..en over skewed (u, v) pairs, and their schema."""
+def ring_catalog(n, columns=("u", "v"), equal=False):
+    """n relations e1..en over skewed join columns, and their schema; with
+    ``equal`` every relation holds the same rows."""
     rng = np.random.default_rng(5)
     rels = {}
+    cols = None
     for i in range(1, n + 1):
-        cols = {c: rng.zipf(1.6, 40).clip(max=9).astype(float) for c in ("u", "v")}
+        if cols is None or not equal:
+            cols = {c: rng.zipf(1.6, 40).clip(max=9).astype(float) for c in columns}
         rels["e%d" % i] = Relation(
-            "e%d" % i, [Column("u", "numeric"), Column("v", "numeric")], cols, 40
+            "e%d" % i, [Column(c, "numeric") for c in columns], dict(cols), 40
         )
-    catalog = build_catalog(rels, {r: ColumnRole(("u", "v"), ()) for r in rels}, params=EXACT)
-    return catalog, rels, {r: {"u": "numeric", "v": "numeric"} for r in rels}
+    catalog = build_catalog(rels, {r: ColumnRole(columns, ()) for r in rels}, params=EXACT)
+    return catalog, rels, {r: {c: "numeric" for c in columns} for r in rels}
+
+
+def bound_per_tree(monkeypatch, catalog, query):
+    """``bound_query`` with a fresh plan memo for every spanning tree, and
+    the ``compose_ranks`` and ``pw_multiply`` calls it made."""
+    unshared = seqbound.inference.plan_bound
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            seqbound.inference,
+            "plan_bound",
+            lambda plan, profiles, memo=None: unshared(plan, profiles),
+        )
+        composed = counted(patch, "compose_ranks", seqbound.inference)
+        multiplied = counted(patch, "pw_multiply", seqbound.inference)
+        return bound_query(catalog, query), len(composed), len(multiplied)
+
+
+def flat(rate):
+    """The one-segment profile with slope ``rate`` on (0, 1]."""
+    return PiecewiseLinearFn((0.0, 1.0), (0.0, rate))
 
 
 class TestWorkPerQuery:
@@ -445,6 +471,85 @@ class TestWorkPerQuery:
         assert got.bound >= true_cardinality(rels, query)
         assert len({id(fn) for fn in derived}) == len(derived)
         assert len(derived) < len(derived_per_tree)
+
+    @pytest.mark.parametrize(
+        "n, sql, per_tree, shared",
+        [
+            # a 5-ring: every spanning tree plans steps over equal profiles
+            (
+                5,
+                "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c, e4 AS d, e5 AS e"
+                " WHERE a.v = b.u AND b.v = c.u AND c.v = d.u AND d.v = e.u AND e.v = a.u",
+                (15, 20),
+                (5, 8),
+            ),
+            # a triangle whose variable u spans all three aliases
+            (
+                3,
+                "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c"
+                " WHERE a.u = b.u AND b.u = c.u AND a.v = c.v",
+                (2, 10),
+                (1, 4),
+            ),
+        ],
+    )
+    def test_spanning_trees_share_equal_plan_steps(self, monkeypatch, n, sql, per_tree, shared):
+        catalog, rels, schema = ring_catalog(n, equal=True)
+        query = parse_query(sql, schema)
+        want, *calls_per_tree = bound_per_tree(monkeypatch, catalog, query)
+        composed = counted(monkeypatch, "compose_ranks", seqbound.inference)
+        multiplied = counted(monkeypatch, "pw_multiply", seqbound.inference)
+        got = bound_query(catalog, query)
+        assert got == want
+        assert got.value.hex() == want.value.hex()
+        assert got.strategy == "min-over-5-spanning-trees"
+        assert got.bound >= true_cardinality(rels, query)
+        # the (compose_ranks, pw_multiply) call counts, with and without sharing
+        assert tuple(calls_per_tree) == per_tree
+        assert (len(composed), len(multiplied)) == shared
+
+    def test_join_step_key_holds_the_child_column_profiles(self):
+        # the same anchor and child result, reached through two different
+        # child columns of equal mass
+        plan = BoundPlan((JoinStep("s1", "r", "x", (("y", "s/y"),)),), "s1", ())
+        base = {
+            ("r", "x"): PiecewiseLinearFn((0, 1, 3), (0, 4, 6)),
+            ("s", "y"): PiecewiseLinearFn((0, 1, 2), (0, 3, 3.5)),
+        }
+        steep = {**base, ("r", "y"): PiecewiseLinearFn((0, 1, 4), (0, 3, 6))}
+        gentle = {**base, ("r", "y"): PiecewiseLinearFn((0, 2, 4), (0, 5, 6))}
+        memo: dict = {}
+        assert plan_bound(plan, steep, memo) == plan_bound(plan, steep)
+        got = plan_bound(plan, gentle, memo)
+        assert got == plan_bound(plan, gentle)
+        assert got[0] != plan_bound(plan, steep)[0]
+
+    def test_merge_step_key_keeps_input_order(self):
+        # (0.1 * 0.2) * 0.3 and (0.1 * 0.3) * 0.2 differ in the last bit
+        profiles = {("x", "v"): flat(0.1), ("y", "v"): flat(0.2), ("z", "v"): flat(0.3)}
+        xyz = BoundPlan((MergeStep("s1", "v", ("x/v", "y/v", "z/v")),), "s1", ())
+        xzy = BoundPlan((MergeStep("s1", "v", ("x/v", "z/v", "y/v")),), "s1", ())
+        memo: dict = {}
+        first = plan_bound(xyz, profiles, memo)
+        assert first == plan_bound(xyz, profiles)
+        got = plan_bound(xzy, profiles, memo)
+        assert got == plan_bound(xzy, profiles)
+        assert got[0].hex() != first[0].hex()
+
+    def test_fused_variable_takes_one_pw_min_per_alias(self, monkeypatch):
+        # a.(u, v) = b.(u, v) fuses into one two-column variable on a 3-cycle
+        catalog, rels, schema = ring_catalog(3, ("u", "v", "w"))
+        query = parse_query(
+            "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c"
+            " WHERE a.u = b.u AND a.v = b.v AND b.w = c.u AND c.v = a.w",
+            schema,
+        )
+        merged = counted(monkeypatch, "pw_min", seqbound.inference)
+        got = bound_query(catalog, query)
+        assert got.strategy == "min-over-3-spanning-trees"
+        assert "fused parallel join edges into multi-column variables" in got.notes
+        assert got.bound >= true_cardinality(rels, query)
+        assert len(merged) == 2
 
 
 class TestMonotonicity:

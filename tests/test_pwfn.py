@@ -189,6 +189,12 @@ class TestPiecewiseLinearFn:
         with pytest.raises(ValueError):
             fn.rank_at(5.0)
 
+    @given(concave_fns())
+    def test_equal_functions_hash_equal(self, fn):
+        twin = PiecewiseLinearFn(list(fn.knots), list(fn.values))
+        assert twin is not fn and twin == fn
+        assert hash(fn) == hash(twin) == hash((fn.knots, fn.values))
+
 
 class TestCumulateAndDerivative:
     def test_running_example_integer_ranks(self):
@@ -497,6 +503,28 @@ def ref_compose_ranks(child, through, anchor):
     return PiecewiseConstantFn(out_edges, out_values)
 
 
+def ref_pw_multiply(f, g):
+    """pw_multiply with a full ``min`` and ``_slack`` at every edge step."""
+    if abs(f.end - g.end) > _slack(f.end, g.end):
+        raise InconsistentStatisticsError("domain ends differ")
+    end = min(f.end, g.end)
+    edges, values = [], []
+    i = j = 0
+    while i < len(f.edges) and j < len(g.edges):
+        fe, ge = f.edges[i], g.edges[j]
+        e = min(fe, ge, end)
+        edges.append(e)
+        values.append(f.values[i] * g.values[j])
+        if fe <= e + _slack(e, fe):
+            i += 1
+        if ge <= e + _slack(e, ge):
+            j += 1
+        if e >= end:
+            break
+    edges[-1] = end
+    return PiecewiseConstantFn(edges, values)
+
+
 def cumulatives():
     return st.one_of(seqs().map(exact_cumulative), concave_fns())
 
@@ -545,6 +573,21 @@ class TestFastPathsMatchPerPointReferences:
         child = discrete_derivative(child_col)
         got = compose_ranks(child, through, anchor)
         want = ref_compose_ranks(child, through, anchor)
+        assert got.edges == want.edges and got.values == want.values
+
+    @given(cumulatives(), cumulatives(), st.floats(min_value=-1e-9, max_value=1e-9))
+    @example(ROUNDING, ROUNDING, 5e-10)
+    def test_pw_multiply(self, f, g, nudge):
+        # g stretched onto f's domain, its end moved by rounding and nudge
+        g = _rescaled(g, f.end / g.end * (1.0 + nudge), 1.0)
+        f, g = discrete_derivative(f), discrete_derivative(g)
+        try:
+            want = ref_pw_multiply(f, g)
+        except InconsistentStatisticsError:
+            with pytest.raises(InconsistentStatisticsError):
+                pw_multiply(f, g)
+            return
+        got = pw_multiply(f, g)
         assert got.edges == want.edges and got.values == want.values
 
     @given(cumulatives())
