@@ -21,6 +21,7 @@ from seqbound.query import (
     MergeStep,
     Or,
     Query,
+    QueryError,
     QueryParseError,
     Range,
     UnsupportedQueryError,
@@ -288,6 +289,72 @@ class TestValidation:
         assert "plain substring" in self.unsupported(
             "SELECT COUNT(*) FROM items WHERE items.sku LIKE 'a_b'"
         )
+
+
+# Texts covering every token kind, keywords in mixed case, quotes doubled
+# inside strings, signed and exponent numbers, every operator, lone
+# characters no token accepts and an unterminated quote.  Each maps to its
+# printed form, or to its error class, message and byte position.
+W = "SELECT COUNT(*) FROM orders WHERE "
+TOKENIZER_PINS = [
+    ('select count(*) from orders', ('ok', 'SELECT COUNT(*) FROM orders')),
+    ('SeLeCt CoUnT(*) FrOm orders As o WhErE o.total bEtWeEn 1 AnD 5', ('ok', 'SELECT COUNT(*) FROM orders AS o WHERE o.total BETWEEN 1 AND 5')),
+    ('SELECT\tCOUNT ( * )\nFROM orders , customers AS c wHeRe orders.cust=c.id', ('ok', 'SELECT COUNT(*) FROM orders, customers AS c WHERE c.id = orders.cust')),
+    (W + "orders.note = 'it''s'", ('ok', W + "orders.note = 'it''s'")),
+    (W + "orders.note = ''''", ('ok', W + "orders.note = ''''")),
+    (W + "orders.note = ''", ('ok', W + "orders.note = ''")),
+    (W + "orders.note = 'O''Brien''s' OR orders.note LIKE '%a''b%'", ('ok', W + "(orders.note = 'O''Brien''s' OR orders.note LIKE '%a''b%')")),
+    (W + 'orders.total = -3', ('ok', W + 'orders.total = -3')),
+    (W + 'orders.total > -2.5e3', ('ok', W + 'orders.total > -2500')),
+    (W + 'orders.total <= 1E+2', ('ok', W + 'orders.total <= 100')),
+    (W + 'orders.total >= 7e-1 AND orders.total < 0.125', ('ok', W + 'orders.total >= 0.7 AND orders.total < 0.125')),
+    (W + 'orders.total < 1e999', ('ok', W + 'orders.total < 1e999')),
+    (W + 'orders.total BETWEEN -1.5E2 AND 2e+2', ('ok', W + 'orders.total BETWEEN -150 AND 200')),
+    (W + 'orders.total IN (3, -1, 2.5, 3)', ('ok', W + 'orders.total IN (-1, 2.5, 3)')),
+    (W + '5 < orders.total AND 7 >= orders.total', ('ok', W + 'orders.total > 5 AND orders.total <= 7')),
+    (W + "'x' = orders.note", ('ok', W + "orders.note = 'x'")),
+    (W + 'orders.total <> 3', ('UnsupportedQueryError', 'negated comparison is not supported', 47)),
+    (W + 'orders.total != 3', ('UnsupportedQueryError', 'negated comparison is not supported', 47)),
+    (W + 'orders.total ! 3', ('QueryParseError', "unexpected character '!'", 47)),
+    (W + 'orders.total = - 3', ('QueryParseError', "unexpected character '-'", 49)),
+    (W + 'orders.total = 3 ;', ('QueryParseError', "unexpected character ';'", 51)),
+    (';', ('QueryParseError', "unexpected character ';'", 0)),
+    ('!', ('QueryParseError', "unexpected character '!'", 0)),
+    ('-', ('QueryParseError', "unexpected character '-'", 0)),
+    (W + "orders.note = 'abc", ('QueryParseError', 'unexpected character "\'"', 48)),
+    (W + "orders.note LIKE '%ab", ('QueryParseError', 'unexpected character "\'"', 51)),
+    (W + 'orders.total = 1 % 2', ('QueryParseError', "unexpected trailing input '%'", 51)),
+    (W + 'orders.total = .5', ('QueryParseError', "expected a literal, got '.'", 49)),
+    (W + 'orders.total = 3e', ('QueryParseError', "unexpected trailing input 'e'", 50)),
+    (W + 'NOT orders.total = 3', ('UnsupportedQueryError', 'negation is not supported', 34)),
+    (W + 'orders.total IS NULL', ('UnsupportedQueryError', 'IS NULL tests are not supported', 47)),
+    (W + 'orders.total = 3 AND', ('QueryParseError', "expected column reference, got 'end'", 54)),
+    ('SELECT COUNT(*) FROM orders AS select', ('QueryParseError', "unexpected trailing input 'SELECT'", 31)),
+    ("SELECT COUNT(*) FROM orders AS o, customers AS c WHERE o.cust = c.id AND (c.region = 'east' OR c.region = 'west') AND o.total > 2", ('ok', "SELECT COUNT(*) FROM orders AS o, customers AS c WHERE c.id = o.cust AND o.total > 2 AND (c.region = 'east' OR c.region = 'west')")),
+    ('SELECT COUNT(*) FROM items, orders WHERE items.order_id = orders.id AND qty >= 2', ('ok', 'SELECT COUNT(*) FROM items, orders WHERE items.order_id = orders.id AND items.qty >= 2')),
+    (W + 'orders.total * 3', ('QueryParseError', "expected a comparison, got '*'", 47)),
+    ('SELECT COUNT(*) FROM orders AS o, customers AS c WHERE (o.total = 1 OR c.id = 2)', ('UnsupportedQueryError', 'a predicate may only reference one relation', 71)),
+    ('SELECT COUNT(*) FROM orders AS o, customers AS c WHERE (o.cust = c.id OR o.total = 1)', ('UnsupportedQueryError', 'join conditions may not appear under OR', 63)),
+    ('SELECT COUNT(*) FROM orders AS o, customers AS c WHERE o.cust = c.id AND c.id = o.id', ('UnsupportedQueryError', "two columns of 'o' fall in the same join class", 73)),
+    (W + 'orders.id = orders.id', ('UnsupportedQueryError', 'a column cannot join with itself', 44)),
+    (W + 'orders.note = 3', ('UnsupportedQueryError', 'numeric literal compared with text column orders.note', 48)),
+    (W + "orders.note < 'b'", ('UnsupportedQueryError', 'ordered comparison needs a numeric column', 48)),
+    (W + "orders.total LIKE 'a'", ('UnsupportedQueryError', 'LIKE needs a text column', 47)),
+    (W + "orders.note LIKE '%a%b%'", ('UnsupportedQueryError', 'only plain substring patterns are supported', 51)),
+    ('SELECT COUNT(*) FROM orders AS o, orders AS o', ('QueryParseError', "duplicate alias 'o'", 34)),
+    (W + 'orders.total IN (1, 2', ('QueryParseError', "expected ',' or ')' in IN list", 55)),
+]
+
+
+class TestTokenizerPins:
+    @pytest.mark.parametrize("sql, want", TOKENIZER_PINS)
+    def test_printed_form_or_error(self, sql, want):
+        try:
+            got = ("ok", print_query(parse(sql)))
+        except QueryError as exc:
+            got = (type(exc).__name__, str(exc).rsplit(" (at byte ", 1)[0], exc.position)
+            assert str(exc) == "%s (at byte %d)" % (got[1], got[2])
+        assert got == want
 
 
 class TestLikeMatching:

@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Dump every perfbench query's bound, one JSON line per query.
+
+    python3 tools/dump_bounds.py deep-estimate 1 > deep-1.jsonl
+
+The workload's dataset and query list come from perfbench's generators,
+which are imported and never modified.  The catalog is built, saved and
+loaded again as the benchmark does, and each query is bounded once, in the
+generators' order.  A line holds the SQL text, the bound, ``value.hex()``,
+the strategy, the notes and the plan steps; a query that raises gets its
+error class and message instead.  Two dumps of the same workload and seed,
+one per checkout, are bit-identical exactly when ``diff`` prints nothing.
+
+The program is imported from ``src/`` of the checkout this file sits in.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import seqbound  # noqa: E402
+from bench_data import ladder_dataset, star_dataset  # noqa: E402
+from bench_queries import deep_queries, star_queries  # noqa: E402
+
+
+def workload_inputs(workload: str, seed: int):
+    """The dataset and query list ``perfbench/run.py`` uses."""
+    if workload in ("star-build", "star-estimate"):
+        ds = star_dataset(seed, workload)
+        return ds, star_queries(ds)
+    if workload == "deep-estimate":
+        ds = ladder_dataset(seed)
+        return ds, deep_queries(ds)
+    raise SystemExit("unknown workload %r (star-build, star-estimate, deep-estimate)" % workload)
+
+
+def dump(workload: str, seed: int, out) -> None:
+    ds, queries = workload_inputs(workload, seed)
+    schema = ds.schema()
+    with tempfile.TemporaryDirectory() as work:
+        ws = seqbound.load_workspace(ds.write(work))
+        catalog = seqbound.build_catalog(
+            ws.relations, ws.roles, ws.pkfk, seqbound.BuildParams(**ws.params)
+        )
+        path = os.path.join(work, "catalog.bin")
+        seqbound.save_catalog(catalog, path)
+        catalog = seqbound.load_catalog(path)
+    for q in queries:
+        sql = q.sql()
+        try:
+            r = seqbound.bound_query(catalog, seqbound.parse_query(sql, schema))
+        except Exception as exc:  # recorded, so a change in what raises shows
+            row = {"sql": sql, "error": "%s: %s" % (type(exc).__name__, exc)}
+        else:
+            row = {
+                "sql": sql,
+                "bound": r.bound,
+                "value": r.value.hex(),
+                "strategy": r.strategy,
+                "notes": list(r.notes),
+                "steps": list(r.steps),
+            }
+        out.write(json.dumps(row) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not argv[1].isdigit():
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: dump_bounds.py WORKLOAD SEED", file=sys.stderr)
+        return 2
+    dump(argv[0], int(argv[1]), sys.stdout)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
