@@ -35,6 +35,7 @@ from .query import (
     BoundPlan,
     Eq,
     InSet,
+    JoinGraph,
     JoinStep,
     Like,
     MergeStep,
@@ -341,8 +342,9 @@ class _Conditioner:
         self.caps[atom.alias] = cap
         return cap
 
-    def variable_profile(self, atom: Atom, var: str) -> PiecewiseLinearFn:
-        cols = atom.columns_for(var)
+    def variable_profile(self, atom: Atom, cols: tuple[str, ...]) -> PiecewiseLinearFn:
+        """Profile of the variable ``atom`` binds to ``cols``: the pointwise
+        minimum over those columns when a fused variable has several."""
         if len(cols) == 1:
             return self.column_profile(atom, cols[0])
         key = (atom.alias, cols)
@@ -378,12 +380,19 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
     best_steps: tuple[str, ...] = ()
     memo: dict = {}
     for idx, tree in enumerate(trees):
-        plan = decompose(tree, graph if tree is q else None)
-        profiles = {
-            (atom.alias, var): conditioner.variable_profile(atom, var)
-            for atom in tree.atoms
-            for var in atom.variables()
-        }
+        profiles = {}
+        var_aliases: dict[str, list[str]] = {}
+        for atom in tree.atoms:
+            for var, cols in atom.var_columns:
+                profiles[(atom.alias, var)] = conditioner.variable_profile(atom, cols)
+                var_aliases.setdefault(var, []).append(atom.alias)
+        if tree is q:
+            plan = decompose(tree, graph)
+        else:
+            # every spanning tree is acyclic and connected, so two of its
+            # atoms never share two variables
+            variables = {v: tuple(sorted(als)) for v, als in var_aliases.items()}
+            plan = decompose(tree, JoinGraph(variables, True, True, ()))
         value, steps = plan_bound(plan, profiles, memo)
         if len(trees) > 1:
             notes.append("spanning tree %d/%d -> %.6g" % (idx + 1, len(trees), value))

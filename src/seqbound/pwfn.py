@@ -110,9 +110,10 @@ class PiecewiseConstantFn:
     non-negative and non-increasing (frequency profiles only ever descend).
     Adjacent segments with exactly equal values are coalesced, so equal
     functions compare equal regardless of how they were assembled.
+    Instances are immutable, so the hash is computed once, on first use.
     """
 
-    __slots__ = ("edges", "values")
+    __slots__ = ("edges", "values", "_hash")
 
     def __init__(self, edges: Sequence[float], values: Sequence[float]):
         if len(edges) != len(values) or not edges:
@@ -139,6 +140,7 @@ class PiecewiseConstantFn:
             last = v
         self.edges = tuple(es)
         self.values = tuple(vs)
+        self._hash = None
 
     @property
     def end(self) -> float:
@@ -177,7 +179,10 @@ class PiecewiseConstantFn:
         )
 
     def __hash__(self) -> int:
-        return hash((self.edges, self.values))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.edges, self.values))
+        return h
 
     def __repr__(self) -> str:
         parts = ", ".join("%g:%g" % (e, v) for e, v in zip(self.edges, self.values))
@@ -580,19 +585,28 @@ def compose_ranks(
     if not edges or edges[-1] < d_t - _slack(edges[-1], d_t):
         edges.append(d_t)
         values.append(0.0)
-    # y = min(through(x), mass_a) never decreases, so anchor^{-1}(y) is found
-    # as in PiecewiseLinearFn.rank_at but by one forward walk over the
-    # anchor's values.  Since y <= mass_a, the stopping tolerance
-    # _slack(y, mass_a) is slack_a for y >= 0, and a negative y fails the
-    # stopping test under either tolerance.
+    # One forward walk over the child's edges evaluates through(x) as
+    # _values_at_sorted does (x >= d_t reads the total; edges are positive)
+    # and inverts the anchor at y = min(through(x), mass_a).  y never
+    # decreases, so anchor^{-1}(y) is found as in PiecewiseLinearFn.rank_at
+    # but by a forward walk over the anchor's values.  Since y <= mass_a,
+    # the stopping tolerance _slack(y, mass_a) is slack_a for y >= 0, and a
+    # negative y fails the stopping test under either tolerance.
+    t_knots, t_values, t_slopes = through.knots, through.values, through.slopes
     a_knots, a_values, a_slopes = anchor.knots, anchor.values, anchor.slopes
+    i = 0
     j = 1
     out_edges: list[float] = []
     out_values: list[float] = []
     prev = 0.0
-    through_at = _values_at_sorted(through, [min(e, d_t) for e in edges])
-    for v, t in zip(values, through_at):
-        y = min(t, mass_a)
+    for e, v in zip(edges, values):
+        if e >= d_t:
+            t = mass_t
+        else:
+            while t_knots[i + 1] <= e:
+                i += 1
+            t = t_values[i] + t_slopes[i] * (e - t_knots[i])
+        y = mass_a if mass_a < t else t
         if y <= 0.0:
             r = 0.0
         elif y >= mass_a:

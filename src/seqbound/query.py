@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 __all__ = [
     "QueryError",
@@ -196,49 +197,62 @@ _KEYWORDS = {
     "LIKE", "IN", "AS", "NOT", "NULL", "IS",
 }
 
+# A token is findall's tuple (blanks, number, string, ident, op, bad), in
+# which exactly one of the last five groups is non-empty; the tuple of
+# empty groups ends the list.  A token's byte position is only worked out
+# for an error message.
+_EOF = ("", "", "", "", "", "")
+_bad = operator.itemgetter(5)
+_COMPARISONS = ("=", "<", "<=", ">", ">=")
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    for blanks, number, string, ident, op, bad in _TOKEN_RE.findall(text):
-        pos += len(blanks)
-        if bad:
-            raise QueryParseError("unexpected character %r" % bad, pos)
-        if ident:
-            word = ident.upper()
-            tok = _Token("kw", word, pos) if word in _KEYWORDS else _Token("ident", ident, pos)
-        elif number:
-            tok = _Token("number", number, pos)
-        elif string:
-            tok = _Token("string", string, pos)
-        else:
-            tok = _Token("op", op, pos)
-        tokens.append(tok)
-        pos += len(number or string or ident or op)
-    tokens.append(_Token("eof", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, ...]]:
+    tokens = _TOKEN_RE.findall(text)
+    if any(map(_bad, tokens)):
+        i = next(i for i, tok in enumerate(tokens) if tok[5])
+        raise QueryParseError("unexpected character %r" % tokens[i][5], _offset(text, tokens, i))
+    tokens.append(_EOF)
     return tokens
 
 
+def _offset(text: str, tokens: list[tuple[str, ...]], i: int) -> int:
+    """Byte position of token ``i``: past every earlier token and its own
+    blanks; the end token sits at the end of the text."""
+    if tokens[i] is _EOF:
+        return len(text)
+    return sum(len("".join(tok)) for tok in tokens[:i]) + len(tokens[i][0])
+
+
+def _ident(tok: tuple[str, ...]) -> str:
+    """The token's identifier, or "" for a keyword or another kind."""
+    word = tok[3]
+    return word if word and word.upper() not in _KEYWORDS else ""
+
+
+def _text(tok: tuple[str, ...]) -> str:
+    """The token as error messages quote it: keywords upper-cased."""
+    _, number, string, ident, op, _ = tok
+    if ident:
+        word = ident.upper()
+        return word if word in _KEYWORDS else ident
+    return number or string or op
+
+
 # ------------------------------------------------------ raw parse nodes
+# ``tok`` is the index of the node's first token.
 
 @dataclass(frozen=True)
 class _ColRef:
     alias: str
     column: str
-    pos: int
+    tok: int
 
 
 @dataclass(frozen=True)
 class _RawJoin:
     left: _ColRef
     right: _ColRef
-    pos: int
+    tok: int
 
 
 class _Parser:
@@ -251,29 +265,30 @@ class _Parser:
 
     # --- token plumbing
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def pos(self, i: int) -> int:
+        return _offset(self.text, self.tokens, i)
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, ...]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_kw(self, kw: str) -> _Token:
+    def expect_kw(self, kw: str) -> None:
         tok = self.next()
-        if tok.kind != "kw" or tok.text != kw:
-            raise QueryParseError("expected %s, got %r" % (kw, tok.text or "end"), tok.pos)
-        return tok
+        if tok[3].upper() != kw:
+            raise QueryParseError(
+                "expected %s, got %r" % (kw, _text(tok) or "end"), self.pos(self.i - 1)
+            )
 
-    def expect_op(self, op: str) -> _Token:
+    def expect_op(self, op: str) -> None:
         tok = self.next()
-        if tok.kind != "op" or tok.text != op:
-            raise QueryParseError("expected %r, got %r" % (op, tok.text or "end"), tok.pos)
-        return tok
+        if tok[4] != op:
+            raise QueryParseError(
+                "expected %r, got %r" % (op, _text(tok) or "end"), self.pos(self.i - 1)
+            )
 
     def accept_kw(self, kw: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == kw:
+        if self.tokens[self.i][3].upper() == kw:
             self.i += 1
             return True
         return False
@@ -291,29 +306,30 @@ class _Parser:
         tree = None
         if self.accept_kw("WHERE"):
             tree = self.parse_disjunction()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise QueryParseError("unexpected trailing input %r" % tok.text, tok.pos)
+        tok = self.tokens[self.i]
+        if tok is not _EOF:
+            raise QueryParseError("unexpected trailing input %r" % _text(tok), self.pos(self.i))
         return self.assemble(tree)
 
     def parse_tables(self) -> None:
         while True:
+            at = self.i
             tok = self.next()
-            if tok.kind != "ident":
-                raise QueryParseError("expected relation name, got %r" % tok.text, tok.pos)
-            relation = tok.text
+            relation = _ident(tok)
+            if not relation:
+                raise QueryParseError("expected relation name, got %r" % _text(tok), self.pos(at))
             if relation not in self.schema:
-                raise QueryParseError("unknown relation %r" % relation, tok.pos)
+                raise QueryParseError("unknown relation %r" % relation, self.pos(at))
             alias = relation
             self.accept_kw("AS")
-            nxt = self.peek()
-            if nxt.kind == "ident":
-                alias = nxt.text
+            named = _ident(self.tokens[self.i])
+            if named:
+                alias = named
                 self.i += 1
             if alias in self.aliases:
-                raise QueryParseError("duplicate alias %r" % alias, tok.pos)
+                raise QueryParseError("duplicate alias %r" % alias, self.pos(at))
             self.aliases[alias] = relation
-            if self.peek().kind == "op" and self.peek().text == ",":
+            if self.tokens[self.i][4] == ",":
                 self.i += 1
                 continue
             break
@@ -331,48 +347,51 @@ class _Parser:
         return children[0] if len(children) == 1 else And(tuple(children))
 
     def parse_term(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
+        tok = self.tokens[self.i]
+        if tok[4] == "(":
             self.i += 1
             inner = self.parse_disjunction()
             self.expect_op(")")
             return inner
-        if tok.kind == "kw" and tok.text == "NOT":
-            raise UnsupportedQueryError("negation is not supported", tok.pos)
+        if tok[3].upper() == "NOT":
+            raise UnsupportedQueryError("negation is not supported", self.pos(self.i))
         return self.parse_comparison()
 
     def parse_colref(self) -> _ColRef:
+        at = self.i
         tok = self.next()
-        if tok.kind != "ident":
-            raise QueryParseError("expected column reference, got %r" % (tok.text or "end"), tok.pos)
-        if self.peek().kind == "op" and self.peek().text == ".":
+        name = _ident(tok)
+        if not name:
+            raise QueryParseError(
+                "expected column reference, got %r" % (_text(tok) or "end"), self.pos(at)
+            )
+        if self.tokens[self.i][4] == ".":
             self.i += 1
-            col = self.next()
-            if col.kind != "ident":
-                raise QueryParseError("expected column after %r." % tok.text, col.pos)
-            alias = tok.text
-            if alias not in self.aliases:
-                raise QueryParseError("unknown alias %r" % alias, tok.pos)
-            return self.check_column(_ColRef(alias, col.text, tok.pos))
+            col = _ident(self.next())
+            if not col:
+                raise QueryParseError("expected column after %r." % name, self.pos(self.i - 1))
+            if name not in self.aliases:
+                raise QueryParseError("unknown alias %r" % name, self.pos(at))
+            return self.check_column(_ColRef(name, col, at))
         owners = [
             alias
             for alias, relation in self.aliases.items()
-            if tok.text in self.schema[relation]
+            if name in self.schema[relation]
         ]
         if not owners:
-            raise QueryParseError("unknown column %r" % tok.text, tok.pos)
+            raise QueryParseError("unknown column %r" % name, self.pos(at))
         if len(owners) > 1:
             raise QueryParseError(
-                "ambiguous column %r (in %s)" % (tok.text, ", ".join(sorted(owners))),
-                tok.pos,
+                "ambiguous column %r (in %s)" % (name, ", ".join(sorted(owners))),
+                self.pos(at),
             )
-        return _ColRef(owners[0], tok.text, tok.pos)
+        return _ColRef(owners[0], name, at)
 
     def check_column(self, ref: _ColRef) -> _ColRef:
         relation = self.aliases[ref.alias]
         if ref.column not in self.schema[relation]:
             raise QueryParseError(
-                "relation %r has no column %r" % (relation, ref.column), ref.pos
+                "relation %r has no column %r" % (relation, ref.column), self.pos(ref.tok)
             )
         return ref
 
@@ -380,98 +399,103 @@ class _Parser:
         return self.schema[self.aliases[ref.alias]][ref.column]
 
     def parse_literal(self) -> tuple[float | str, int]:
+        """The literal's value and its token index."""
+        at = self.i
         tok = self.next()
-        if tok.kind == "number":
-            return float(tok.text), tok.pos
-        if tok.kind == "string":
-            return tok.text[1:-1].replace("''", "'"), tok.pos
-        raise QueryParseError("expected a literal, got %r" % (tok.text or "end"), tok.pos)
+        if tok[1]:
+            return float(tok[1]), at
+        if tok[2]:
+            return tok[2][1:-1].replace("''", "'"), at
+        raise QueryParseError("expected a literal, got %r" % (_text(tok) or "end"), self.pos(at))
 
-    def check_kinds(self, ref: _ColRef, value: float | str, pos: int) -> None:
+    def check_kinds(self, ref: _ColRef, value: float | str, at: int) -> None:
         want = self.column_kind(ref)
         got = "text" if isinstance(value, str) else "numeric"
         if want != got:
             raise UnsupportedQueryError(
                 "%s literal compared with %s column %s.%s"
                 % (got, want, ref.alias, ref.column),
-                pos,
+                self.pos(at),
             )
 
     def parse_comparison(self):
-        start = self.peek()
-        if start.kind in ("number", "string"):
-            value, vpos = self.parse_literal()
-            op = self.next()
-            if op.kind != "op" or op.text not in ("=", "<", "<=", ">", ">="):
-                raise QueryParseError("expected comparison operator", op.pos)
+        start = self.tokens[self.i]
+        if start[1] or start[2]:
+            value, vat = self.parse_literal()
+            op = self.next()[4]
+            if op not in _COMPARISONS:
+                raise QueryParseError("expected comparison operator", self.pos(self.i - 1))
             ref = self.parse_colref()
-            return self.build_comparison(ref, _FLIP[op.text], value, vpos)
+            return self.build_comparison(ref, _FLIP[op], value, vat)
         ref = self.parse_colref()
+        at = self.i
         tok = self.next()
-        if tok.kind == "op" and tok.text in ("<>", "!="):
-            raise UnsupportedQueryError("negated comparison is not supported", tok.pos)
-        if tok.kind == "kw" and tok.text == "IS":
-            raise UnsupportedQueryError("IS NULL tests are not supported", tok.pos)
-        if tok.kind == "kw" and tok.text == "BETWEEN":
-            lo, lpos = self.parse_literal()
+        op = tok[4]
+        word = tok[3].upper()
+        if op in ("<>", "!="):
+            raise UnsupportedQueryError("negated comparison is not supported", self.pos(at))
+        if word == "IS":
+            raise UnsupportedQueryError("IS NULL tests are not supported", self.pos(at))
+        if word == "BETWEEN":
+            lo, lat = self.parse_literal()
             self.expect_kw("AND")
-            hi, hpos = self.parse_literal()
-            self.check_kinds(ref, lo, lpos)
-            self.check_kinds(ref, hi, hpos)
+            hi, hat = self.parse_literal()
+            self.check_kinds(ref, lo, lat)
+            self.check_kinds(ref, hi, hat)
             if self.column_kind(ref) != "numeric":
-                raise UnsupportedQueryError("BETWEEN needs a numeric column", tok.pos)
+                raise UnsupportedQueryError("BETWEEN needs a numeric column", self.pos(at))
             return Range(ref.column, float(lo), float(hi), True, True), ref
-        if tok.kind == "kw" and tok.text == "LIKE":
-            pat_tok = self.next()
-            if pat_tok.kind != "string":
-                raise QueryParseError("LIKE needs a string pattern", pat_tok.pos)
-            pattern = pat_tok.text[1:-1].replace("''", "'")
+        if word == "LIKE":
+            pat_at = self.i
+            pattern = self.next()[2]
+            if not pattern:
+                raise QueryParseError("LIKE needs a string pattern", self.pos(pat_at))
+            pattern = pattern[1:-1].replace("''", "'")
             if self.column_kind(ref) != "text":
-                raise UnsupportedQueryError("LIKE needs a text column", tok.pos)
+                raise UnsupportedQueryError("LIKE needs a text column", self.pos(at))
             body = pattern[1 if pattern.startswith("%") else 0 :]
             body = body[: -1] if body.endswith("%") else body
             if "%" in body or "_" in body:
                 raise UnsupportedQueryError(
-                    "only plain substring patterns are supported", pat_tok.pos
+                    "only plain substring patterns are supported", self.pos(pat_at)
                 )
             return Like(ref.column, pattern), ref
-        if tok.kind == "kw" and tok.text == "IN":
+        if word == "IN":
             self.expect_op("(")
             values = []
             while True:
-                value, vpos = self.parse_literal()
-                self.check_kinds(ref, value, vpos)
+                value, vat = self.parse_literal()
+                self.check_kinds(ref, value, vat)
                 values.append(value)
-                nxt = self.next()
-                if nxt.kind == "op" and nxt.text == ",":
+                sep = self.next()[4]
+                if sep == ",":
                     continue
-                if nxt.kind == "op" and nxt.text == ")":
+                if sep == ")":
                     break
-                raise QueryParseError("expected ',' or ')' in IN list", nxt.pos)
+                raise QueryParseError("expected ',' or ')' in IN list", self.pos(self.i - 1))
             return InSet(ref.column, tuple(sorted(set(values)))), ref
-        if tok.kind != "op" or tok.text not in ("=", "<", "<=", ">", ">="):
-            raise QueryParseError("expected a comparison, got %r" % (tok.text or "end"), tok.pos)
-        nxt = self.peek()
-        if nxt.kind == "ident":
+        if op not in _COMPARISONS:
+            raise QueryParseError("expected a comparison, got %r" % (_text(tok) or "end"), self.pos(at))
+        if _ident(self.tokens[self.i]):
             other = self.parse_colref()
-            if tok.text != "=":
-                raise UnsupportedQueryError("non-equality joins are not supported", tok.pos)
+            if op != "=":
+                raise UnsupportedQueryError("non-equality joins are not supported", self.pos(at))
             if self.column_kind(ref) != self.column_kind(other):
                 raise UnsupportedQueryError(
                     "cannot join a %s column with a %s column"
                     % (self.column_kind(ref), self.column_kind(other)),
-                    tok.pos,
+                    self.pos(at),
                 )
-            return _RawJoin(ref, other, tok.pos), None
-        value, vpos = self.parse_literal()
-        return self.build_comparison(ref, tok.text, value, vpos)
+            return _RawJoin(ref, other, at), None
+        value, vat = self.parse_literal()
+        return self.build_comparison(ref, op, value, vat)
 
-    def build_comparison(self, ref: _ColRef, op: str, value: float | str, vpos: int):
-        self.check_kinds(ref, value, vpos)
+    def build_comparison(self, ref: _ColRef, op: str, value: float | str, at: int):
+        self.check_kinds(ref, value, at)
         if op == "=":
             return Eq(ref.column, value), ref
         if self.column_kind(ref) != "numeric":
-            raise UnsupportedQueryError("ordered comparison needs a numeric column", vpos)
+            raise UnsupportedQueryError("ordered comparison needs a numeric column", self.pos(at))
         v = float(value)
         if op == "<":
             node = Range(ref.column, None, v, True, False)
@@ -521,7 +545,7 @@ class _Parser:
             pred, ref = n
             if isinstance(pred, _RawJoin):
                 raise UnsupportedQueryError(
-                    "join conditions may not appear under OR", pred.pos
+                    "join conditions may not appear under OR", self.pos(pred.tok)
                 )
             refs.append(ref)
             return pred
@@ -530,7 +554,7 @@ class _Parser:
         aliases = {ref.alias for ref in refs}
         if len(aliases) != 1:
             raise UnsupportedQueryError(
-                "a predicate may only reference one relation", refs[-1].pos
+                "a predicate may only reference one relation", self.pos(refs[-1].tok)
             )
         return aliases.pop(), tree
 
@@ -544,7 +568,7 @@ class _Parser:
             a = (j.left.alias, j.left.column)
             b = (j.right.alias, j.right.column)
             if a == b:
-                raise UnsupportedQueryError("a column cannot join with itself", j.pos)
+                raise UnsupportedQueryError("a column cannot join with itself", self.pos(j.tok))
             for ref in (a, b):
                 if ref not in classes and ref not in parent:
                     classes[ref] = [ref]
@@ -555,26 +579,22 @@ class _Parser:
             if clash is None:
                 shared = {x for x, _ in classes[root]} & {x for x, _ in classes[child]}
                 if shared:
-                    clash = (min(shared), j.left.pos)
+                    clash = (min(shared), j.left.tok)
             parent[child] = root
             classes[root] += classes.pop(child)
         if clash is not None:
             raise UnsupportedQueryError(
-                "two columns of %r fall in the same join class" % clash[0], clash[1]
+                "two columns of %r fall in the same join class" % clash[0], self.pos(clash[1])
             )
-        names: dict[tuple[str, str], str] = {}
+        var_columns: dict[str, list[tuple[str, tuple[str]]]] = {a: [] for a in self.aliases}
         for n, root in enumerate(sorted(classes, key=lambda r: min(classes[r]))):
-            for ref in classes[root]:
-                names[ref] = "v%d" % n
-        atoms = []
-        for alias, relation in self.aliases.items():
-            vc = sorted(
-                (var, (col,))
-                for (a, col), var in names.items()
-                if a == alias
-            )
-            atoms.append(Atom(alias, relation, tuple(vc)))
-        return tuple(atoms)
+            var = "v%d" % n
+            for alias, col in classes[root]:
+                var_columns[alias].append((var, (col,)))
+        return tuple(
+            Atom(alias, relation, tuple(sorted(var_columns[alias])))
+            for alias, relation in self.aliases.items()
+        )
 
 
 _FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -803,7 +823,7 @@ def decompose(query: Query, graph: JoinGraph | None = None) -> BoundPlan:
 
     def build(alias: str, via: str, root: bool = False) -> str:
         children = []
-        for var in atoms[alias].variables():
+        for var, _ in atoms[alias].var_columns:
             if var == via or var not in join_vars:
                 continue
             ids = child_inputs(var)
@@ -933,26 +953,31 @@ def _retie(
     kept_by_var: dict[str, list[tuple[str, str]]] = {}
     for var, a1, a2 in kept:
         kept_by_var.setdefault(var, []).append((a1, a2))
-    assignments: dict[tuple[str, str], tuple[str, tuple[str, ...]]] = {}
     groups: list[tuple[str, tuple[str, ...]]] = []
-    for var in sorted(var_atoms):
-        aliases = var_atoms[var]
+    for var, aliases in var_atoms.items():
+        pairs = kept_by_var.get(var)
         if len(aliases) == 1:
             groups.append((var, aliases))
+        elif pairs is None:
             continue
-        parent: dict[str, str] = {}
-        for a1, a2 in kept_by_var.get(var, ()):
-            parent[_find(parent, a1)] = _find(parent, a2)
-        comps: dict[str, list[str]] = {}
-        for a in aliases:
-            comps.setdefault(_find(parent, a), []).append(a)
-        for members in comps.values():
-            if len(members) >= 2:
-                groups.append((var, tuple(sorted(members))))
+        elif len(pairs) == len(aliases) - 1:
+            # kept edges never close a cycle, so these join every alias
+            groups.append((var, tuple(sorted(aliases))))
+        else:
+            parent: dict[str, str] = {}
+            for a1, a2 in pairs:
+                parent[_find(parent, a1)] = _find(parent, a2)
+            comps: dict[str, list[str]] = {}
+            for a in aliases:
+                comps.setdefault(_find(parent, a), []).append(a)
+            for members in comps.values():
+                if len(members) >= 2:
+                    groups.append((var, tuple(sorted(members))))
     names: dict[tuple[str, str], str] = {}
     for i, (var, members) in enumerate(sorted(groups)):
+        name = "v%d" % i
         for alias in members:
-            names[(var, alias)] = "v%d" % i
+            names[(var, alias)] = name
     atoms = []
     for atom in query.atoms:
         vc = []

@@ -448,6 +448,32 @@ class TestWorkPerQuery:
         assert bound_query(catalog, query).strategy == "acyclic"
         assert len(graphs) == 1
 
+    def test_cycle_builds_one_join_graph(self, monkeypatch):
+        catalog, rels, schema = ring_catalog(5)
+        query = parse_query(
+            "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c, e4 AS d, e5 AS e"
+            " WHERE a.v = b.u AND b.v = c.u AND c.v = d.u AND d.v = e.u AND e.v = a.u",
+            schema,
+        )
+        # each tree planned from its own join graph, with a fresh plan memo
+        planned, unshared = seqbound.inference.decompose, seqbound.inference.plan_bound
+        with monkeypatch.context() as patch:
+            patch.setattr(seqbound.inference, "decompose", lambda tree, graph=None: planned(tree))
+            patch.setattr(
+                seqbound.inference,
+                "plan_bound",
+                lambda plan, profiles, memo=None: unshared(plan, profiles),
+            )
+            per_tree_graphs = counted(patch, "join_graph", seqbound.inference, seqbound.query)
+            want = bound_query(catalog, query)
+        graphs = counted(monkeypatch, "join_graph", seqbound.inference, seqbound.query)
+        got = bound_query(catalog, query)
+        assert got == want
+        assert got.value.hex() == want.value.hex()
+        assert got.strategy == "min-over-5-spanning-trees"
+        assert got.bound >= true_cardinality(rels, query)
+        assert (len(graphs), len(per_tree_graphs)) == (1, 6)
+
     def test_cycle_derives_each_profile_once(self, monkeypatch):
         catalog, rels, schema = ring_catalog(5)
         query = parse_query(

@@ -156,6 +156,17 @@ class TestPiecewiseConstantFn:
         with pytest.raises(ValueError):
             PiecewiseConstantFn((2, 1), (3, 2))
 
+    @given(concave_fns())
+    def test_equal_functions_hash_equal(self, cumulative):
+        fn = discrete_derivative(cumulative)
+        twin = PiecewiseConstantFn(list(fn.edges), list(fn.values))
+        assert twin is not fn and twin == fn
+        assert hash(fn) == hash(twin) == hash((fn.edges, fn.values))
+        # the cached hash is the one a second call returns
+        assert hash(fn) == hash((fn.edges, fn.values))
+        other = PiecewiseConstantFn((*fn.edges[:-1], fn.end + 1.0), fn.values)
+        assert other != fn
+
 
 class TestPiecewiseLinearFn:
     def test_must_start_at_origin(self):
@@ -567,6 +578,42 @@ class TestFastPathsMatchPerPointReferences:
     )
     @example(ROUNDING, ROUNDING, ROUNDING, 1.0)
     @example(ROUNDING_INVERSE, ROUNDING_INVERSE, ROUNDING_INVERSE, 1.0)
+    # a child longer than `through`, clipped to its end
+    @example(PiecewiseLinearFn((0, 1, 2, 5), (0, 6, 9, 11)), ROUNDING, ROUNDING, 0.7)
+    # a child with two edges past through's end by less than the slack, and
+    # an anchor whose mass passes through's by less than the slack: through
+    # reads its total past its end, not a value along its last slope
+    @example(
+        PiecewiseLinearFn((0, 1, 2 + 1e-10, 2 + 3e-10), (0, 3, 5, 5 + 2e-10)),
+        PiecewiseLinearFn((0, 1, 2), (0, 4, 6)),
+        PiecewiseLinearFn((0, 1, 3), (0, 5, 6 + 1e-9)),
+        1.0,
+    )
+    # a child shorter than `through`, padded with zero frequency
+    @example(
+        PiecewiseLinearFn((0, 1), (0, 2)),
+        PiecewiseLinearFn((0, 1, 3), (0, 4, 6)),
+        PiecewiseLinearFn((0, 2, 4), (0, 4, 5)),
+        0.5,
+    )
+    # a zero-mass anchor
+    @example(ROUNDING, ROUNDING, ROUNDING, 0.0)
+    # an anchor with a flat tail, whose mass through passes mid-segment
+    @example(ROUNDING, ROUNDING, PiecewiseLinearFn((0, 1, 2, 4), (0, 5, 6, 6)), 1.0)
+    # an anchor mass below through's by less than the slack
+    @example(
+        ROUNDING,
+        ROUNDING,
+        PiecewiseLinearFn(ROUNDING.knots, (0.0, 24.84, 30.36 * (1 - 1e-11))),
+        1.0,
+    )
+    # child edges 1e-13 apart, which map to anchor ranks closer than 1e-12
+    @example(
+        PiecewiseLinearFn((0, 1, 1 + 1e-13, 2), (0, 4, 4 + 3e-13, 6)),
+        PiecewiseLinearFn((0, 2), (0, 6)),
+        PiecewiseLinearFn((0, 2), (0, 6)),
+        1.0,
+    )
     def test_compose_ranks(self, child_col, through, anchor, share):
         # as in plan_bound: the anchor's mass never exceeds the child side's
         anchor = truncate_cumulative(anchor, through.total * share)
