@@ -386,13 +386,10 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
             for var, cols in atom.var_columns:
                 profiles[(atom.alias, var)] = conditioner.variable_profile(atom, cols)
                 var_aliases.setdefault(var, []).append(atom.alias)
-        if tree is q:
-            plan = decompose(tree, graph)
-        else:
-            # every spanning tree is acyclic and connected, so two of its
-            # atoms never share two variables
-            variables = {v: tuple(sorted(als)) for v, als in var_aliases.items()}
-            plan = decompose(tree, JoinGraph(variables, True, True, ()))
+        # q reaches here only when acyclic and connected, and every spanning
+        # tree is both, so two atoms of a tree never share two variables
+        variables = {v: tuple(sorted(als)) for v, als in var_aliases.items()}
+        plan = decompose(tree, JoinGraph(variables, True, True, ()))
         value, steps = plan_bound(plan, profiles, memo)
         if len(trees) > 1:
             notes.append("spanning tree %d/%d -> %.6g" % (idx + 1, len(trees), value))

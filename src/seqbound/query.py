@@ -955,24 +955,18 @@ def _retie(
         kept_by_var.setdefault(var, []).append((a1, a2))
     groups: list[tuple[str, tuple[str, ...]]] = []
     for var, aliases in var_atoms.items():
-        pairs = kept_by_var.get(var)
         if len(aliases) == 1:
             groups.append((var, aliases))
-        elif pairs is None:
             continue
-        elif len(pairs) == len(aliases) - 1:
-            # kept edges never close a cycle, so these join every alias
-            groups.append((var, tuple(sorted(aliases))))
-        else:
-            parent: dict[str, str] = {}
-            for a1, a2 in pairs:
-                parent[_find(parent, a1)] = _find(parent, a2)
-            comps: dict[str, list[str]] = {}
-            for a in aliases:
-                comps.setdefault(_find(parent, a), []).append(a)
-            for members in comps.values():
-                if len(members) >= 2:
-                    groups.append((var, tuple(sorted(members))))
+        parent: dict[str, str] = {}
+        for a1, a2 in kept_by_var.get(var, ()):
+            parent[_find(parent, a1)] = _find(parent, a2)
+        comps: dict[str, list[str]] = {}
+        for a in aliases:
+            comps.setdefault(_find(parent, a), []).append(a)
+        for members in comps.values():
+            if len(members) >= 2:
+                groups.append((var, tuple(sorted(members))))
     names: dict[tuple[str, str], str] = {}
     for i, (var, members) in enumerate(sorted(groups)):
         name = "v%d" % i
