@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -48,6 +49,8 @@ def _fn_load(plain: dict, interned: dict) -> PiecewiseLinearFn:
     key = (tuple(plain["knots"]), tuple(plain["values"]))
     fn = interned.get(key)
     if fn is None:
+        if not all(map(math.isfinite, key[0] + key[1])):
+            raise ValueError("profile knots and values must be finite")
         fn = interned[key] = PiecewiseLinearFn(*key)
     return fn
 
@@ -138,6 +141,11 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
     relations = {}
     interned: dict = {}
     for name, rp in plain["relations"].items():
+        if type(rp["cardinality"]) is not int or rp["cardinality"] < 0:
+            raise ValueError(
+                "relation %r: cardinality must be a non-negative integer, got %r"
+                % (name, rp["cardinality"])
+            )
         relations[name] = RelationStats(
             name=name,
             cardinality=rp["cardinality"],

@@ -35,7 +35,6 @@ from .query import (
     BoundPlan,
     Eq,
     InSet,
-    JoinGraph,
     JoinStep,
     Like,
     MergeStep,
@@ -360,37 +359,27 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
     notes: list[str] = []
     q = _ensure_join_vars(catalog, _apply_pkfk(catalog, query, notes), notes)
     graph = join_graph(q)
-    fused = fuse_parallel_joins(q, graph)
-    if fused is not q:
+    fused = fuse_parallel_joins(graph)
+    if fused is not graph:
         notes.append("fused parallel join edges into multi-column variables")
-        q = fused
-        graph = join_graph(q)
+        graph = fused
     if not graph.connected:
         raise UnsupportedQueryError(
             "query is a cross product; every relation must join the rest"
         )
-    if graph.acyclic:
-        trees = (q,)
-        strategy = "acyclic"
-    else:
-        trees = spanning_trees(q, SPANNING_TREE_CAP, graph)
-        strategy = "min-over-%d-spanning-trees" % len(trees)
+    trees = spanning_trees(graph, SPANNING_TREE_CAP)
+    strategy = "acyclic" if graph.acyclic else "min-over-%d-spanning-trees" % len(trees)
     conditioner = _Conditioner(catalog, q, notes)
     best = math.inf
     best_steps: tuple[str, ...] = ()
     memo: dict = {}
     for idx, tree in enumerate(trees):
-        profiles = {}
-        var_aliases: dict[str, list[str]] = {}
-        for atom in tree.atoms:
-            for var, cols in atom.var_columns:
-                profiles[(atom.alias, var)] = conditioner.variable_profile(atom, cols)
-                var_aliases.setdefault(var, []).append(atom.alias)
-        # q reaches here only when acyclic and connected, and every spanning
-        # tree is both, so two atoms of a tree never share two variables
-        variables = {v: tuple(sorted(als)) for v, als in var_aliases.items()}
-        plan = decompose(tree, JoinGraph(variables, True, True, ()))
-        value, steps = plan_bound(plan, profiles, memo)
+        profiles = {
+            (atom.alias, var): conditioner.variable_profile(atom, cols)
+            for atom in tree.atoms
+            for var, cols in atom.var_columns
+        }
+        value, steps = plan_bound(decompose(tree), profiles, memo)
         if len(trees) > 1:
             notes.append("spanning tree %d/%d -> %.6g" % (idx + 1, len(trees), value))
         if value < best:
@@ -399,8 +388,8 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
     # COUNT(*) of a lone relation includes rows whose carrier column is
     # null, which no profile can see; joins are unaffected because null
     # keys never match.
-    if len(q.atoms) == 1 and all(v.startswith("_") for v in q.atoms[0].variables()):
-        atom = q.atoms[0]
+    if len(graph.atoms) == 1 and all(v.startswith("_") for v in graph.atoms[0].variables()):
+        atom = graph.atoms[0]
         rel = catalog.relations[atom.relation]
         carrier = atom.var_columns[0][1][0]
         nulls = max(0.0, float(rel.cardinality) - rel.fallback[carrier].total)

@@ -56,6 +56,14 @@ def _slack(*vals: float) -> float:
     return ABS_TOL * m
 
 
+def _rise_slack(a: float, b: float) -> float:
+    """How far ``b`` may rise above the ``a`` just before it in a sequence
+    of non-negative numbers that counts as non-increasing.  ``pw_min``
+    leaves slopes that rise by a few roundings, so this is wider than
+    ``_slack``."""
+    return 1e-7 * max(1.0, a, b)
+
+
 class DegreeSequence:
     """Value frequencies of one column, sorted descending, all positive."""
 
@@ -133,7 +141,7 @@ class PiecewiseConstantFn:
             if v == last:
                 es[-1] = e
                 continue
-            if last is not None and v > last and v > last + _slack(v, last):
+            if last is not None and v > last and v > last + _rise_slack(last, v):
                 raise ValueError("segment values must be non-increasing")
             es.append(e)
             vs.append(v)
@@ -219,7 +227,7 @@ class PiecewiseLinearFn:
                 dv = 0.0
             slopes.append(dv / w)
         for a, b in zip(slopes, slopes[1:]):
-            if b > a and b > a + 1e-7 * max(1.0, b, a):
+            if b > a and b > a + _rise_slack(a, b):
                 raise ValueError("slopes must be non-increasing (got %r after %r)" % (b, a))
         self.knots = tuple(ks)
         self.values = tuple(vs)
@@ -530,7 +538,7 @@ def pw_sum(fns: Sequence[PiecewiseLinearFn]) -> PiecewiseLinearFn:
 
 def truncate_cumulative(fn: PiecewiseLinearFn, cap: float) -> PiecewiseLinearFn:
     """Clamp a cumulative profile so its total mass never exceeds cap."""
-    if cap <= _slack(cap):
+    if cap <= ABS_TOL:
         return zero_cumulative(fn.end)
     if cap >= fn.total - _slack(cap, fn.total):
         return fn

@@ -321,11 +321,18 @@ class _Parser:
             if relation not in self.schema:
                 raise QueryParseError("unknown relation %r" % relation, self.pos(at))
             alias = relation
-            self.accept_kw("AS")
-            named = _ident(self.tokens[self.i])
+            has_as = self.accept_kw("AS")
+            tok = self.tokens[self.i]
+            named = _ident(tok)
             if named:
                 alias = named
                 self.i += 1
+            elif has_as and (tok is _EOF or tok[4] == "," or tok[3].upper() == "WHERE"):
+                # the table ends with AS and no alias; any other token after
+                # AS is reported where it stands, as trailing input
+                raise QueryParseError(
+                    "expected alias after AS, got %r" % (_text(tok) or "end"), self.pos(self.i)
+                )
             if alias in self.aliases:
                 raise QueryParseError("duplicate alias %r" % alias, self.pos(at))
             self.aliases[alias] = relation
@@ -704,10 +711,25 @@ def print_query(query: Query) -> str:
 
 @dataclass(frozen=True)
 class JoinGraph:
+    """A query's atoms, each variable's sorted aliases, and the number of
+    independent cycles and connectedness of the atom-variable graph."""
+
+    atoms: tuple[Atom, ...]
     variables: dict[str, tuple[str, ...]]
-    acyclic: bool
+    cycles: int
     connected: bool
-    multi_column_pairs: tuple[tuple[str, str, tuple[str, ...]], ...]
+
+    @property
+    def acyclic(self) -> bool:
+        return self.cycles == 0
+
+    @property
+    def multi_column_pairs(self) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+        shared: dict[tuple[str, str], list[str]] = {}
+        for var, aliases in sorted(self.variables.items()):
+            for pair in itertools.combinations(aliases, 2):
+                shared.setdefault(pair, []).append(var)
+        return tuple((*pair, tuple(vs)) for pair, vs in sorted(shared.items()) if len(vs) >= 2)
 
 
 def join_graph(query: Query) -> JoinGraph:
@@ -717,26 +739,17 @@ def join_graph(query: Query) -> JoinGraph:
             var_atoms.setdefault(var, []).append(atom.alias)
     variables = {v: tuple(sorted(set(a))) for v, a in var_atoms.items()}
     parent: dict[str, str] = {}
-    acyclic = True
+    cycles = 0
     for var, aliases in variables.items():
         vnode = "var:" + var
         for alias in aliases:
             ra, rv = _find(parent, "atom:" + alias), _find(parent, vnode)
             if ra == rv:
-                acyclic = False
+                cycles += 1
             else:
                 parent[ra] = rv
     roots = {_find(parent, "atom:" + a.alias) for a in query.atoms}
-    connected = len(roots) <= 1
-    pairs: list[tuple[str, str, tuple[str, ...]]] = []
-    seen_vars: dict[tuple[str, str], list[str]] = {}
-    for var, aliases in sorted(variables.items()):
-        for a1, a2 in itertools.combinations(aliases, 2):
-            seen_vars.setdefault((a1, a2), []).append(var)
-    for (a1, a2), vs in sorted(seen_vars.items()):
-        if len(vs) >= 2:
-            pairs.append((a1, a2, tuple(sorted(vs))))
-    return JoinGraph(variables, acyclic, connected, tuple(pairs))
+    return JoinGraph(query.atoms, variables, cycles, len(roots) <= 1)
 
 
 # ---------------------------------------------------------- bound plans
@@ -772,29 +785,27 @@ def base_input(alias: str, var: str) -> str:
     return "%s/%s" % (alias, var)
 
 
-def decompose(query: Query, graph: JoinGraph | None = None) -> BoundPlan:
-    """Turn an acyclic connected query into a bottom-up plan of merge and
-    join steps whose root evaluates to the cardinality bound.
+def decompose(graph: JoinGraph) -> BoundPlan:
+    """Turn an acyclic connected join graph into a bottom-up plan of merge
+    and join steps whose root evaluates to the cardinality bound.
 
     The root relation is the atom with the most variables (ties broken by
     alias); its anchor is a variable shared with no other atom when one
     exists, the alphabetically first variable otherwise.  Atoms with a
     single join variable and nothing beneath them feed their profiles in
-    directly; each atom's profile is consumed exactly once.  ``graph``, when
-    given, is the query's join graph.
+    directly; each atom's profile is consumed exactly once.
     """
-    graph = join_graph(query) if graph is None else graph
     if not graph.connected:
         raise ValueError("cannot plan a disconnected query")
     if not graph.acyclic:
         raise ValueError("cannot plan a cyclic query directly")
-    atoms = {a.alias: a for a in query.atoms}
-    for atom in query.atoms:
+    atoms = {a.alias: a for a in graph.atoms}
+    for atom in graph.atoms:
         if not atom.var_columns:
             raise ValueError("atom %r has no join variable" % atom.alias)
     join_vars = {v for v, als in graph.variables.items() if len(als) >= 2}
-    max_vars = max(len(a.var_columns) for a in query.atoms)
-    root_alias = min(a.alias for a in query.atoms if len(a.var_columns) == max_vars)
+    max_vars = max(len(a.var_columns) for a in graph.atoms)
+    root_alias = min(a.alias for a in graph.atoms if len(a.var_columns) == max_vars)
     root_atom = atoms[root_alias]
     free = [v for v in root_atom.variables() if v not in join_vars]
     anchor = min(free) if free else min(root_atom.variables())
@@ -843,16 +854,15 @@ def decompose(query: Query, graph: JoinGraph | None = None) -> BoundPlan:
         root_out = out
     if len(visited) != len(atoms):
         raise ValueError("cannot plan a disconnected query")
-    return BoundPlan(tuple(steps), root_out, query.atoms)
+    return BoundPlan(tuple(steps), root_out, graph.atoms)
 
 
 # ------------------------------------------------------ query rewrites
 
-def fuse_parallel_joins(query: Query, graph: JoinGraph | None = None) -> Query:
-    """Merge variable pairs that join the same two atoms on several columns
-    into a single variable carrying the column set on each side.
-    ``graph``, when given, is the query's join graph."""
-    graph = join_graph(query) if graph is None else graph
+def fuse_parallel_joins(graph: JoinGraph) -> JoinGraph:
+    """Merge the variables that join the same two atoms, and no other, on
+    several columns into one variable, the group's smallest, carrying the
+    column set on each side.  Returns ``graph`` itself when nothing merges."""
     merge_groups: list[tuple[str, ...]] = []
     merged_vars: set[str] = set()
     for a1, a2, vs in graph.multi_column_pairs:
@@ -863,45 +873,41 @@ def fuse_parallel_joins(query: Query, graph: JoinGraph | None = None) -> Query:
             merge_groups.append(exclusive)
             merged_vars.update(exclusive)
     if not merge_groups:
-        return query
+        return graph
     target = {v: min(group) for group in merge_groups for v in group}
     atoms = []
-    for atom in query.atoms:
+    for atom in graph.atoms:
         combined: dict[str, list[str]] = {}
         for var, cols in atom.var_columns:
             combined.setdefault(target.get(var, var), []).extend(cols)
-        atoms.append(
-            Atom(
-                atom.alias,
-                atom.relation,
-                tuple(sorted((v, tuple(c)) for v, c in combined.items())),
-            )
-        )
-    return Query(tuple(atoms), dict(query.predicates))
+        var_columns = tuple(sorted((v, tuple(c)) for v, c in combined.items()))
+        atoms.append(Atom(atom.alias, atom.relation, var_columns))
+    # the merged variable keeps its two aliases, and a group of k variables
+    # over one pair of atoms closed k - 1 cycles
+    variables = {v: als for v, als in graph.variables.items() if target.get(v, v) == v}
+    cycles = graph.cycles - sum(len(group) - 1 for group in merge_groups)
+    return JoinGraph(tuple(atoms), variables, cycles, graph.connected)
 
 
-def spanning_trees(
-    query: Query, cap: int = 64, graph: JoinGraph | None = None
-) -> tuple[Query, ...]:
-    """All acyclic reshapes of a cyclic query, as one query per spanning
+def spanning_trees(graph: JoinGraph, cap: int = 64) -> tuple[JoinGraph, ...]:
+    """All acyclic reshapes of a cyclic join graph, one graph per spanning
     tree of its atom-level join multigraph (up to ``cap``, in canonical
-    edge order).  Dropped edges split their variable; a column whose edge
-    is dropped simply stops being joined in that tree.
+    edge order); an acyclic graph is its own only tree.  Dropped edges
+    split their variable; a column whose edge is dropped simply stops
+    being joined in that tree.
 
     Trees come out in lexicographic order of their edge indices, found by
     a depth-first search in the style of Read and Tarjan (1975): an edge
     that closes a cycle is skipped, and a prefix stops extending once it
     plus the edges after it can no longer connect every alias.  Every
     branch the search enters therefore ends in a tree, so finding ``cap``
-    trees takes polynomial work.  ``graph``, when given, is the query's
-    join graph.
+    trees takes polynomial work.
     """
-    graph = join_graph(query) if graph is None else graph
-    if graph.acyclic and graph.connected:
-        return (query,)
     if not graph.connected:
         raise ValueError("query is disconnected")
-    aliases = sorted(a.alias for a in query.atoms)
+    if graph.acyclic:
+        return (graph,)
+    aliases = sorted(a.alias for a in graph.atoms)
     n = len(aliases)
     edges: list[tuple[str, str, str]] = []
     for var in sorted(graph.variables):
@@ -942,19 +948,17 @@ def spanning_trees(
             chosen.pop()
 
     extend(0, list(range(n)))
-    return tuple(_retie(query, graph.variables, combo) for combo in trees)
+    return tuple(_retie(graph, combo) for combo in trees)
 
 
-def _retie(
-    query: Query,
-    var_atoms: dict[str, tuple[str, ...]],
-    kept: tuple[tuple[str, str, str], ...],
-) -> Query:
+def _retie(graph: JoinGraph, kept: tuple[tuple[str, str, str], ...]) -> JoinGraph:
+    """The tree of ``graph`` with edges ``kept``: each variable splits into
+    one per group of aliases that its kept edges connect."""
     kept_by_var: dict[str, list[tuple[str, str]]] = {}
     for var, a1, a2 in kept:
         kept_by_var.setdefault(var, []).append((a1, a2))
     groups: list[tuple[str, tuple[str, ...]]] = []
-    for var, aliases in var_atoms.items():
+    for var, aliases in graph.variables.items():
         if len(aliases) == 1:
             groups.append((var, aliases))
             continue
@@ -968,16 +972,18 @@ def _retie(
             if len(members) >= 2:
                 groups.append((var, tuple(sorted(members))))
     names: dict[tuple[str, str], str] = {}
+    variables: dict[str, tuple[str, ...]] = {}
     for i, (var, members) in enumerate(sorted(groups)):
         name = "v%d" % i
+        variables[name] = members
         for alias in members:
             names[(var, alias)] = name
     atoms = []
-    for atom in query.atoms:
+    for atom in graph.atoms:
         vc = []
         for var, cols in atom.var_columns:
             new = names.get((var, atom.alias))
             if new is not None:
                 vc.append((new, cols))
         atoms.append(Atom(atom.alias, atom.relation, tuple(sorted(vc))))
-    return Query(tuple(atoms), dict(query.predicates))
+    return JoinGraph(tuple(atoms), variables, 0, True)

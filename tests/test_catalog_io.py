@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import struct
 
@@ -115,6 +116,18 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def set_at(*path, value):
+    """A payload edit that sets the item at ``path`` under relation fact."""
+
+    def edit(plain):
+        node = plain["relations"]["fact"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
 class TestFormatErrors:
     def write_good(self, tmp_path):
         p = tmp_path / "c.bin"
@@ -195,6 +208,27 @@ class TestFormatErrors:
 
         self.edit_payload(p, edit)
         self.assert_rejected(p, "bucket ids", capsys)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # a fallback total of Infinity would bound COUNT(*) at 0
+            (set_at("fallback", "fk", "values", -1, value=math.inf), "must be finite"),
+            (set_at("fallback", "amt", "knots", -1, value=math.inf), "must be finite"),
+            (set_at("equality", 0, "default", "values", 1, value=math.nan), "must be finite"),
+            (set_at("cardinality", value=math.inf), "non-negative integer"),
+            (set_at("cardinality", value=-1), "non-negative integer"),
+            (set_at("cardinality", value=60.5), "non-negative integer"),
+        ],
+        ids=[
+            "infinite-total", "infinite-knot", "nan-value",
+            "infinite-cardinality", "negative-cardinality", "fractional-cardinality",
+        ],
+    )
+    def test_non_finite_or_fractional_number(self, tmp_path, capsys, edit, match):
+        p = self.write_good(tmp_path)
+        self.edit_payload(p, edit)
+        self.assert_rejected(p, match, capsys)
 
     @pytest.mark.parametrize(
         "edit, match",

@@ -23,6 +23,7 @@ from seqbound.query import (
     Like,
     MergeStep,
     Or,
+    Query,
     Range,
     UnsupportedQueryError,
     like_matches,
@@ -96,6 +97,20 @@ SHOP_SCHEMA = {
     "orders": {"cust": "numeric", "status": "text", "total": "numeric"},
     "customers": {"id": "numeric", "region": "text"},
 }
+
+
+PAIR_SQL = "SELECT COUNT(*) FROM pa AS x, pb AS y WHERE x.a = y.a AND x.b = y.b"
+
+
+def pair_catalog():
+    """Two relations joined on two columns (``PAIR_SQL``), and their schema."""
+    data = {"a": np.array([1.0, 1.0, 2.0]), "b": np.array([1.0, 2.0, 1.0])}
+    rels = {
+        n: Relation(n, [Column("a", "numeric"), Column("b", "numeric")], dict(data), 3)
+        for n in ("pa", "pb")
+    }
+    catalog = build_catalog(rels, {n: ColumnRole(("a", "b"), ()) for n in rels}, params=EXACT)
+    return catalog, rels, {n: {"a": "numeric", "b": "numeric"} for n in rels}
 
 
 class TestConditionSequence:
@@ -325,23 +340,13 @@ class TestBoundQuery:
         assert any("not a declared join column" in n for n in res.notes)
 
     def test_fused_multi_column_join(self):
-        data = {"a": np.array([1.0, 1.0, 2.0]), "b": np.array([1.0, 2.0, 1.0])}
-        pa = Relation("pa", [Column("a", "numeric"), Column("b", "numeric")], dict(data), 3)
-        pb = Relation("pb", [Column("a", "numeric"), Column("b", "numeric")], dict(data), 3)
-        catalog = build_catalog(
-            {"pa": pa, "pb": pb},
-            {"pa": ColumnRole(("a", "b"), ()), "pb": ColumnRole(("a", "b"), ())},
-            params=EXACT,
-        )
-        schema = {"pa": {"a": "numeric", "b": "numeric"},
-                  "pb": {"a": "numeric", "b": "numeric"}}
-        sql = "SELECT COUNT(*) FROM pa AS x, pb AS y WHERE x.a = y.a AND x.b = y.b"
-        res = bound(catalog, sql, schema)
+        catalog, rels, schema = pair_catalog()
+        res = bound(catalog, PAIR_SQL, schema)
         assert "fused parallel join edges into multi-column variables" in res.notes
         assert res.strategy == "acyclic"
         # lower envelope of the two column profiles squares to 4 + 1
         assert res.bound == 5
-        assert res.bound >= true_cardinality({"pa": pa, "pb": pb}, parse_query(sql, schema))
+        assert res.bound >= true_cardinality(rels, parse_query(PAIR_SQL, schema))
 
     def test_cyclic_query_takes_best_spanning_tree(self):
         cols = {"u": np.array([1.0, 2.0]), "v": np.array([1.0, 2.0])}
@@ -448,6 +453,14 @@ class TestWorkPerQuery:
         assert bound_query(catalog, query).strategy == "acyclic"
         assert len(graphs) == 1
 
+    def test_fused_query_builds_one_join_graph(self, monkeypatch):
+        catalog, _, schema = pair_catalog()
+        query = parse_query(PAIR_SQL, schema)
+        graphs = counted(monkeypatch, "join_graph", seqbound.inference, seqbound.query)
+        res = bound_query(catalog, query)
+        assert "fused parallel join edges into multi-column variables" in res.notes
+        assert len(graphs) == 1
+
     def test_cycle_builds_one_join_graph(self, monkeypatch):
         catalog, rels, schema = ring_catalog(5)
         query = parse_query(
@@ -455,10 +468,15 @@ class TestWorkPerQuery:
             " WHERE a.v = b.u AND b.v = c.u AND c.v = d.u AND d.v = e.u AND e.v = a.u",
             schema,
         )
-        # each tree planned from its own join graph, with a fresh plan memo
+        # each tree planned from a join graph rebuilt from its atoms, with a
+        # fresh plan memo
         planned, unshared = seqbound.inference.decompose, seqbound.inference.plan_bound
         with monkeypatch.context() as patch:
-            patch.setattr(seqbound.inference, "decompose", lambda tree, graph=None: planned(tree))
+            patch.setattr(
+                seqbound.inference,
+                "decompose",
+                lambda tree: planned(seqbound.query.join_graph(Query(tree.atoms))),
+            )
             patch.setattr(
                 seqbound.inference,
                 "plan_bound",

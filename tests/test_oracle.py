@@ -22,7 +22,7 @@ from seqbound.oracle import (
     verify_bound,
 )
 from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, cumulate
-from seqbound.query import fuse_parallel_joins, join_graph, parse_query
+from seqbound.query import Query, fuse_parallel_joins, join_graph, parse_query
 from seqbound.relation import Column, ColumnRole, Relation
 from seqbound.stats import BuildParams, build_catalog
 
@@ -190,12 +190,10 @@ class TestTrueCardinality:
             "pb": Relation("pb", [Column("a", "numeric"), Column("b", "numeric")], dict(data), 2),
         }
         schema = {"pa": {"a": "numeric", "b": "numeric"}, "pb": {"a": "numeric", "b": "numeric"}}
-        fused = fuse_parallel_joins(
-            parse_query(
-                "SELECT COUNT(*) FROM pa AS x, pb AS y WHERE x.a = y.a AND x.b = y.b",
-                schema,
-            )
+        q = parse_query(
+            "SELECT COUNT(*) FROM pa AS x, pb AS y WHERE x.a = y.a AND x.b = y.b", schema
         )
+        fused = Query(fuse_parallel_joins(join_graph(q)).atoms, q.predicates)
         with pytest.raises(ValueError, match="single-column"):
             true_cardinality(rels, fused)
 

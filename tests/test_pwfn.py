@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -364,6 +366,9 @@ class TestTruncate:
         assert truncate_cumulative(self.F, 11.0) is self.F
         assert truncate_cumulative(self.F, 99.0) is self.F
 
+    def test_infinite_cap_is_noop(self):
+        assert truncate_cumulative(self.F, math.inf) is self.F
+
     def test_zero_cap(self):
         cut = truncate_cumulative(self.F, 0.0)
         assert cut.total == 0.0
@@ -722,11 +727,26 @@ class TestToleranceEdges:
             PiecewiseConstantFn((1.0, 2.0), (3.0, -2e-9))
 
     def test_step_values_non_increasing(self):
-        # tolerance 1e-9 * 100
-        fn = PiecewiseConstantFn((1.0, 2.0), (100.0, 100.0 + 0.5e-7))
-        assert fn.values == (100.0, 100.0 + 0.5e-7)
+        # tolerance 1e-7 * 100, as for a cumulative profile's slopes
+        fn = PiecewiseConstantFn((1.0, 2.0), (100.0, 100.0 + 0.5e-5))
+        assert fn.values == (100.0, 100.0 + 0.5e-5)
         with pytest.raises(ValueError, match="non-increasing"):
-            PiecewiseConstantFn((1.0, 2.0), (100.0, 100.0 + 2e-7))
+            PiecewiseConstantFn((1.0, 2.0), (100.0, 100.0 + 2e-5))
+
+    @pytest.mark.parametrize("rise, accepted", [(1.5e-7, True), (2.5e-7, False)])
+    def test_slopes_and_steps_share_one_rule(self, rise, accepted):
+        # slopes 2 then 2 + rise against a tolerance of 1e-7 * 2: a profile
+        # the cumulative check accepts has a derivative the step check accepts
+        values = (0.0, 2.0, 2.0 + 2.0 * (2.0 + rise))
+        for build in (
+            lambda: discrete_derivative(PiecewiseLinearFn((0.0, 1.0, 3.0), values)),
+            lambda: PiecewiseConstantFn((1.0, 3.0), (2.0, 2.0 + rise)),
+        ):
+            if accepted:
+                assert build().values[0] == 2.0
+            else:
+                with pytest.raises(ValueError, match="non-increasing"):
+                    build()
 
     def test_cumulative_non_decreasing(self):
         # tolerance 1e-9 * 10; a dip inside it becomes a flat segment

@@ -343,6 +343,9 @@ TOKENIZER_PINS = [
     (W + "orders.note LIKE '%a%b%'", ('UnsupportedQueryError', 'only plain substring patterns are supported', 51)),
     ('SELECT COUNT(*) FROM orders AS o, orders AS o', ('QueryParseError', "duplicate alias 'o'", 34)),
     (W + 'orders.total IN (1, 2', ('QueryParseError', "expected ',' or ')' in IN list", 55)),
+    ('SELECT COUNT(*) FROM orders AS WHERE orders.total = 1', ('QueryParseError', "expected alias after AS, got 'WHERE'", 31)),
+    ('SELECT COUNT(*) FROM orders AS, customers AS c WHERE orders.cust = c.id', ('QueryParseError', "expected alias after AS, got ','", 30)),
+    ('SELECT COUNT(*) FROM orders AS', ('QueryParseError', "expected alias after AS, got 'end'", 30)),
 ]
 
 
@@ -485,7 +488,7 @@ class TestJoinGraph:
 
 class TestDecompose:
     def test_chain_plan(self):
-        plan = decompose(parse(CHAIN_SQL, CHAIN_SCHEMA))
+        plan = decompose(join_graph(parse(CHAIN_SQL, CHAIN_SCHEMA)))
         # s has the most variables, so it is the root, anchored at v0; t's
         # profile feeds the join and r's merges in at the anchor.
         assert plan.steps == (
@@ -499,7 +502,7 @@ class TestDecompose:
             "SELECT COUNT(*) FROM ra AS t1, ra AS t2 WHERE t1.x = t2.x",
             CHAIN_SCHEMA,
         )
-        plan = decompose(q)
+        plan = decompose(join_graph(q))
         assert plan.steps == (
             JoinStep("s1", "t1", "v0", ()),
             MergeStep("s2", "v0", ("s1", "t2/v0")),
@@ -525,7 +528,7 @@ class TestDecompose:
             " AND t.v = m.v AND t.v = n.v AND t.w = p.w",
             schema,
         )
-        plan = decompose(q)
+        plan = decompose(join_graph(q))
         assert plan.steps == (
             MergeStep("s1", "v1", ("m/v1", "n/v1")),
             JoinStep("s2", "t", "v0", (("v1", "s1"), ("v2", "p/v2"))),
@@ -536,7 +539,7 @@ class TestDecompose:
 
     def test_every_atom_consumed_exactly_once(self):
         plan = decompose(
-            parse(
+            join_graph(parse(
                 "SELECT COUNT(*) FROM rr AS r, ss AS s, kk AS k, tt AS t,"
                 " mm AS m, nn AS n, pp AS p"
                 " WHERE r.y = s.y AND r.z = k.z AND r.z = t.z"
@@ -550,7 +553,7 @@ class TestDecompose:
                     "nn": {"v": "numeric"},
                     "pp": {"w": "numeric"},
                 },
-            )
+            ))
         )
         base_aliases = []
         join_aliases = []
@@ -571,22 +574,23 @@ class TestDecompose:
             EDGE_SCHEMA,
         )
         with pytest.raises(ValueError, match="cyclic"):
-            decompose(triangle)
+            decompose(join_graph(triangle))
         with pytest.raises(ValueError, match="disconnected"):
-            decompose(parse("SELECT COUNT(*) FROM orders AS o, customers AS c"))
+            decompose(join_graph(parse("SELECT COUNT(*) FROM orders AS o, customers AS c")))
 
     def test_rejects_atom_without_join_variable(self):
         with pytest.raises(ValueError, match="no join variable"):
-            decompose(parse("SELECT COUNT(*) FROM orders WHERE orders.total = 5"))
+            decompose(join_graph(parse("SELECT COUNT(*) FROM orders WHERE orders.total = 5")))
 
 
 class TestFusion:
     def test_parallel_edges_fuse_into_one_variable(self):
-        fused = fuse_parallel_joins(parse(PAIR_SQL, PAIR_SCHEMA))
+        fused = fuse_parallel_joins(join_graph(parse(PAIR_SQL, PAIR_SCHEMA)))
         by_alias = {a.alias: a for a in fused.atoms}
         assert by_alias["x"].var_columns == (("v0", ("a", "b")),)
         assert by_alias["y"].var_columns == (("v0", ("a", "b")),)
-        assert join_graph(fused).acyclic
+        assert fused.acyclic
+        assert fused == join_graph(Query(fused.atoms))
 
     def test_shared_variable_blocks_fusion(self):
         schema = {
@@ -601,18 +605,43 @@ class TestFusion:
         )
         # The a-variable also reaches z, so only exclusive pairs may fuse and
         # one column alone is not enough.
-        assert join_graph(q).multi_column_pairs == (("x", "y", ("v0", "v1")),)
-        assert fuse_parallel_joins(q) is q
+        g = join_graph(q)
+        assert g.multi_column_pairs == (("x", "y", ("v0", "v1")),)
+        assert fuse_parallel_joins(g) is g
 
     def test_acyclic_query_unchanged(self):
-        q = parse(CHAIN_SQL, CHAIN_SCHEMA)
-        assert fuse_parallel_joins(q) is q
+        g = join_graph(parse(CHAIN_SQL, CHAIN_SCHEMA))
+        assert fuse_parallel_joins(g) is g
+
+    def test_fused_graph_equals_rebuilt_graph(self):
+        # random multigraphs: each variable joins two or three of at most
+        # four aliases, so pairs often share several variables, some of
+        # which also reach a third alias
+        rng = random.Random(7)
+        merged = 0
+        for _ in range(500):
+            aliases = ["a%d" % i for i in range(rng.randint(2, 4))]
+            cols = {a: [] for a in aliases}
+            for k in range(rng.randint(1, 6)):
+                width = min(len(aliases), rng.choice((2, 2, 2, 3)))
+                for a in rng.sample(aliases, width):
+                    cols[a].append(("x%d" % k, ("c%d" % k,)))
+            q = Query(tuple(Atom(a, "r", tuple(cols[a])) for a in aliases), {})
+            graph = join_graph(q)
+            fused = fuse_parallel_joins(graph)
+            rebuilt = join_graph(Query(fused.atoms))
+            assert fused.variables == rebuilt.variables
+            assert fused.cycles == rebuilt.cycles
+            assert fused.acyclic == rebuilt.acyclic
+            assert fused.connected == rebuilt.connected
+            merged += fused is not graph
+        assert merged >= 100
 
 
 class TestSpanningTrees:
     def test_acyclic_passthrough(self):
-        q = parse(CHAIN_SQL, CHAIN_SCHEMA)
-        assert spanning_trees(q) == (q,)
+        g = join_graph(parse(CHAIN_SQL, CHAIN_SCHEMA))
+        assert spanning_trees(g) == (g,)
 
     def test_triangle_has_three_trees(self):
         q = parse(
@@ -620,12 +649,12 @@ class TestSpanningTrees:
             " WHERE a.v = b.u AND b.v = c.u AND c.v = a.u",
             EDGE_SCHEMA,
         )
-        trees = spanning_trees(q)
+        trees = spanning_trees(join_graph(q))
         assert len(trees) == 3
         for tree in trees:
-            g = join_graph(tree)
-            assert g.acyclic and g.connected
-            assert len(g.variables) == 2
+            assert tree == join_graph(Query(tree.atoms))
+            assert tree.acyclic and tree.connected
+            assert len(tree.variables) == 2
 
     def test_four_cycle_has_four_trees(self):
         q = parse(
@@ -633,14 +662,14 @@ class TestSpanningTrees:
             " WHERE a.v = b.u AND b.v = c.u AND c.v = d.u AND d.v = a.u",
             EDGE_SCHEMA,
         )
-        trees = spanning_trees(q)
+        trees = spanning_trees(join_graph(q))
         assert len(trees) == 4
         for tree in trees:
-            g = join_graph(tree)
-            assert g.acyclic and g.connected
+            assert tree == join_graph(Query(tree.atoms))
+            assert tree.acyclic and tree.connected
 
     def test_two_column_pair_splits_into_each_column(self):
-        trees = spanning_trees(parse(PAIR_SQL, PAIR_SCHEMA))
+        trees = spanning_trees(join_graph(parse(PAIR_SQL, PAIR_SCHEMA)))
         assert len(trees) == 2
         kept = set()
         for tree in trees:
@@ -656,26 +685,18 @@ class TestSpanningTrees:
             " WHERE a.v = b.u AND b.v = c.u AND c.v = a.u",
             EDGE_SCHEMA,
         )
-        assert len(spanning_trees(q, cap=2)) == 2
+        assert len(spanning_trees(join_graph(q), cap=2)) == 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
-            spanning_trees(parse("SELECT COUNT(*) FROM orders AS o, customers AS c"))
-
-    def test_predicates_carried_through(self):
-        q = parse(
-            "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c"
-            " WHERE a.v = b.u AND b.v = c.u AND c.v = a.u AND a.u > 3",
-            EDGE_SCHEMA,
-        )
-        for tree in spanning_trees(q):
-            assert tree.predicates["a"] == Range("u", 3.0, None, False, True)
+            spanning_trees(join_graph(parse("SELECT COUNT(*) FROM orders AS o, customers AS c")))
 
 
 def reference_spanning_trees(query, cap):
     """Every (n-1)-edge combination in canonical order, kept when it is a
     spanning tree: exponential, but obviously right on small graphs."""
-    var_atoms = {v: list(a) for v, a in join_graph(query).variables.items()}
+    graph = join_graph(query)
+    var_atoms = {v: list(a) for v, a in graph.variables.items()}
     aliases = sorted(a.alias for a in query.atoms)
     edges = [
         (var, a1, a2)
@@ -702,7 +723,7 @@ def reference_spanning_trees(query, cap):
             trees.append(combo)
             if len(trees) >= cap:
                 break
-    return tuple(_retie(query, var_atoms, combo) for combo in trees)
+    return tuple(_retie(graph, combo) for combo in trees)
 
 
 def random_cyclic_query(rng):
@@ -724,7 +745,7 @@ class TestSpanningTreeSearch:
         for _ in range(300):
             q = random_cyclic_query(rng)
             cap = rng.choice((1, 3, 64))
-            assert spanning_trees(q, cap) == reference_spanning_trees(q, cap)
+            assert spanning_trees(join_graph(q), cap) == reference_spanning_trees(q, cap)
 
     def test_clique_variable_with_closing_chain_is_bounded_quickly(self):
         # 16 aliases share one variable (120 pair edges) and a 6-link chain
@@ -750,7 +771,7 @@ class TestSpanningTreeSearch:
         )
         q = parse_query(sql, {"e": {"u": "numeric", "v": "numeric"}})
         t0 = time.perf_counter()
-        trees = spanning_trees(q)
+        trees = spanning_trees(join_graph(q))
         result = bound_query(catalog, q)
         elapsed = time.perf_counter() - t0
         assert len(trees) == 64

@@ -2,6 +2,10 @@
 """Dump every perfbench query's bound, one JSON line per query.
 
     python3 tools/dump_bounds.py deep-estimate 1 > deep-1.jsonl
+    python3 tools/dump_bounds.py 1 > all-1.jsonl
+
+Given only a seed, it dumps every workload in turn and each line starts
+with a ``workload`` field.
 
 The workload's dataset and query list come from perfbench's generators,
 which are imported and never modified.  The catalog is built, saved and
@@ -29,6 +33,9 @@ from bench_data import ladder_dataset, star_dataset  # noqa: E402
 from bench_queries import deep_queries, star_queries  # noqa: E402
 
 
+WORKLOADS = ("star-build", "star-estimate", "deep-estimate")
+
+
 def workload_inputs(workload: str, seed: int):
     """The dataset and query list ``perfbench/run.py`` uses."""
     if workload in ("star-build", "star-estimate"):
@@ -37,10 +44,10 @@ def workload_inputs(workload: str, seed: int):
     if workload == "deep-estimate":
         ds = ladder_dataset(seed)
         return ds, deep_queries(ds)
-    raise SystemExit("unknown workload %r (star-build, star-estimate, deep-estimate)" % workload)
+    raise SystemExit("unknown workload %r (%s)" % (workload, ", ".join(WORKLOADS)))
 
 
-def dump(workload: str, seed: int, out) -> None:
+def dump(workload: str, seed: int, out, labelled: bool = False) -> None:
     ds, queries = workload_inputs(workload, seed)
     schema = ds.schema()
     with tempfile.TemporaryDirectory() as work:
@@ -66,13 +73,19 @@ def dump(workload: str, seed: int, out) -> None:
                 "notes": list(r.notes),
                 "steps": list(r.steps),
             }
+        if labelled:
+            row = {"workload": workload, **row}
         out.write(json.dumps(row) + "\n")
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 1 and argv[0].isdigit():
+        for workload in WORKLOADS:
+            dump(workload, int(argv[0]), sys.stdout, labelled=True)
+        return 0
     if len(argv) != 2 or not argv[1].isdigit():
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: dump_bounds.py WORKLOAD SEED", file=sys.stderr)
+        print("usage: dump_bounds.py [WORKLOAD] SEED", file=sys.stderr)
         return 2
     dump(argv[0], int(argv[1]), sys.stdout)
     return 0
