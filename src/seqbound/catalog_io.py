@@ -7,6 +7,15 @@ written, so saving the same catalog twice produces byte-identical files.
 Floats are written as their shortest round-tripping decimal (``Infinity``
 for infinities), so a load/save round trip reproduces every float bit for
 bit.
+
+Every statistic is a cumulative profile, and many are equal (a range
+default is its join column's fallback; clusters and buckets share
+representatives).  The payload's ``profiles`` list holds each distinct
+profile once, as ``[knots, values]``, in the order a walk of relations by
+name, fallbacks by column, families, entries by (join, filter),
+representatives and then the default first uses it; every statistic
+stores its profile's index in that list, and loading builds one object
+per entry.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import asdict
 
 from .pwfn import PiecewiseLinearFn
@@ -30,7 +40,7 @@ from .stats import (
 __all__ = ["CatalogFormatError", "save_catalog", "load_catalog", "MAGIC", "VERSION"]
 
 MAGIC = b"SEQBOUND-STATS"
-VERSION = 3
+VERSION = 4
 
 
 class CatalogFormatError(RuntimeError):
@@ -39,23 +49,24 @@ class CatalogFormatError(RuntimeError):
 
 # ------------------------------------------------- catalog <-> plain data
 
-def _fn_plain(fn: PiecewiseLinearFn) -> dict:
-    return {"knots": fn.knots, "values": fn.values}
-
-
-def _fn_load(plain: dict, interned: dict) -> PiecewiseLinearFn:
-    """The profile stored in ``plain``, as the one object that ``interned``
-    (one dict per loaded catalog) holds for every equal profile."""
-    key = (tuple(plain["knots"]), tuple(plain["values"]))
-    fn = interned.get(key)
-    if fn is None:
-        if not all(map(math.isfinite, key[0] + key[1])):
+def _profiles_load(plain: list) -> list[PiecewiseLinearFn]:
+    fns = []
+    for knots, values in plain:
+        if not all(map(math.isfinite, knots + values)):
             raise ValueError("profile knots and values must be finite")
-        fn = interned[key] = PiecewiseLinearFn(*key)
-    return fn
+        fns.append(PiecewiseLinearFn(knots, values))
+    return fns
 
 
-def _stats_plain(join: str, filter_: str, stats: FilterStats) -> dict:
+def _fn_load(ref: object, fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
+    if type(ref) is not int or not 0 <= ref < len(fns):
+        raise ValueError("profile reference %r outside a table of %d profile(s)" % (ref, len(fns)))
+    return fns[ref]
+
+
+def _stats_plain(
+    join: str, filter_: str, stats: FilterStats, ref: Callable[[PiecewiseLinearFn], int]
+) -> dict:
     keys: list[list] = [[] for _ in stats.representatives]
     for key, group in stats.keys.items():
         keys[group].append(key)
@@ -63,15 +74,15 @@ def _stats_plain(join: str, filter_: str, stats: FilterStats) -> dict:
         "join": join,
         "filter": filter_,
         "groups": [
-            {"keys": k, "representative": _fn_plain(fn)}
+            {"keys": k, "representative": ref(fn)}
             for k, fn in zip(keys, stats.representatives)
         ],
-        "default": _fn_plain(stats.default),
+        "default": ref(stats.default),
         "levels": [{"cuts": c, "groups": g} for c, g in stats.levels],
     }
 
 
-def _stats_load(plain: dict, interned: dict) -> FilterStats:
+def _stats_load(plain: dict, fns: list[PiecewiseLinearFn]) -> FilterStats:
     groups = plain["groups"]
     keys = {k: i for i, g in enumerate(groups) for k in g["keys"]}
     levels = []
@@ -88,33 +99,42 @@ def _stats_load(plain: dict, interned: dict) -> FilterStats:
             )
         levels.append((cuts, ids))
     return FilterStats(
-        tuple(_fn_load(g["representative"], interned) for g in groups),
-        _fn_load(plain["default"], interned),
+        tuple(_fn_load(g["representative"], fns) for g in groups),
+        _fn_load(plain["default"], fns),
         keys,
         tuple(levels),
     )
 
 
 def _catalog_plain(catalog: StatisticsCatalog) -> dict:
+    # Relations and fallbacks are walked by name, so the profile table's
+    # first-use order does not depend on the catalog's dict order.
+    index: dict[PiecewiseLinearFn, int] = {}
+
+    def ref(fn: PiecewiseLinearFn) -> int:
+        return index.setdefault(fn, len(index))
+
     relations = {
         name: {
             "cardinality": rs.cardinality,
             "column_kinds": rs.column_kinds,
             "join_columns": rs.join_columns,
             "filter_columns": rs.filter_columns,
-            "fallback": {c: _fn_plain(fn) for c, fn in rs.fallback.items()},
+            "fallback": {c: ref(fn) for c, fn in sorted(rs.fallback.items())},
             **{
                 family: [
-                    _stats_plain(j, f, st) for (j, f), st in sorted(getattr(rs, family).items())
+                    _stats_plain(j, f, st, ref)
+                    for (j, f), st in sorted(getattr(rs, family).items())
                 ]
                 for family in FAMILIES
             },
         }
-        for name, rs in catalog.relations.items()
+        for name, rs in sorted(catalog.relations.items())
     }
     return {
         "params": asdict(catalog.params),
         "pkfk": [asdict(e) for e in catalog.pkfk],
+        "profiles": [[fn.knots, fn.values] for fn in index],
         "relations": relations,
     }
 
@@ -138,8 +158,8 @@ def _check_references(rs: RelationStats) -> None:
 
 
 def _catalog_load(plain: dict) -> StatisticsCatalog:
+    fns = _profiles_load(plain["profiles"])
     relations = {}
-    interned: dict = {}
     for name, rp in plain["relations"].items():
         if type(rp["cardinality"]) is not int or rp["cardinality"] < 0:
             raise ValueError(
@@ -152,9 +172,9 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
             column_kinds=dict(rp["column_kinds"]),
             join_columns=tuple(rp["join_columns"]),
             filter_columns=tuple(rp["filter_columns"]),
-            fallback={c: _fn_load(fn, interned) for c, fn in rp["fallback"].items()},
+            fallback={c: _fn_load(ref, fns) for c, ref in rp["fallback"].items()},
             **{
-                family: {(e["join"], e["filter"]): _stats_load(e, interned) for e in rp[family]}
+                family: {(e["join"], e["filter"]): _stats_load(e, fns) for e in rp[family]}
                 for family in FAMILIES
             },
         )

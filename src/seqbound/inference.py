@@ -126,8 +126,12 @@ def plan_bound(
     plan: BoundPlan,
     profiles: dict[tuple[str, str], PiecewiseLinearFn],
     memo: dict | None = None,
-) -> tuple[float, tuple[str, ...]]:
+) -> tuple[float, tuple[tuple, ...]]:
     """Evaluate a plan against per-(alias, variable) conditioned profiles.
+
+    Returns the plan's value and one (step, integral, mass) record per
+    step, mass None for a merge step; ``bound_query`` formats the records
+    of the tree it keeps only.
 
     Join steps first clamp the anchor's and every child column's profile of
     the same atom to their common minimum mass (a row must be non-null in
@@ -144,7 +148,7 @@ def plan_bound(
     ``bound_query`` shares one memo across a query's spanning trees.
     """
     values: dict[str, PiecewiseConstantFn] = {}
-    trace: list[str] = []
+    trace: list[tuple] = []
     if memo is None:
         memo = {}
 
@@ -171,10 +175,7 @@ def plan_bound(
                 out = functools.reduce(pw_multiply, (restrict_domain(f, end) for f in fns))
                 got = memo[key] = (out, out.integral())
             out, integral = got
-            trace.append(
-                "%s: merge %s over %s -> integral %.6g"
-                % (step.out, "*".join(step.inputs), step.var, integral)
-            )
+            trace.append((step, integral, None))
         else:
             anchor_fn = profiles[(step.alias, step.anchor)]
             child_fns = [profiles[(step.alias, var)] for var, _ in step.children]
@@ -190,13 +191,22 @@ def plan_bound(
                     out = pw_multiply(out, compose_ranks(child_out, through, anchor_fn))
                 got = memo[key] = (out, out.integral(), mass)
             out, integral, mass = got
-            trace.append(
-                "%s: join %s anchored at %s (mass %.6g) -> integral %.6g"
-                % (step.out, step.alias, step.anchor, mass, integral)
-            )
+            trace.append((step, integral, mass))
         values[step.out] = out
     root = values[plan.root] if plan.root in values else fetch(plan.root)
     return root.integral(), tuple(trace)
+
+
+def _trace_line(record: tuple) -> str:
+    """One ``plan_bound`` step record as a line of ``BoundResult.steps``."""
+    step, integral, mass = record
+    if isinstance(step, MergeStep):
+        return "%s: merge %s over %s -> integral %.6g" % (
+            step.out, "*".join(step.inputs), step.var, integral
+        )
+    return "%s: join %s anchored at %s (mass %.6g) -> integral %.6g" % (
+        step.out, step.alias, step.anchor, mass, integral
+    )
 
 
 def _rewrite_onto_fact(node: Predicate, mapping: dict[str, str]) -> Predicate | None:
@@ -371,7 +381,7 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
     strategy = "acyclic" if graph.acyclic else "min-over-%d-spanning-trees" % len(trees)
     conditioner = _Conditioner(catalog, q, notes)
     best = math.inf
-    best_steps: tuple[str, ...] = ()
+    best_steps: tuple[tuple, ...] = ()
     memo: dict = {}
     for idx, tree in enumerate(trees):
         profiles = {
@@ -407,4 +417,4 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
         bound = max(0, int(nearest))
     else:
         bound = max(0, math.ceil(best))
-    return BoundResult(bound, best, strategy, tuple(notes), best_steps)
+    return BoundResult(bound, best, strategy, tuple(notes), tuple(map(_trace_line, best_steps)))

@@ -17,6 +17,7 @@ and the types are immutable value objects.
 from __future__ import annotations
 
 import bisect
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -373,6 +374,15 @@ def pw_multiply(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> PiecewiseCons
         if e >= end:
             break
     edges[-1] = end
+    # Each input may rise by up to _rise_slack from one segment to the
+    # next, so their product may rise by about twice that.  A segment that
+    # a later one rises above by more than the tolerance takes that later
+    # value: raising a frequency keeps the product an upper bound.
+    if any(map(operator.lt, values, values[1:])):
+        for k in range(len(values) - 2, -1, -1):
+            a, b = values[k], values[k + 1]
+            if b > a + _rise_slack(a, b):
+                values[k] = b
     return PiecewiseConstantFn(edges, values)
 
 
@@ -462,7 +472,14 @@ def _combine(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
         at.update(zip(extra, map(min, _values_at_sorted(f, extra), _values_at_sorted(g, extra))))
         knots = _dedupe_knots(sorted(at))
         values = [at[k] for k in knots]
-    return PiecewiseLinearFn(knots, values)
+    try:
+        return PiecewiseLinearFn(knots, values)
+    except ValueError:
+        # A crossing just before a knot leaves a short segment whose slope,
+        # the difference of two nearly equal values over a small width, can
+        # round past the concavity tolerance; the upper concave envelope of
+        # the same points only raises values.
+        return PiecewiseLinearFn(*_upper_concave_envelope(knots, values))
 
 
 def _upper_concave_envelope(

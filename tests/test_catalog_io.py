@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,13 @@ class TestRoundTrip:
         cat = build_catalog(rels, {r: ColumnRole(("k",), ("f",)) for r in rels})
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_catalog(cat, str(p1))
+        # each range default is its join column's fallback, and the file
+        # stores that profile, like every other, once
+        plain = json.loads(p1.read_bytes()[len(MAGIC) + 12 : -32])
+        stored = [fn for rs in cat.relations.values() for fn in _profiles(rs)]
+        assert len(plain["profiles"]) == len(set(stored)) < len(stored)
+        for rp in plain["relations"].values():
+            assert rp["range"][0]["default"] == rp["fallback"]["k"]
         back = load_catalog(str(p1))
         left, right = back.relations["left"], back.relations["right"]
         assert left.fallback["k"] == cat.relations["left"].fallback["k"]
@@ -124,6 +132,20 @@ def set_at(*path, value):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+
+    return edit
+
+
+def set_profile_at(*path, part, pos, value):
+    """A payload edit that sets item ``pos`` of the knots or values
+    (``part``) of the table profile that the reference at ``path`` under
+    relation fact names."""
+
+    def edit(plain):
+        node = plain["relations"]["fact"]
+        for key in path:
+            node = node[key]
+        plain["profiles"][node][("knots", "values").index(part)][pos] = value
 
     return edit
 
@@ -190,12 +212,13 @@ class TestFormatErrors:
         assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
         assert re.search(match, capsys.readouterr().err)
 
-    def test_version_2_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_version_rejected(self, tmp_path, capsys, version):
         p = self.write_good(tmp_path)
         blob = bytearray(p.read_bytes())
-        struct.pack_into("<I", blob, len(MAGIC), 2)
+        struct.pack_into("<I", blob, len(MAGIC), version)
         p.write_bytes(bytes(blob))
-        self.assert_rejected(p, "format version 2 not supported", capsys)
+        self.assert_rejected(p, "format version %d not supported" % version, capsys)
 
     def test_out_of_range_bucket_id(self, tmp_path, capsys):
         # a well-formed, correctly checksummed file whose histogram level
@@ -213,9 +236,12 @@ class TestFormatErrors:
         "edit, match",
         [
             # a fallback total of Infinity would bound COUNT(*) at 0
-            (set_at("fallback", "fk", "values", -1, value=math.inf), "must be finite"),
-            (set_at("fallback", "amt", "knots", -1, value=math.inf), "must be finite"),
-            (set_at("equality", 0, "default", "values", 1, value=math.nan), "must be finite"),
+            (set_profile_at("fallback", "fk", part="values", pos=-1, value=math.inf),
+             "must be finite"),
+            (set_profile_at("fallback", "amt", part="knots", pos=-1, value=math.inf),
+             "must be finite"),
+            (set_profile_at("equality", 0, "default", part="values", pos=1, value=math.nan),
+             "must be finite"),
             (set_at("cardinality", value=math.inf), "non-negative integer"),
             (set_at("cardinality", value=-1), "non-negative integer"),
             (set_at("cardinality", value=60.5), "non-negative integer"),
@@ -229,6 +255,21 @@ class TestFormatErrors:
         p = self.write_good(tmp_path)
         self.edit_payload(p, edit)
         self.assert_rejected(p, match, capsys)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            set_at("fallback", "fk", value=True),
+            set_at("range", 0, "default", value=1.0),
+            set_at("equality", 0, "groups", 0, "representative", value=-1),
+            lambda c: c["relations"]["fact"]["like"][0].update(default=len(c["profiles"])),
+        ],
+        ids=["bool", "float", "negative", "past-the-end"],
+    )
+    def test_profile_reference_outside_the_table(self, tmp_path, capsys, edit):
+        p = self.write_good(tmp_path)
+        self.edit_payload(p, edit)
+        self.assert_rejected(p, "profile reference .* outside a table", capsys)
 
     @pytest.mark.parametrize(
         "edit, match",
@@ -325,3 +366,19 @@ def test_float_and_text_keys_round_trip_exactly(tmp_path):
     p = tmp_path / "c.bin"
     save_catalog(cat, str(p))
     _assert_bit_identical(_stored_values(cat), _stored_values(load_catalog(str(p))))
+
+
+def test_self_join_of_a_profile_rising_inside_the_tolerance(tmp_path, capsys):
+    # fact.fk's slopes 2 then 2 + 1.5e-7 rise inside the tolerance 1e-7 * 2;
+    # their squares, multiplied in the self-join's merge step, rise outside
+    # the tolerance 1e-7 * 4
+    cat = sample_catalog()
+    fact = cat.relations["fact"]
+    fk = PiecewiseLinearFn((0.0, 1.0, 3.0), (0.0, 2.0, 2.0 + 2.0 * (2.0 + 1.5e-7)))
+    cat.relations["fact"] = replace(fact, fallback={**fact.fallback, "fk": fk})
+    p = tmp_path / "c.bin"
+    save_catalog(cat, str(p))
+    sql = "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk"
+    assert main(["estimate", "--catalog", str(p), "--query", sql]) == 0
+    # both segments at the larger square, (2 + 1.5e-7)^2, over ranks (0, 3]
+    assert int(capsys.readouterr().out) == 13

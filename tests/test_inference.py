@@ -595,6 +595,18 @@ class TestWorkPerQuery:
         assert got.bound >= true_cardinality(rels, query)
         assert len(merged) == 2
 
+    def test_cycle_formats_the_kept_tree_only(self, monkeypatch):
+        catalog, _, schema = ring_catalog(5)
+        query = parse_query(
+            "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c, e4 AS d, e5 AS e"
+            " WHERE a.v = b.u AND b.v = c.u AND c.v = d.u AND d.v = e.u AND e.v = a.u",
+            schema,
+        )
+        formatted = counted(monkeypatch, "_trace_line", seqbound.inference)
+        got = bound_query(catalog, query)
+        assert got.strategy == "min-over-5-spanning-trees"
+        assert len(formatted) == len(got.steps) == 4
+
 
 class TestMonotonicity:
     def test_adding_a_conjunct_never_raises_the_bound(self):

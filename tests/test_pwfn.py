@@ -21,7 +21,7 @@ from seqbound.pwfn import (
     truncate_cumulative,
     zero_cumulative,
 )
-from seqbound.pwfn import _dedupe_knots, _merged_knots, _slack, _values_at_sorted
+from seqbound.pwfn import _dedupe_knots, _merged_knots, _rise_slack, _slack, _values_at_sorted
 
 # The running example throughout the suite: frequencies 4,2,2,1,1,1 over
 # 6 distinct values, 11 rows.  Its exact cumulative profile takes the
@@ -538,6 +538,9 @@ def ref_pw_multiply(f, g):
         if e >= end:
             break
     edges[-1] = end
+    for k in reversed(range(len(values) - 1)):
+        if values[k + 1] > values[k] + _rise_slack(values[k], values[k + 1]):
+            values[k] = values[k + 1]
     return PiecewiseConstantFn(edges, values)
 
 
@@ -660,7 +663,8 @@ def _min_pair(kind, f, g, dx, dy, swap):
         g = truncate_cumulative(f, f.total * min(dy, 0.9))
     elif kind == "rescaled":  # above, below or crossing f, ends unequal
         g = _rescaled(f, dx, dy)
-    elif kind == "equal-totals" and g.total > 0.0:
+    elif kind == "equal-totals" and g.total > 0.0 and f.total / g.total < math.inf:
+        # a g.total near the smallest float makes the ratio overflow
         g = _rescaled(g, 1.0, f.total / g.total)
     elif kind == "equal-ends":
         g = _rescaled(g, f.end / g.end, 1.0)
@@ -691,6 +695,18 @@ class TestMinDominance:
     @example((TestPointwiseCombinators.A, TestPointwiseCombinators.B))
     @example((TestPointwiseCombinators.B, TestPointwiseCombinators.A))
     @example((CROSSES, LONG_HIGH))
+    # they cross 1.6e-8 before a knot at value 16, and f's last slope sits
+    # at the concavity tolerance
+    @example(
+        _min_pair(
+            "equal-totals",
+            _from_segments([(1.0, 1.0), (1.0, 15.0), (3.5, 1e-07)]),
+            exact_cumulative(DegreeSequence([1, 1, 1, 1, 1])),
+            1.0,
+            1.0,
+            False,
+        )
+    )
     def test_min_of_two(self, pair):
         f, g = pair
         lo = pw_min([f, g])
@@ -769,6 +785,18 @@ class TestToleranceEdges:
         far = PiecewiseConstantFn((1.0 + 2e-9, 3.0), (5.0, 1.0))
         assert pw_multiply(f, near).edges == pw_multiply(near, f).edges == (1.0, 3.0)
         assert pw_multiply(f, far).edges == pw_multiply(far, f).edges == (1.0, 1.0 + 2e-9, 3.0)
+
+    def test_multiply_raises_a_segment_the_product_rises_above(self):
+        # slopes 2 then 2 + 1.5e-7 rise inside the tolerance 1e-7 * 2, and
+        # their squares rise outside the tolerance 1e-7 * 4: the first
+        # segment takes the second's value, an upper bound of the product
+        f = discrete_derivative(
+            PiecewiseLinearFn((0.0, 1.0, 3.0), (0.0, 2.0, 2.0 + 2.0 * (2.0 + 1.5e-7)))
+        )
+        assert f.values == (2.0, 2.0 + 1.5e-7)
+        prod = pw_multiply(f, f)
+        assert prod == ref_pw_multiply(f, f)
+        assert prod.edges == (3.0,) and prod.values == (f.values[1] * f.values[1],)
 
     def test_compose_ranks_stops_at_anchor_mass(self):
         # through reaches the anchor's mass, to within 1e-9 of it, at rank 1;

@@ -7,6 +7,11 @@
 Given only a seed, it dumps every workload in turn and each line starts
 with a ``workload`` field.
 
+Each workload's dump opens with one record of its saved catalog file's
+byte count and SHA-256 (``catalog_bytes``, ``catalog_sha256``), so one
+``diff`` shows a catalog whose bytes changed next to query lines that did
+not.
+
 The workload's dataset and query list come from perfbench's generators,
 which are imported and never modified.  The catalog is built, saved and
 loaded again as the benchmark does, and each query is bounded once, in the
@@ -15,11 +20,17 @@ the strategy, the notes and the plan steps; a query that raises gets its
 error class and message instead.  Two dumps of the same workload and seed,
 one per checkout, are bit-identical exactly when ``diff`` prints nothing.
 
+The seed only relabels keys and reorders rows and queries (perfbench's
+``--seed``, see ``perfbench/bench_data.py``): the statistics, the catalog
+bytes and every bound are the same on every seed, so dumps at two seeds
+are byte-identical and one seed covers the query list.
+
 The program is imported from ``src/`` of the checkout this file sits in.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -57,7 +68,11 @@ def dump(workload: str, seed: int, out, labelled: bool = False) -> None:
         )
         path = os.path.join(work, "catalog.bin")
         seqbound.save_catalog(catalog, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
         catalog = seqbound.load_catalog(path)
+    head = {"catalog_bytes": len(blob), "catalog_sha256": hashlib.sha256(blob).hexdigest()}
+    out.write(json.dumps({"workload": workload, **head}) + "\n")
     for q in queries:
         sql = q.sql()
         try:
