@@ -9,7 +9,6 @@ never undershoot the true count.
 
 from .catalog_io import CatalogFormatError, load_catalog, save_catalog
 from .compress import (
-    CompressionConfig,
     ValidityReport,
     compression_distance,
     is_valid_compression,
@@ -40,7 +39,7 @@ from .relation import (
     Relation,
     load_workspace,
 )
-from .stats import BuildParams, StatisticsCatalog, StatsBuildError, build_catalog
+from .stats import BuildParams, StatisticsCatalog, StatsBuildError, build_catalog, make_build_params
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,6 @@ __all__ = [
     "CatalogFormatError",
     "Column",
     "ColumnRole",
-    "CompressionConfig",
     "ConfigError",
     "DegreeSequence",
     "InconsistentStatisticsError",
@@ -73,6 +71,7 @@ __all__ = [
     "load_catalog",
     "load_workspace",
     "lossless_compress",
+    "make_build_params",
     "parse_query",
     "print_query",
     "save_catalog",

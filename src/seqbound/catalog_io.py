@@ -30,17 +30,17 @@ from dataclasses import asdict
 from .pwfn import PiecewiseLinearFn
 from .stats import (
     FAMILIES,
-    BuildParams,
     FilterStats,
     PkFkEdge,
     RelationStats,
     StatisticsCatalog,
+    make_build_params,
 )
 
 __all__ = ["CatalogFormatError", "save_catalog", "load_catalog", "MAGIC", "VERSION"]
 
 MAGIC = b"SEQBOUND-STATS"
-VERSION = 4
+VERSION = 5
 
 
 class CatalogFormatError(RuntimeError):
@@ -180,20 +180,21 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
         )
         _check_references(relations[name])
     pkfk = tuple(PkFkEdge(**e) for e in plain["pkfk"])
-    return StatisticsCatalog(BuildParams(**plain["params"]), relations, pkfk)
+    return StatisticsCatalog(make_build_params(plain["params"]), relations, pkfk)
 
 
 # ------------------------------------------------------------- file I/O
 
-def save_catalog(catalog: StatisticsCatalog, path: str) -> None:
-    payload = json.dumps(
-        _catalog_plain(catalog), sort_keys=True, separators=(",", ":")
-    ).encode()
+def save_catalog(catalog: StatisticsCatalog, path: str) -> int:
+    """Write catalog to path; returns the number of distinct profiles stored."""
+    plain = _catalog_plain(catalog)
+    payload = json.dumps(plain, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IQ", VERSION, len(payload)))
         fh.write(payload)
         fh.write(hashlib.sha256(payload).digest())
+    return len(plain["profiles"])
 
 
 def load_catalog(path: str) -> StatisticsCatalog:

@@ -9,18 +9,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .catalog_io import CatalogFormatError, load_catalog, save_catalog
 from .inference import bound_query
 from .oracle import corrupt_catalog, run_soundness_suite
 from .query import QueryError, parse_query
 from .relation import ConfigError, load_workspace
-from .stats import FAMILIES, StatsBuildError, build_catalog, make_build_params
+from .stats import FAMILIES, BuildParams, StatsBuildError, build_catalog, make_build_params
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_QUERY = 3
+
+
+def _clusters(text: str) -> int | str:
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected 'auto' or an integer, got %r" % text) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,10 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a statistics catalog from a schema")
     p.add_argument("--schema", required=True, help="schema description (JSON)")
     p.add_argument("--out", required=True, help="output catalog path")
-    p.add_argument("--c", type=float, default=None, help="relative error budget per profile")
-    p.add_argument("--hist-depth", type=int, default=None, help="range histogram depth")
-    p.add_argument("--mcv", type=int, default=None, help="most common values tracked per column pair")
-    p.add_argument("--clusters", default=None, help="most profile groups per family ('auto' or a count)")
+    # each dest is a BuildParams field; a given flag overrides the schema's value
+    p.add_argument("--c", dest="compression_budget", type=float, help="relative error budget per profile")
+    p.add_argument("--hist-depth", dest="hist_depth", type=int, help="range histogram depth")
+    p.add_argument("--mcv", dest="mcv_size", type=int, help="most common values tracked per column pair")
+    p.add_argument(
+        "--clusters", type=_clusters, help="most profile groups per family ('auto' or a count)"
+    )
 
     p = sub.add_parser("estimate", help="bound a COUNT(*) query against a catalog")
     p.add_argument("--catalog", required=True, help="catalog path")
@@ -61,32 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     workspace = load_workspace(args.schema)
-    raw = dict(workspace.params)
-    overrides = {
-        "compression_budget": args.c,
-        "hist_depth": args.hist_depth,
-        "mcv_size": args.mcv,
-        "clusters": args.clusters,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-    if isinstance(raw.get("clusters"), str) and raw["clusters"] != "auto":
-        raw["clusters"] = int(raw["clusters"])
-    params = make_build_params(raw)
+    flags = {f.name: getattr(args, f.name) for f in fields(BuildParams)}
+    params = make_build_params(
+        {**workspace.params, **{k: v for k, v in flags.items() if v is not None}}
+    )
     for warning in workspace.load_warnings:
         print("warning: %s" % warning, file=sys.stderr)
     catalog = build_catalog(workspace.relations, workspace.roles, workspace.pkfk, params)
-    save_catalog(catalog, args.out)
-    n_profiles = sum(
-        len(rs.fallback)
-        + sum(
-            len(st.representatives) + 1
-            for family in FAMILIES
-            for st in getattr(rs, family).values()
-        )
-        for rs in catalog.relations.values()
-    )
+    n_profiles = save_catalog(catalog, args.out)
     print(
         "built catalog for %d relation(s), %d stored profile(s) -> %s"
         % (len(catalog.relations), n_profiles, args.out)

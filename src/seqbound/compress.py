@@ -26,7 +26,6 @@ from .pwfn import (
 )
 
 __all__ = [
-    "CompressionConfig",
     "ValidityReport",
     "self_join_bound",
     "lossless_compress",
@@ -36,26 +35,6 @@ __all__ = [
     "drop_vectors",
     "distances_to",
 ]
-
-
-@dataclass(frozen=True)
-class CompressionConfig:
-    """Knobs for :func:`valid_compress`.
-
-    error_budget: per-segment relative self-join overestimation allowance,
-        must be positive.
-    max_segments: optional hard cap on the number of output segments
-        (sloped segments plus the flat cap); at least 2 when given.
-    """
-
-    error_budget: float = 0.01
-    max_segments: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.error_budget <= 0.0:
-            raise ValueError("error_budget must be positive")
-        if self.max_segments is not None and self.max_segments < 2:
-            raise ValueError("max_segments must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -88,9 +67,7 @@ def lossless_compress(seq: DegreeSequence) -> PiecewiseConstantFn:
     )
 
 
-def valid_compress(
-    seq: DegreeSequence, config: CompressionConfig | None = None
-) -> PiecewiseLinearFn:
+def valid_compress(seq: DegreeSequence, error_budget: float = 0.01) -> PiecewiseLinearFn:
     """Compress a degree sequence into a dominating cumulative profile.
 
     Walks ranks in order, extending the current sloped segment by the
@@ -99,16 +76,16 @@ def valid_compress(
     current fractional rank, with slope f(i)) once the accumulated
     self-join overestimation of the current one reaches
     error_budget * sum(f^2).  A flat cap at the total row count closes the
-    domain (0, d].
+    domain (0, d].  Raises ValueError unless error_budget > 0.
     """
-    cfg = config or CompressionConfig()
+    if not error_budget > 0.0:
+        raise ValueError("error_budget must be positive")
     freqs = seq.freqs
     d = len(freqs)
     if d == 0:
         return zero_cumulative(1.0)
     total = float(seq.total)
-    threshold = cfg.error_budget * float(self_join_bound(seq))
-    sloped_budget = None if cfg.max_segments is None else cfg.max_segments - 1
+    threshold = error_budget * float(self_join_bound(seq))
 
     knots = [0.0]
     values = [0.0]
@@ -117,11 +94,10 @@ def valid_compress(
     pos = 0.0
     seg_start = 0.0
     base = 0.0
-    nseg = 1
     for f in freqs:
         fi = float(f)
         err += slope * slope * (fi / slope) - fi * fi
-        if err >= threshold and (sloped_budget is None or nseg < sloped_budget):
+        if err >= threshold:
             closed = base + slope * (pos - seg_start)
             knots.append(pos)
             values.append(closed)
@@ -129,7 +105,6 @@ def valid_compress(
             seg_start = pos
             slope = fi
             err = 0.0
-            nseg += 1
         pos += fi / slope
     final = base + slope * (pos - seg_start)
     if abs(final - total) <= 1e-6 * max(1.0, total):

@@ -202,10 +202,11 @@ def load_workspace(schema_path: str) -> Workspace:
           ],
           "pk_fk": [{"fact": ..., "fk": ..., "dim": ..., "pk": ...}, ...],
           "params": {"compression_budget": ..., "hist_depth": ...,
-                     "mcv_size": ..., "clusters": ..., "max_segments": ...}
+                     "mcv_size": ..., "clusters": ...}
         }
 
     CSV paths are resolved relative to the schema file's directory.
+    ``params`` is returned as written; ``stats.make_build_params`` checks it.
     """
     try:
         with open(schema_path, encoding="utf-8") as fh:

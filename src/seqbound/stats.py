@@ -42,18 +42,12 @@ from __future__ import annotations
 import bisect
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .compress import (
-    CompressionConfig,
-    distances_to,
-    drop_vectors,
-    is_valid_compression,
-    valid_compress,
-)
+from .compress import distances_to, drop_vectors, is_valid_compression, valid_compress
 from .pwfn import (
     DegreeSequence,
     PiecewiseLinearFn,
@@ -109,7 +103,6 @@ class BuildParams:
     hist_depth: int = 7
     mcv_size: int = 1000
     clusters: int | str = "auto"
-    max_segments: int | None = None
 
     def __post_init__(self) -> None:
         if not (_is_number(self.compression_budget) and self.compression_budget > 0.0):
@@ -120,26 +113,12 @@ class BuildParams:
             raise ConfigError("mcv_size must be a non-negative integer")
         if self.clusters != "auto" and not (_is_int(self.clusters) and self.clusters >= 1):
             raise ConfigError("clusters must be 'auto' or an integer of at least 1")
-        if self.max_segments is not None and not (
-            _is_int(self.max_segments) and self.max_segments >= 2
-        ):
-            raise ConfigError("max_segments must be an integer of at least 2")
-
-    def compression(self) -> CompressionConfig:
-        return CompressionConfig(self.compression_budget, self.max_segments)
-
-
-_PARAM_KEYS = {
-    "compression_budget",
-    "hist_depth",
-    "mcv_size",
-    "clusters",
-    "max_segments",
-}
 
 
 def make_build_params(raw: dict) -> BuildParams:
-    unknown = set(raw) - _PARAM_KEYS
+    """Build parameters from outside input (schema, flags, catalog payload);
+    raises ConfigError for an unknown key or an invalid value."""
+    unknown = set(raw) - {f.name for f in fields(BuildParams)}
     if unknown:
         raise ConfigError("unknown build parameters: %s" % ", ".join(sorted(unknown)))
     return BuildParams(**raw)
@@ -270,7 +249,7 @@ def _degree_batches(join_codes: np.ndarray, sets: list[list[np.ndarray]]):
 
 
 def _audited_profile(seq: DegreeSequence, params: BuildParams, context: str) -> PiecewiseLinearFn:
-    fn = valid_compress(seq, params.compression())
+    fn = valid_compress(seq, params.compression_budget)
     report = is_valid_compression(seq, fn)
     if not report.ok:
         raise StatsBuildError("compression audit failed for %s: %s" % (context, report.reason))

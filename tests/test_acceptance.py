@@ -17,7 +17,6 @@ import numpy as np
 
 from seqbound.catalog_io import load_catalog, save_catalog
 from seqbound.compress import (
-    CompressionConfig,
     is_valid_compression,
     lossless_compress,
     valid_compress,
@@ -115,7 +114,7 @@ def test_criterion_02_exact_versus_dominating_cardinality():
     exact_total = cumulate(lossless_compress(seq)).total
     # one flat segment at the top frequency spanning all six ranks
     dominating_total = cumulate(PiecewiseConstantFn((6.0,), (4.0,))).total
-    compressed = valid_compress(seq, CompressionConfig(error_budget=1.0))
+    compressed = valid_compress(seq, 1.0)
     ok = (
         seq.total == 11
         and exact_total == 11.0
@@ -142,7 +141,7 @@ def test_criterion_03_compression_validity_and_error():
         seq = random_sequence(rng, max_distinct=300)
         exact = float(sum(f * f for f in seq.freqs))
         for c in budgets:
-            fn = valid_compress(seq, CompressionConfig(error_budget=c))
+            fn = valid_compress(seq, c)
             if not is_valid_compression(seq, fn).ok:
                 ok = False
             approx = float(np.sum(np.square(fn.slopes) * np.diff(fn.knots)))

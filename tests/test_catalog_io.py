@@ -212,13 +212,27 @@ class TestFormatErrors:
         assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
         assert re.search(match, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_old_version_rejected(self, tmp_path, capsys, version):
         p = self.write_good(tmp_path)
         blob = bytearray(p.read_bytes())
         struct.pack_into("<I", blob, len(MAGIC), version)
         p.write_bytes(bytes(blob))
         self.assert_rejected(p, "format version %d not supported" % version, capsys)
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            # format 4 stored "max_segments": null
+            ({"max_segments": None}, "unknown build parameters: max_segments"),
+            ({"clusters": "3"}, "clusters must be 'auto' or an integer"),
+        ],
+        ids=["unknown-key", "string-clusters"],
+    )
+    def test_invalid_params(self, tmp_path, capsys, params, match):
+        p = self.write_good(tmp_path)
+        self.edit_payload(p, lambda c: c["params"].update(params))
+        self.assert_rejected(p, match, capsys)
 
     def test_out_of_range_bucket_id(self, tmp_path, capsys):
         # a well-formed, correctly checksummed file whose histogram level

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from seqbound.catalog_io import load_catalog
+from seqbound.catalog_io import MAGIC, load_catalog
 from seqbound.cli import main
 
 ORDERS_CSV = """cust,status,total
@@ -109,6 +109,14 @@ class TestBuild:
         assert stdout.strip().endswith("-> " + out)
         assert load_catalog(out).relations["orders"].cardinality == 10
 
+    def test_build_reports_the_stored_profile_table(self, tmp_path, capsys):
+        schema = shop_schema(tmp_path)
+        out = tmp_path / "shop.cat"
+        assert main(["build", "--schema", schema, "--out", str(out)]) == 0
+        payload = json.loads(out.read_bytes()[len(MAGIC) + 12 : -32])
+        stdout = capsys.readouterr().out
+        assert "%d stored profile(s)" % len(payload["profiles"]) in stdout
+
     def test_flag_overrides_reach_the_catalog(self, tmp_path):
         schema = shop_schema(tmp_path)
         out = str(tmp_path / "shop.cat")
@@ -139,11 +147,22 @@ class TestBuild:
         assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
         assert "unknown build parameters" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("params", [{"hist_depth": 2.5}, {"mcv_size": 2.5}])
+    @pytest.mark.parametrize(
+        "params", [{"hist_depth": 2.5}, {"mcv_size": 2.5}, {"clusters": "3"}]
+    )
     def test_wrongly_typed_param_is_a_config_error(self, tmp_path, capsys, params):
         schema = shop_schema(tmp_path, params=params)
         assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x", "2.5", ""])
+    def test_bad_clusters_flag_is_a_usage_error(self, tmp_path, capsys, value):
+        schema = shop_schema(tmp_path)
+        argv = ["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--clusters", value])
+        assert exit_.value.code == 2
+        assert "argument --clusters: expected 'auto' or an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value", [("name", ["orders"]), ("join_columns", "cust")]

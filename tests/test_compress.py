@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from seqbound import compress as compress_module
 from seqbound.compress import (
-    CompressionConfig,
     compression_distance,
     distances_to,
     drop_vectors,
@@ -76,43 +75,37 @@ class TestValidCompress:
     def test_loose_budget_single_slope(self):
         # budget 1.0 lets one slope-4 segment absorb everything; the flat
         # cap then runs from rank 2.75 to rank 6 at the full mass 11
-        got = valid_compress(EX, CompressionConfig(error_budget=1.0))
+        got = valid_compress(EX, 1.0)
         assert got.knots == (0.0, 2.75, 6.0)
         assert got.values == (0.0, 11.0, 11.0)
         assert is_valid_compression(EX, got).ok
 
     def test_tight_budget_three_slopes(self):
-        got = valid_compress(EX, CompressionConfig(error_budget=0.1))
+        got = valid_compress(EX, 0.1)
         assert got.knots == (0.0, 1.0, 4.0, 5.0, 6.0)
         assert got.values == (0.0, 4.0, 10.0, 11.0, 11.0)
         assert is_valid_compression(EX, got).ok
 
     def test_key_column_is_one_segment(self):
         key = DegreeSequence((1,) * 100)
-        got = valid_compress(key, CompressionConfig(error_budget=0.01))
+        got = valid_compress(key, 0.01)
         assert got.knots == (0.0, 100.0)
         assert got.values == (0.0, 100.0)
 
     def test_uniform_column_is_one_segment(self):
         uni = DegreeSequence((7,) * 12)
-        got = valid_compress(uni, CompressionConfig(error_budget=0.001))
+        got = valid_compress(uni, 0.001)
         assert len(got.knots) == 2
 
     def test_empty_sequence(self):
         got = valid_compress(DegreeSequence(()))
         assert got.total == 0.0
 
-    def test_segment_cap_is_respected(self):
-        seq = DegreeSequence(sorted((2 ** k for k in range(12)), reverse=True))
-        got = valid_compress(seq, CompressionConfig(error_budget=1e-9, max_segments=4))
-        assert len(got.knots) - 1 <= 4
-        assert is_valid_compression(seq, got).ok
-
     def test_segment_count_never_exceeds_sqrt_bound(self):
         rng = random.Random(11)
         for _ in range(100):
             seq = random_seq(rng)
-            got = valid_compress(seq, CompressionConfig(error_budget=0.01))
+            got = valid_compress(seq, 0.01)
             limit = min(math.isqrt(2 * seq.total) + 1, seq.freqs[0] + 1)
             assert len(got.knots) - 1 <= limit + 1
 
@@ -150,18 +143,17 @@ class TestErrorGuarantee:
     )
     def test_self_join_error_tracks_segments(self, freqs, budget):
         seq = DegreeSequence(sorted(freqs, reverse=True))
-        got = valid_compress(seq, CompressionConfig(error_budget=budget))
+        got = valid_compress(seq, budget)
         assert is_valid_compression(seq, got).ok
         exact = float(self_join_bound(seq))
         approx = sum(s * s * w for s, w in zip(got.slopes, _widths(got)))
         sloped = sum(1 for s in got.slopes if s > 0)
         assert approx <= exact * (1.0 + budget * sloped) + 1e-6 * exact
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CompressionConfig(error_budget=0.0)
-        with pytest.raises(ValueError):
-            CompressionConfig(max_segments=1)
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match="error_budget must be positive"):
+            valid_compress(EX, budget)
 
 
 def _widths(fn: PiecewiseLinearFn):
@@ -197,7 +189,7 @@ class TestDistance:
         rng = random.Random(11)
         fns = [cumulate(lossless_compress(random_seq(rng, 256, 40))) for _ in range(12)]
         fns.append(cumulate(lossless_compress(DegreeSequence((3,) * 256))))
-        fns.append(valid_compress(random_seq(rng, 255, 40), CompressionConfig(0.2)))
+        fns.append(valid_compress(random_seq(rng, 255, 40), 0.2))
         # the full integer grid, unit weights, every pair at once
         upto = int(np.ceil(max(fn.end for fn in fns)))
         assert upto == 256

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqbound import stats as stats_module
-from seqbound.compress import CompressionConfig, distances_to, drop_vectors, valid_compress
+from seqbound.compress import distances_to, drop_vectors, valid_compress
 from seqbound.pwfn import (
     DegreeSequence,
     PiecewiseLinearFn,
@@ -83,8 +83,6 @@ class TestBuildParams:
         [
             {"hist_depth": 2.5},
             {"mcv_size": 2.5},
-            {"max_segments": 2.5},
-            {"max_segments": 1},
             {"clusters": 2.5},
             {"clusters": "3"},
             {"compression_budget": "0.1"},
@@ -96,8 +94,9 @@ class TestBuildParams:
             make_build_params(raw)
 
     def test_make_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            make_build_params({"fanciness": 3})
+        for key in ("fanciness", "max_segments"):
+            with pytest.raises(ConfigError, match="unknown build parameters: %s" % key):
+                make_build_params({key: 3})
         assert make_build_params({"mcv_size": 7}).mcv_size == 7
 
 
@@ -446,7 +445,7 @@ class TestClustering:
             d = int(rng.integers(2, 401))
             freqs = rng.integers(2, 60) // np.arange(1, d + 1) ** rng.uniform(0, 1)
             seq = DegreeSequence(np.maximum(1, freqs).astype(int).tolist())
-            fns.append(valid_compress(seq, CompressionConfig(0.05)))
+            fns.append(valid_compress(seq, 0.05))
         n_groups = stats_module._cluster_count("auto", len(fns))
         tracemalloc.start()
         try:

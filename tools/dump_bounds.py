@@ -64,7 +64,7 @@ def dump(workload: str, seed: int, out, labelled: bool = False) -> None:
     with tempfile.TemporaryDirectory() as work:
         ws = seqbound.load_workspace(ds.write(work))
         catalog = seqbound.build_catalog(
-            ws.relations, ws.roles, ws.pkfk, seqbound.BuildParams(**ws.params)
+            ws.relations, ws.roles, ws.pkfk, seqbound.make_build_params(ws.params)
         )
         path = os.path.join(work, "catalog.bin")
         seqbound.save_catalog(catalog, path)
