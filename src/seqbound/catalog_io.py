@@ -15,7 +15,8 @@ profile once, as ``[knots, values]``, in the order a walk of relations by
 name, fallbacks by column, families, entries by (join, filter),
 representatives and then the default first uses it; every statistic
 stores its profile's index in that list, and loading builds one object
-per entry.
+per entry.  A conditioned statistic is stored as its :class:`FilterStats`
+fields, with one key list per representative.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .stats import (
 __all__ = ["CatalogFormatError", "save_catalog", "load_catalog", "MAGIC", "VERSION"]
 
 MAGIC = b"SEQBOUND-STATS"
-VERSION = 5
+VERSION = 6
 
 
 class CatalogFormatError(RuntimeError):
@@ -73,37 +74,35 @@ def _stats_plain(
     return {
         "join": join,
         "filter": filter_,
-        "groups": [
-            {"keys": k, "representative": ref(fn)}
-            for k, fn in zip(keys, stats.representatives)
-        ],
+        "representatives": [ref(fn) for fn in stats.representatives],
+        "keys": keys,
         "default": ref(stats.default),
-        "levels": [{"cuts": c, "groups": g} for c, g in stats.levels],
+        "cuts": stats.cuts,
+        "levels": stats.levels,
     }
 
 
 def _stats_load(plain: dict, fns: list[PiecewiseLinearFn]) -> FilterStats:
-    groups = plain["groups"]
-    keys = {k: i for i, g in enumerate(groups) for k in g["keys"]}
-    levels = []
-    for lv in plain["levels"]:
-        cuts, ids = tuple(lv["cuts"]), tuple(lv["groups"])
-        # A range lookup indexes a level's ids by bucket, then the
-        # representatives by id, so both must be in range.
-        if len(ids) != len(cuts) + 1 or not all(
-            type(i) is int and 0 <= i < len(groups) for i in ids
-        ):
+    reps = tuple(_fn_load(ref, fns) for ref in plain["representatives"])
+    keys, cuts, levels = plain["keys"], tuple(plain["cuts"]), tuple(map(tuple, plain["levels"]))
+    if len(keys) != len(reps):
+        raise ValueError("%d key list(s) for %d representative(s)" % (len(keys), len(reps)))
+    # A range lookup bisects the cuts once, then indexes level k's ids by
+    # a bucket up to len(cuts) >> k and the representatives by id.
+    numbers = all(type(c) in (int, float) and not math.isnan(c) for c in cuts)
+    if not numbers or any(a >= b for a, b in zip(cuts, cuts[1:])):
+        raise ValueError("histogram cuts %r are not ascending numbers" % (list(cuts),))
+    if len(levels) != len(cuts).bit_length():
+        raise ValueError("%d histogram level(s) for %d cut(s)" % (len(levels), len(cuts)))
+    for k, ids in enumerate(levels):
+        valid = all(type(i) is int and 0 <= i < len(reps) for i in ids)
+        if not valid or len(ids) != (len(cuts) >> k) + 1:
             raise ValueError(
-                "histogram level with %d cut(s) has bucket ids %r for %d representative(s)"
-                % (len(cuts), list(ids), len(groups))
+                "histogram level %d of %d cut(s) has bucket ids %r for %d representative(s)"
+                % (k, len(cuts), list(ids), len(reps))
             )
-        levels.append((cuts, ids))
-    return FilterStats(
-        tuple(_fn_load(g["representative"], fns) for g in groups),
-        _fn_load(plain["default"], fns),
-        keys,
-        tuple(levels),
-    )
+    keyed = {k: i for i, ks in enumerate(keys) for k in ks}
+    return FilterStats(reps, _fn_load(plain["default"], fns), keyed, cuts, levels)
 
 
 def _catalog_plain(catalog: StatisticsCatalog) -> dict:
@@ -202,16 +201,13 @@ def load_catalog(path: str) -> StatisticsCatalog:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 12 + 32 or blob[: len(MAGIC)] != MAGIC:
         raise CatalogFormatError("%s: not a statistics catalog" % path)
-    pos = len(MAGIC)
-    (version,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    version, length = struct.unpack_from("<IQ", blob, len(MAGIC))
     if version != VERSION:
         raise CatalogFormatError(
             "%s: format version %d not supported (reader handles %d)"
             % (path, version, VERSION)
         )
-    (length,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
+    pos = len(MAGIC) + 12
     payload = blob[pos : pos + length]
     if len(payload) != length or len(blob) < pos + length + 32:
         raise CatalogFormatError("%s: truncated catalog" % path)

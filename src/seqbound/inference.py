@@ -345,7 +345,12 @@ class _Conditioner:
             return got
         rel = self.catalog.relations[atom.relation]
         if rel.join_columns:
-            cap = min(self.column_profile(atom, j).total for j in rel.join_columns)
+            # a conditioned profile counts the rows whose join column is
+            # non-null; the column's null rows may satisfy the predicate too
+            cap = min(
+                self.column_profile(atom, j).total + rel.cardinality - rel.fallback[j].total
+                for j in rel.join_columns
+            )
         else:
             cap = float(rel.cardinality)
         self.caps[atom.alias] = cap

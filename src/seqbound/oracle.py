@@ -480,7 +480,6 @@ def run_soundness_suite(
     queries_per_db: int = 10,
     params: BuildParams | None = None,
     workspace: tuple[dict[str, Relation], dict[str, ColumnRole], tuple] | None = None,
-    on_record=None,
     catalog_mutator=None,
 ) -> tuple[list[dict], dict]:
     """Randomized soundness campaign; returns per-trial records and a summary.
@@ -532,8 +531,6 @@ def run_soundness_suite(
                 except OracleCapExceeded:
                     continue
                 records.append(record)
-                if on_record is not None:
-                    on_record(record)
                 done += 1
             block += 1
     return records, summarize(records)

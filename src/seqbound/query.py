@@ -204,6 +204,9 @@ _KEYWORDS = {
 _EOF = ("", "", "", "", "", "")
 _bad = operator.itemgetter(5)
 _COMPARISONS = ("=", "<", "<=", ">", ">=")
+# Deepest parenthesis nesting a predicate may use: the parser, and every
+# walk of a predicate tree, recurses at most once per level.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, ...]]:
@@ -261,6 +264,7 @@ class _Parser:
         self.schema = schema
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.aliases: dict[str, str] = {}
 
     # --- token plumbing
@@ -356,8 +360,14 @@ class _Parser:
     def parse_term(self):
         tok = self.tokens[self.i]
         if tok[4] == "(":
+            if self.depth == MAX_NESTING:
+                raise QueryParseError(
+                    "parentheses nested deeper than %d" % MAX_NESTING, self.pos(self.i)
+                )
             self.i += 1
+            self.depth += 1
             inner = self.parse_disjunction()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         if tok[3].upper() == "NOT":

@@ -43,6 +43,7 @@ import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from itertools import islice, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -133,15 +134,18 @@ class FilterStats:
     maps a tracked filter value or 3-gram to the index of its group's
     representative, and any other key resolves to ``default``, the least
     concave majorant of every untracked key's exact profile.  Range
-    statistics have no keys: ``levels`` holds the nested histogram
-    levels, finest first, each as (cuts, representative index per
-    bucket), and ``default`` is the join column's unconditioned profile.
+    statistics have no keys: ascending ``cuts`` split the finest level into
+    ``len(cuts) + 1`` buckets, level k < ``len(cuts).bit_length()`` has
+    ``(len(cuts) >> k) + 1``, its bucket m the union of finest buckets
+    m * 2**k .. (m + 1) * 2**k - 1 with representative ``levels[k][m]``,
+    and ``default`` is the join column's unconditioned profile.
     """
 
     representatives: tuple[PiecewiseLinearFn, ...]
     default: PiecewiseLinearFn
     keys: dict = field(default_factory=dict)
-    levels: tuple[tuple[tuple[float, ...], tuple[int, ...]], ...] = ()
+    cuts: tuple[float, ...] = ()
+    levels: tuple[tuple[int, ...], ...] = ()
 
 
 # The predicate families, as the names of RelationStats' FilterStats maps.
@@ -456,35 +460,35 @@ def build_range_stats(
     if not isinstance(rel.data[groups.column], np.ndarray):
         raise StatsBuildError("range statistics need a numeric filter column")
     uniq = np.array(groups.values, dtype=np.float64)
-    level_cuts: list[list[float]] = []
     cuts = _equi_depth_cuts(uniq, np.diff(groups.bounds), params.hist_depth)
-    while cuts:
-        level_cuts.append(cuts)
-        cuts = cuts[1::2]
-    buckets: list[list[np.ndarray]] = []
-    for lc in level_cuts:
-        edges = groups.bounds[[0, *np.searchsorted(uniq, lc).tolist(), uniq.size]].tolist()
-        buckets += [[groups.rows[s:e]] for s, e in zip(edges, edges[1:])]
+    edges = groups.bounds[[0, *np.searchsorted(uniq, cuts).tolist(), uniq.size]].tolist()
+    depth = len(cuts).bit_length()
+    # level k's edges, finest level first: every 2**k-th finest edge, and the last
+    spans = [pairwise([*edges[: -1 : 1 << k], edges[-1]]) for k in range(depth)]
+    buckets = [[groups.rows[s:e]] for level in spans for s, e in level]
     context = "%s.%s | %s range" % (rel.name, join_col, groups.column)
     fns = _member_profiles(_degree_batches(join_codes, buckets), params, context, profiles)
     representatives, group_of = _build_groups(fns, params, context)
     ids = iter(group_of)
-    levels = tuple((tuple(lc), tuple(next(ids) for _ in range(len(lc) + 1))) for lc in level_cuts)
-    return FilterStats(representatives, root, levels=levels)
+    levels = tuple(tuple(islice(ids, (len(cuts) >> k) + 1)) for k in range(depth))
+    return FilterStats(representatives, root, cuts=tuple(cuts), levels=levels)
 
 
 def lookup_range_group(
     stats: FilterStats, lo: float | None, hi: float | None, hi_incl: bool
 ) -> PiecewiseLinearFn:
     """Profile of the smallest histogram bucket fully containing [lo, hi];
-    the unconditioned root profile when no bucket does."""
-    lo_eff = lo if lo is not None else -math.inf
-    hi_eff = hi if hi is not None else math.inf
-    for cuts, bucket_reps in stats.levels:
-        j = bisect.bisect_right(cuts, lo_eff)
-        upper = cuts[j] if j < len(cuts) else math.inf
+    the unconditioned root profile when no bucket does.  One search finds
+    the finest bucket j holding lo; level k's bucket j >> k holds it too,
+    and ends at the finest cut at index ((j >> k) + 1 << k) - 1."""
+    cuts = stats.cuts
+    j = bisect.bisect_right(cuts, -math.inf if lo is None else lo)
+    hi_eff = math.inf if hi is None else hi
+    for k, ids in enumerate(stats.levels):
+        end = ((j >> k) + 1 << k) - 1
+        upper = cuts[end] if end < len(cuts) else math.inf
         if hi_eff < upper or (hi_eff == upper and not hi_incl):
-            return stats.representatives[bucket_reps[j]]
+            return stats.representatives[ids[j >> k]]
     return stats.default
 
 

@@ -150,6 +150,11 @@ def set_profile_at(*path, part, pos, value):
     return edit
 
 
+def edit_range(edit):
+    """A payload edit applied to relation fact's first range statistic."""
+    return lambda plain: edit(plain["relations"]["fact"]["range"][0])
+
+
 class TestFormatErrors:
     def write_good(self, tmp_path):
         p = tmp_path / "c.bin"
@@ -212,7 +217,7 @@ class TestFormatErrors:
         assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
         assert re.search(match, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("version", [2, 3, 4])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5])
     def test_old_version_rejected(self, tmp_path, capsys, version):
         p = self.write_good(tmp_path)
         blob = bytearray(p.read_bytes())
@@ -239,12 +244,34 @@ class TestFormatErrors:
         # points a bucket past the end of the representatives
         p = self.write_good(tmp_path)
 
-        def edit(plain):
-            level = plain["relations"]["fact"]["range"][0]["levels"][0]
-            level["groups"][0] = 999
-
-        self.edit_payload(p, edit)
+        self.edit_payload(p, set_at("range", 0, "levels", 0, 0, value=999))
         self.assert_rejected(p, "bucket ids", capsys)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # fact.amt's histogram has 7 cuts, so 3 levels of 8, 4 and 2 buckets
+            (edit_range(lambda r: r.update(cuts=[str(c) for c in r["cuts"]])),
+             r"histogram cuts .* are not ascending numbers"),
+            (edit_range(lambda r: r["cuts"].__setitem__(3, math.nan)),
+             r"histogram cuts .* are not ascending numbers"),
+            (edit_range(lambda r: r["cuts"].reverse()),
+             r"histogram cuts .* are not ascending numbers"),
+            (edit_range(lambda r: r["levels"].pop()), r"2 histogram level\(s\) for 7 cut\(s\)"),
+            (edit_range(lambda r: r["levels"][1].pop()), "histogram level 1 of 7 cut"),
+            (edit_range(lambda r: r["keys"].append([])), r"4 key list\(s\) for 3 representative"),
+            (lambda c: c["relations"]["fact"]["equality"][0]["keys"].pop(),
+             r"key list\(s\) for \d+ representative"),
+        ],
+        ids=[
+            "string-cuts", "nan-cut", "descending-cuts", "level-count", "level-length",
+            "more-key-lists", "fewer-key-lists",
+        ],
+    )
+    def test_malformed_statistic(self, tmp_path, capsys, edit, match):
+        p = self.write_good(tmp_path)
+        self.edit_payload(p, edit)
+        self.assert_rejected(p, match, capsys)
 
     @pytest.mark.parametrize(
         "edit, match",
@@ -275,7 +302,7 @@ class TestFormatErrors:
         [
             set_at("fallback", "fk", value=True),
             set_at("range", 0, "default", value=1.0),
-            set_at("equality", 0, "groups", 0, "representative", value=-1),
+            set_at("equality", 0, "representatives", 0, value=-1),
             lambda c: c["relations"]["fact"]["like"][0].update(default=len(c["profiles"])),
         ],
         ids=["bool", "float", "negative", "past-the-end"],
@@ -354,7 +381,7 @@ def _stored_values(cat: StatisticsCatalog) -> list:
         for family in FAMILIES:
             for _, st in sorted(getattr(rs, family).items()):
                 keys = sorted(st.keys.items(), key=lambda kv: (kv[1], str(kv[0])))
-                out.append((keys, st.levels, fns((st.default, *st.representatives))))
+                out.append((keys, st.cuts, st.levels, fns((st.default, *st.representatives))))
     return out
 
 
@@ -373,7 +400,9 @@ def test_float_and_text_keys_round_trip_exactly(tmp_path):
             ("j", "f"): FilterStats((fn,), fn, {k: 0 for k in num_keys}),
             ("j", "s"): FilterStats((fn, fn), fn, {k: i % 2 for i, k in enumerate(text_keys)}),
         },
-        range={("j", "f"): FilterStats((fn,), fn, levels=(((1e-300, 0.1 + 0.2), (0, 0, 0)),))},
+        range={
+            ("j", "f"): FilterStats((fn,), fn, cuts=(1e-300, 0.1 + 0.2), levels=((0, 0, 0), (0, 0)))
+        },
         like={},
     )
     cat = StatisticsCatalog(BuildParams(compression_budget=0.1 + 0.2), {"r": rel})

@@ -254,6 +254,12 @@ class TestEstimate:
         assert main(["estimate", "--catalog", cat, "--query", sql]) == 3
         assert "cross product" in capsys.readouterr().err
 
+    def test_deeply_nested_query_exits_3(self, tmp_path, capsys):
+        cat = built_catalog(tmp_path)
+        sql = "SELECT COUNT(*) FROM orders WHERE " + "(" * 330 + "orders.total = 1" + ")" * 330
+        assert main(["estimate", "--catalog", cat, "--query", sql]) == 3
+        assert "nested deeper than 100" in capsys.readouterr().err
+
     def test_missing_catalog_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.cat")
         assert main(["estimate", "--catalog", missing, "--query", EAST_SQL]) == 2

@@ -339,6 +339,21 @@ class TestBoundQuery:
         assert res.bound == 10
         assert any("not a declared join column" in n for n in res.notes)
 
+    def test_undeclared_join_counts_rows_whose_join_column_is_null(self):
+        # the cap on x's profile must count the two rows whose declared
+        # join column is null: all three rows share x, so 9 pairs join
+        rel = Relation(
+            "r", [Column("j", "numeric"), Column("x", "numeric")],
+            {"j": np.array([1.0, np.nan, np.nan]), "x": np.ones(3)}, 3,
+        )
+        catalog = build_catalog({"r": rel}, {"r": ColumnRole(("j",), ())}, params=EXACT)
+        res = bound(
+            catalog,
+            "SELECT COUNT(*) FROM r AS a, r AS b WHERE a.x = b.x",
+            {"r": {"j": "numeric", "x": "numeric"}},
+        )
+        assert res.bound == 9
+
     def test_fused_multi_column_join(self):
         catalog, rels, schema = pair_catalog()
         res = bound(catalog, PAIR_SQL, schema)
@@ -768,6 +783,35 @@ class TestSoundnessRegressions:
                     true = true_cardinality({"r": r}, query)
                     assert true > 0, sql
                     assert bound_query(catalog, query).bound >= true, sql
+
+
+@st.composite
+def undeclared_join_cases(draw):
+    """A relation whose declared join columns hold nulls, and a self-join
+    on its undeclared column x, with or without a predicate."""
+    n = draw(st.integers(1, 12))
+
+    def column(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+
+    data = {c: column([1.0, 2.0, np.nan]) for c in ("j", "k", "x")}
+    data["f"] = column([0.0, 1.0, 2.0])
+    join_columns = draw(st.sampled_from([("j",), ("j", "k")]))
+    where = draw(st.sampled_from(["", " AND a.f = 1", " AND a.f < 2", " AND b.f >= 1"]))
+    return data, join_columns, "SELECT COUNT(*) FROM r AS a, r AS b WHERE a.x = b.x" + where
+
+
+class TestUndeclaredJoinSoundness:
+    @settings(max_examples=150, deadline=None)
+    @given(undeclared_join_cases())
+    def test_join_on_an_undeclared_column_is_bounded(self, case):
+        data, join_columns, sql = case
+        columns = [Column(c, "numeric") for c in data]
+        r = Relation("r", columns, data, data["f"].size)
+        roles = {"r": ColumnRole(join_columns, ("f",))}
+        catalog = build_catalog({"r": r}, roles, params=BuildParams(hist_depth=2))
+        query = parse_query(sql, {"r": dict.fromkeys(data, "numeric")})
+        assert bound_query(catalog, query).bound >= true_cardinality({"r": r}, query)
 
 
 @st.composite

@@ -325,18 +325,17 @@ class TestHarness:
         assert np.isnan(s["ratio_p50"])
 
     def test_small_campaign_is_sound(self):
-        collected = []
         records, summary = run_soundness_suite(
             n_acyclic=6,
             n_cyclic=2,
             n_multicol=2,
             seed=1,
             queries_per_db=3,
-            on_record=collected.append,
         )
         assert summary["trials"] == 10
         assert summary["violations"] == 0
-        assert len(collected) == 10
+        assert len(records) == 10
+        assert all(r["ok"] and r["bound"] >= r["true"] for r in records)
         assert {r["shape"].split("(")[0] for r in records} <= {
             "acyclic", "cyclic", "multicol"
         }

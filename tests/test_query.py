@@ -12,6 +12,7 @@ from seqbound.relation import Column, ColumnRole, Relation
 from seqbound.stats import build_catalog
 
 from seqbound.query import (
+    MAX_NESTING,
     And,
     Atom,
     Eq,
@@ -211,6 +212,25 @@ class TestValidation:
             parse(sql)
         assert str(info.value) == "%s (at byte %d)" % (message, position)
         assert info.value.position == position
+
+    @staticmethod
+    def nested(depth):
+        return "SELECT COUNT(*) FROM orders WHERE " + "(" * depth + "orders.total = 1" + ")" * depth
+
+    def test_nesting_up_to_the_limit_parses(self):
+        q = parse(self.nested(MAX_NESTING))
+        assert q.predicates["orders"] == Eq("total", 1.0)
+
+    def test_nesting_past_the_limit_is_a_parse_error(self):
+        # the 101st "(" is rejected where it stands
+        with pytest.raises(QueryParseError) as info:
+            parse(self.nested(MAX_NESTING + 1))
+        assert str(info.value) == "parentheses nested deeper than 100 (at byte 134)"
+        assert info.value.position == 34 + MAX_NESTING
+
+    def test_very_deep_nesting_does_not_exhaust_the_stack(self):
+        with pytest.raises(QueryParseError, match="nested deeper than 100"):
+            parse(self.nested(5000))
 
     def test_unsupported_operators(self):
         assert "negation" in self.unsupported(

@@ -1,3 +1,5 @@
+import bisect
+import math
 import time
 import tracemalloc
 from collections import Counter
@@ -18,6 +20,7 @@ from seqbound.pwfn import (
 from seqbound.relation import Column, ColumnRole, ConfigError, PkFkDeclaration, Relation
 from seqbound.stats import (
     BuildParams,
+    FilterStats,
     StatsBuildError,
     build_catalog,
     build_equality_stats,
@@ -303,8 +306,10 @@ class TestProfileTable:
         codes, f = codes_of(rel, "j"), rel.data["f"]
         seqs = {extract_degree_sequence(codes_of(rel, c)) for c in ("j", "f")}
         seqs |= {extract_degree_sequence(codes[f == v]) for v in range(5)}
-        for cuts, _ in r.range[("j", "f")].levels:
-            edges = [-np.inf, *cuts, np.inf]
+        rs = r.range[("j", "f")]
+        for k in range(len(rs.levels)):
+            # level k's cuts are every 2**k-th finest cut
+            edges = [-np.inf, *rs.cuts[(1 << k) - 1 :: 1 << k], np.inf]
             for lo, hi in zip(edges, edges[1:]):
                 seqs.add(extract_degree_sequence(codes[(f >= lo) & (f < hi)]))
         assert len(seqs) == 10 < len(r_eq + r_range + s_eq + s_range) + 4
@@ -636,6 +641,21 @@ def target_loop_cuts(values: np.ndarray, depth: int) -> list[float]:
     return cuts
 
 
+def reference_range_lookup(stats, lo, hi, hi_incl):
+    """The smallest bucket holding [lo, hi], searched level by level, each
+    level's cuts every second cut of the level below; else the default."""
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
+    cuts = list(stats.cuts)
+    for ids in stats.levels:
+        j = bisect.bisect_right(cuts, lo)
+        upper = cuts[j] if j < len(cuts) else math.inf
+        if hi < upper or (hi == upper and not hi_incl):
+            return stats.representatives[ids[j]]
+        cuts = cuts[1::2]
+    return stats.default
+
+
 class TestRangeStats:
     def make(self, hist_depth=2):
         rel = Relation(
@@ -650,7 +670,12 @@ class TestRangeStats:
 
     def test_level_structure(self):
         stats, _ = self.make()
-        assert [cuts for cuts, _ in stats.levels] == [(3.0, 5.0, 7.0), (5.0,)]
+        # level 0 splits at 3, 5 and 7; level 1 at 5 only, so its two
+        # buckets are level 0's first two and last two
+        assert stats.cuts == (3.0, 5.0, 7.0)
+        assert stats.levels == ((0, 0, 0, 0), (1, 1))
+        assert stats.representatives[0].total == pytest.approx(2.0)
+        assert stats.representatives[1].total == pytest.approx(4.0)
         assert stats.keys == {}
 
     def test_enclosing_bucket_selection(self):
@@ -681,8 +706,9 @@ class TestRangeStats:
         start = time.perf_counter()
         deep, _ = self.make(hist_depth=40)
         assert time.perf_counter() - start < 1.0
-        assert deep.levels == self.make(hist_depth=7)[0].levels
-        assert deep.levels[0][0] == (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+        shallow = self.make(hist_depth=7)[0]
+        assert (deep.cuts, deep.levels) == (shallow.cuts, shallow.levels)
+        assert deep.cuts == (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -702,6 +728,27 @@ class TestRangeStats:
         uniq, counts = np.unique(values, return_counts=True)
         got = stats_module._equi_depth_cuts(uniq, counts, depth)
         assert got == target_loop_cuts(values, depth)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False), max_size=200, unique=True).map(sorted),
+        st.data(),
+    )
+    def test_dyadic_lookup_matches_per_level_search(self, cuts, data):
+        # one representative per (level, bucket), so the profile names
+        # the bucket the lookup chose
+        levels, reps = [], []
+        for k in range(len(cuts).bit_length()):
+            levels.append(tuple(range(len(reps), len(reps) + (len(cuts) >> k) + 1)))
+            reps += [cum((i + 1,)) for i in levels[-1]]
+        stats = FilterStats(tuple(reps), cum((1, 1)), cuts=tuple(cuts), levels=tuple(levels))
+        end = st.none() | st.sampled_from([-math.inf, math.inf]) | st.floats(allow_nan=False)
+        if cuts:
+            end |= st.sampled_from(cuts)
+        for _ in range(10):
+            lo, hi, hi_incl = data.draw(end), data.draw(end), data.draw(st.booleans())
+            expected = reference_range_lookup(stats, lo, hi, hi_incl)
+            assert lookup_range_group(stats, lo, hi, hi_incl) is expected, (lo, hi, hi_incl)
 
 
 class TestLikeStats:
