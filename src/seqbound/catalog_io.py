@@ -160,9 +160,9 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
     fns = _profiles_load(plain["profiles"])
     relations = {}
     for name, rp in plain["relations"].items():
-        if type(rp["cardinality"]) is not int or rp["cardinality"] < 0:
+        if type(rp["cardinality"]) is not int or not 0 <= rp["cardinality"] <= 2**53:
             raise ValueError(
-                "relation %r: cardinality must be a non-negative integer, got %r"
+                "relation %r: cardinality must be a non-negative integer of at most 2**53, got %r"
                 % (name, rp["cardinality"])
             )
         relations[name] = RelationStats(
@@ -179,6 +179,15 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
         )
         _check_references(relations[name])
     pkfk = tuple(PkFkEdge(**e) for e in plain["pkfk"])
+    for e in pkfk:  # the pushdown reads every key and pushed-down column
+        if not isinstance(e.propagated, dict):
+            raise ValueError("pkfk edge %r: propagated must map strings to strings" % (e,))
+        pushed = [(e.dim, c) for c in e.propagated] + [(e.fact, c) for c in e.propagated.values()]
+        for rel, col in [(e.fact, e.fk), (e.dim, e.pk), *pushed]:
+            if not type(rel) is type(col) is str:
+                raise ValueError("pkfk edge %r: fields must be strings" % (e,))
+            if col not in getattr(relations.get(rel), "column_kinds", ()):
+                raise ValueError("pkfk edge names unknown column %s.%s" % (rel, col))
     return StatisticsCatalog(make_build_params(plain["params"]), relations, pkfk)
 
 

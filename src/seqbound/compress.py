@@ -13,7 +13,9 @@ the configured budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import groupby, pairwise
 
 import numpy as np
 
@@ -43,18 +45,18 @@ class ValidityReport:
     reason: str | None = None
 
 
-INT64_MAX = int(np.iinfo(np.int64).max)
+def _runs(seq) -> tuple[list[int], list[int]]:
+    """The degrees and run lengths, as Python ints, of a degree sequence:
+    a :class:`DegreeSequence`, or its (degree, run length) pairs as rows."""
+    if not isinstance(seq, DegreeSequence):
+        return seq[:, 0].tolist(), seq[:, 1].tolist()
+    runs = [(f, len(list(ranks))) for f, ranks in groupby(seq.freqs)]
+    return [f for f, _ in runs], [r for _, r in runs]
 
 
-def self_join_bound(seq: DegreeSequence) -> int:
+def self_join_bound(seq) -> int:
     """Exact size of the column joined with itself: sum of squared frequencies."""
-    freqs = seq.freqs
-    # freqs descend, so the int64 dot product cannot overflow when
-    # len * freqs[0]^2 fits; past that, Python ints stay exact
-    if not freqs or len(freqs) * freqs[0] * freqs[0] > INT64_MAX:
-        return sum(f * f for f in freqs)
-    a = np.asarray(freqs, dtype=np.int64)
-    return int(np.dot(a, a))
+    return sum(f * f * r for f, r in zip(*_runs(seq)))
 
 
 def lossless_compress(seq: DegreeSequence) -> PiecewiseConstantFn:
@@ -67,67 +69,84 @@ def lossless_compress(seq: DegreeSequence) -> PiecewiseConstantFn:
     )
 
 
-def valid_compress(seq: DegreeSequence, error_budget: float = 0.01) -> PiecewiseLinearFn:
-    """Compress a degree sequence into a dominating cumulative profile.
+def valid_compress(seq, error_budget: float = 0.01) -> PiecewiseLinearFn:
+    """Compress a degree sequence (see :func:`_runs`) into a dominating
+    cumulative profile.
 
-    Walks ranks in order, extending the current sloped segment by the
-    fractional width f(i) / slope so the segment's running total lands
-    exactly on the exact cumulative value, and opens a new segment (at the
-    current fractional rank, with slope f(i)) once the accumulated
-    self-join overestimation of the current one reaches
-    error_budget * sum(f^2).  A flat cap at the total row count closes the
-    domain (0, d].  Raises ValueError unless error_budget > 0.
+    A sloped segment of slope s (the degree of its first rank) absorbs
+    ranks while the self-join overestimation they add, f * (s - f) for a
+    rank of degree f, stays below error_budget * sum(f^2); the rank at
+    which it reaches that opens the next segment, of slope f.  The walk
+    goes run by run in exact integers, one division per run that opens a
+    segment.  A knot's value is the exact row count before it, its position
+    the previous knot's plus the segment's rows over its slope.  A flat cap
+    at the total closes the domain (0, d].  Raises ValueError unless
+    error_budget > 0.
     """
     if not error_budget > 0.0:
         raise ValueError("error_budget must be positive")
-    freqs = seq.freqs
-    d = len(freqs)
-    if d == 0:
+    degrees, lengths = _runs(seq)
+    if not degrees:
         return zero_cumulative(1.0)
-    total = float(seq.total)
+    d = sum(lengths)
+    # threshold is exactly limit / den, so err, den times the overestimation,
+    # reaches it at limit; an infinite threshold (den 0) is never reached
     threshold = error_budget * float(self_join_bound(seq))
-
-    knots = [0.0]
-    values = [0.0]
-    slope = float(freqs[0])
-    err = 0.0
-    pos = 0.0
-    seg_start = 0.0
-    base = 0.0
-    for f in freqs:
-        fi = float(f)
-        err += slope * slope * (fi / slope) - fi * fi
-        if err >= threshold:
-            closed = base + slope * (pos - seg_start)
-            knots.append(pos)
-            values.append(closed)
-            base = closed
-            seg_start = pos
-            slope = fi
-            err = 0.0
-        pos += fi / slope
-    final = base + slope * (pos - seg_start)
-    if abs(final - total) <= 1e-6 * max(1.0, total):
-        final = total
-    knots.append(pos)
-    values.append(final)
-    if pos < d - 1e-9 * max(1.0, d):
+    limit, den = (1, 0) if math.isinf(threshold) else threshold.as_integer_ratio()
+    knots, values = [0.0], [0]
+    slope = degrees[0]
+    err = mass = 0  # den * overestimation, and rows, of the open segment
+    for f, r in zip(degrees, lengths):
+        step = den * f * (slope - f)
+        if step and err + step * r >= limit:
+            t, rest = divmod(limit - err, step)
+            t += rest > 0  # the run's t-th rank (from 1) opens the next segment
+            mass += (t - 1) * f
+            knots.append(knots[-1] + mass / slope)
+            values.append(values[-1] + mass)
+            slope, err, mass = f, 0, (r - t + 1) * f
+        else:
+            err += step * r
+            mass += r * f
+    knots.append(knots[-1] + mass / slope)
+    values.append(values[-1] + mass)
+    if knots[-1] < d - 1e-9 * max(1.0, d):
         knots.append(float(d))
-        values.append(total)
+        values.append(values[-1])
     return PiecewiseLinearFn(knots, values)
 
 
-def is_valid_compression(
-    seq: DegreeSequence, candidate: PiecewiseLinearFn
-) -> ValidityReport:
-    """Check that a cumulative profile soundly stands in for a degree sequence.
+def _audit_points(degrees: list[int], lengths: list[int], fn: PiecewiseLinearFn):
+    """(rank, fn's value, exact cumulative) at every knot of fn inside
+    (0, d) and at every run boundary, in one walk in rank order."""
+    knots, values, slopes = fn.knots, fn.values, fn.slopes
+    i = 1  # the first knot right of the points walked so far
+    rank = count = 0  # the last run boundary and the exact count there
+    for f, r in zip(degrees, lengths):
+        end = rank + r
+        while i < len(knots) and knots[i] < end:
+            yield knots[i], values[i], count + (knots[i] - rank) * f
+            i += 1
+        rank, count = end, count + f * r
+        # fn at the boundary: on its segment from knot i - 1, or flat past its end
+        at = values[i - 1] + slopes[i - 1] * (rank - knots[i - 1]) if i < len(knots) else values[-1]
+        yield rank, at, count
+
+
+def is_valid_compression(seq, candidate: PiecewiseLinearFn) -> ValidityReport:
+    """Check that a cumulative profile soundly stands in for a degree
+    sequence (see :func:`_runs`).
 
     Required: the profile's slopes never increase, it dominates the exact
-    cumulative profile at every rank, its total equals the sequence total
-    (relative tolerance 1e-6), and its domain ends at the distinct count.
+    cumulative profile on all of [0, d], its total equals the sequence
+    total (relative tolerance 1e-6), and its domain ends at the distinct
+    count d.  Both profiles are linear between consecutive points of the
+    union of the run boundaries and the profile's knots, so domination is
+    checked at those points only (:func:`_audit_points`).
     """
-    d = seq.distinct
-    total = seq.total
+    degrees, lengths = _runs(seq)
+    d = sum(lengths)
+    total = sum(f * r for f, r in zip(degrees, lengths))
     if d == 0:
         if abs(candidate.total) <= 1e-6:
             return ValidityReport(True)
@@ -137,31 +156,14 @@ def is_valid_compression(
             False,
             "domain ends at %r, expected the distinct count %d" % (candidate.end, d),
         )
-    for i in range(1, len(candidate.slopes)):
-        if candidate.slopes[i] > candidate.slopes[i - 1] + 1e-7 * max(
-            1.0, candidate.slopes[i]
-        ):
+    for i, (a, b) in enumerate(pairwise(candidate.slopes), start=1):
+        if b > a + 1e-7 * max(1.0, b):
             return ValidityReport(False, "slopes increase at segment %d" % i)
-    exact = np.concatenate(([0.0], np.cumsum(np.asarray(seq.freqs, dtype=np.float64))))
-    approx = sample_integer_ranks(candidate, d)
-    slack = 1e-9 * np.maximum(1.0, exact[: d + 1])
-    bad = np.nonzero(approx + slack < exact[: d + 1])[0]
-    if bad.size:
-        i = int(bad[0])
-        return ValidityReport(
-            False,
-            "under-estimates the exact profile at rank %d (%r < %r)"
-            % (i, float(approx[i]), float(exact[i])),
-        )
-    freqs = seq.freqs
-    for x in candidate.knots:
-        if x <= 0.0 or x >= d:
-            continue
-        i0 = int(x)
-        exact_x = exact[i0] + (x - i0) * freqs[i0]
-        if candidate.value_at(x) + 1e-9 * max(1.0, exact_x) < exact_x:
+    for rank, approx, want in _audit_points(degrees, lengths, candidate):
+        if approx + 1e-9 * max(1.0, want) < want:
             return ValidityReport(
-                False, "under-estimates the exact profile at rank %r" % (x,)
+                False,
+                "under-estimates the exact profile at rank %r (%r < %r)" % (rank, approx, want),
             )
     if abs(candidate.total - total) > 1e-6 * max(1.0, total):
         return ValidityReport(

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .pwfn import (
+    InconsistentStatisticsError,
     PiecewiseConstantFn,
     PiecewiseLinearFn,
     cumulate,  # noqa: F401  unused; perfbench/bench_trace.py wraps it by this module's name
@@ -417,6 +418,8 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
     # snapped to it: a genuinely fractional value can only cover integer
     # counts at or below its floor, so snapping never loses soundness,
     # while a plain ceil would inflate exact results by one.
+    if not math.isfinite(best):
+        raise InconsistentStatisticsError("the bound overflows a float: profile values too large")
     nearest = round(best)
     if abs(best - nearest) <= 1e-9 * max(1.0, abs(best)):
         bound = max(0, int(nearest))

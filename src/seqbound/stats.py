@@ -221,8 +221,10 @@ class RowGroups(NamedTuple):
 
 def _row_groups(column: str, values: list, codes: np.ndarray) -> RowGroups:
     live = np.flatnonzero(codes >= 0)
-    order = np.argsort(codes[live], kind="stable")
-    counts = np.bincount(codes[live], minlength=len(values))
+    keys = codes[live]
+    # numpy's stable sort of 16-bit integers is a radix sort, several times faster
+    order = np.argsort(keys.astype(np.uint16) if len(values) <= 1 << 16 else keys, kind="stable")
+    counts = np.bincount(keys, minlength=len(values))
     return RowGroups(column, values, live[order], np.concatenate(([0], np.cumsum(counts))))
 
 
@@ -230,13 +232,15 @@ def _degree_batches(join_codes: np.ndarray, sets: list[list[np.ndarray]]):
     """Exact degrees of a coded join column over row sets, each given as
     one or more disjoint row-index parts.
 
-    One ``np.unique`` counts the (set, join code) pairs of a batch and one
-    ``np.lexsort`` orders each set's counts descending.  Whole sets go
-    through in batches: a set joins the batch in which its last row falls,
-    at a quarter of the column's rows or ``BATCH_MIN_ROWS`` per batch,
-    whichever is more, so the work arrays stay near that plus the largest
-    set however many sets share a row.  Each batch yields ``(degrees,
-    offsets)``: its k-th set's degrees are ``degrees[offsets[k]:offsets[k + 1]]``.
+    ``np.bincount`` counts the (set, join code) pairs of a batch when sets
+    x codes is at most 4 per live row, ``np.unique`` otherwise; one sort of
+    set * (c + 1) + (c - count), c the largest count, orders each set's
+    counts descending.  Whole sets go through in batches: a set joins the
+    batch in which its last row falls, at a quarter of the column's rows or
+    ``BATCH_MIN_ROWS`` per batch, whichever is more, so the work arrays stay
+    near that plus the largest set however many sets share a row.  Each
+    batch yields ``(degrees, offsets)``: its k-th set's degrees are
+    ``degrees[offsets[k]:offsets[k + 1]]``.
     """
     width = int(join_codes.max(initial=-1)) + 1
     sizes = np.array([sum(part.size for part in parts) for parts in sets], dtype=np.int64)
@@ -246,13 +250,24 @@ def _degree_batches(join_codes: np.ndarray, sets: list[list[np.ndarray]]):
         keys = join_codes[np.concatenate([part for parts in sets[lo:hi] for part in parts])]
         owner = np.repeat(np.arange(hi - lo, dtype=np.int64), sizes[lo:hi])
         live = keys >= 0
-        pairs, counts = np.unique(owner[live] * width + keys[live], return_counts=True)
+        pair = owner[live] * width + keys[live]
+        if (hi - lo) * width <= 4 * pair.size:
+            tally = np.bincount(pair)
+            pairs = np.flatnonzero(tally)
+            counts = tally[pairs]
+        else:
+            pairs, counts = np.unique(pair, return_counts=True)
         owner = pairs // width
         offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=hi - lo))))
-        yield counts[np.lexsort((-counts, owner))], offsets
+        # One sort of an int64 key orders by set, then by count descending.
+        # A count is at most the batch's rows, so the key fits while sets x
+        # rows < 2^63: a batch of 3 * 10^9 rows and as many sets is far past memory.
+        top = int(counts.max(initial=0)) + 1
+        assert (hi - lo) * top <= np.iinfo(np.int64).max
+        yield top - 1 - np.sort(owner * top + (top - 1 - counts)) % top, offsets
 
 
-def _audited_profile(seq: DegreeSequence, params: BuildParams, context: str) -> PiecewiseLinearFn:
+def _audited_profile(seq, params: BuildParams, context: str) -> PiecewiseLinearFn:
     fn = valid_compress(seq, params.compression_budget)
     report = is_valid_compression(seq, fn)
     if not report.ok:
@@ -273,11 +288,11 @@ def _member_profiles(
         head[offsets[:-1][offsets[:-1] < degrees.size]] = True
         starts = np.flatnonzero(head)
         runs = np.stack((degrees[starts], np.diff(starts, append=degrees.size)), axis=1)
-        first, bounds = np.searchsorted(starts, offsets).tolist(), offsets.tolist()
-        for k in range(len(bounds) - 1):
-            key = runs[first[k] : first[k + 1]].tobytes()
+        first = np.searchsorted(starts, offsets).tolist()
+        for k in range(len(first) - 1):
+            seq = runs[first[k] : first[k + 1]]
+            key = seq.tobytes()
             if key not in profiles:
-                seq = DegreeSequence(degrees[bounds[k] : bounds[k + 1]])
                 profiles[key] = _audited_profile(seq, params, context)
             fns.append(profiles[key])
     return fns

@@ -15,7 +15,9 @@ from seqbound.catalog_io import (
     save_catalog,
 )
 from seqbound.cli import main
-from seqbound.pwfn import PiecewiseLinearFn
+from seqbound.inference import bound_query
+from seqbound.pwfn import InconsistentStatisticsError, PiecewiseLinearFn
+from seqbound.query import parse_query
 from seqbound.relation import Column, ColumnRole, PkFkDeclaration, Relation
 from seqbound.stats import (
     FAMILIES,
@@ -331,6 +333,59 @@ class TestFormatErrors:
         p = self.write_good(tmp_path)
         self.edit_payload(p, edit)
         self.assert_rejected(p, match, capsys)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # once gave TypeError: unhashable type: 'list' in condition_sequence
+            (lambda c: c["pkfk"][0]["propagated"].update(name=["x"]), "fields must be strings"),
+            (lambda c: c["pkfk"][0].update(fk=7), "fields must be strings"),
+            (lambda c: c["pkfk"][0].update(propagated=[]), "propagated must map strings"),
+            (lambda c: c["pkfk"][0].update(dim="nope"), r"unknown column nope\.k"),
+            (lambda c: c["pkfk"][0].update(pk="name2"), r"unknown column dim\.name2"),
+            (lambda c: c["pkfk"][0].update(fk="fk2"), r"unknown column fact\.fk2"),
+            (lambda c: c["pkfk"][0]["propagated"].update(nope="__dim__name"),
+             r"unknown column dim\.nope"),
+            (lambda c: c["pkfk"][0]["propagated"].update(name="__dim__gone"),
+             r"unknown column fact\.__dim__gone"),
+            # once gave OverflowError: int too large to convert to float
+            (set_at("cardinality", value=10**400), "at most 2\\*\\*53"),
+            (set_at("cardinality", value=2**53 + 1), "at most 2\\*\\*53"),
+        ],
+        ids=[
+            "list-propagated-column", "numeric-fk", "list-propagated", "unknown-dim",
+            "unknown-pk", "unknown-fk", "unknown-pushed-column", "unknown-fact-column",
+            "huge-cardinality", "cardinality-past-2**53",
+        ],
+    )
+    def test_unusable_pkfk_edge_or_cardinality(self, tmp_path, capsys, edit, match):
+        p = self.write_good(tmp_path)
+        self.edit_payload(p, edit)
+        self.assert_rejected(p, match, capsys)
+
+    def test_largest_cardinality_loads(self, tmp_path):
+        p = self.write_good(tmp_path)
+        self.edit_payload(p, set_at("cardinality", value=2**53))
+        assert load_catalog(str(p)).relations["fact"].cardinality == 2**53
+
+    def test_bound_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # every profile value times 1e300 loads (all finite), but the
+        # self-join's bound is past the float range: once OverflowError
+        # at round(best)
+        p = self.write_good(tmp_path)
+
+        def scale(plain):
+            for profile in plain["profiles"]:
+                profile[1] = [v * 1e300 for v in profile[1]]
+
+        self.edit_payload(p, scale)
+        catalog = load_catalog(str(p))
+        sql = "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk"
+        query = parse_query(sql, {"fact": catalog.relations["fact"].column_kinds})
+        with pytest.raises(InconsistentStatisticsError, match="overflows a float"):
+            bound_query(catalog, query)
+        assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
+        assert "overflows a float" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload",

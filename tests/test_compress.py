@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from seqbound.compress import (
     self_join_bound,
     valid_compress,
 )
-from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, cumulate, sample_integer_ranks
+from seqbound.pwfn import (
+    DegreeSequence,
+    PiecewiseLinearFn,
+    cumulate,
+    pw_min,
+    sample_integer_ranks,
+)
 
 EX = DegreeSequence((4, 2, 2, 1, 1, 1))
 
@@ -45,7 +52,7 @@ class TestSelfJoinBound:
         assert self_join_bound(seq) == 18 * 10**18
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(1, 2**40), min_size=1, max_size=40))
+    @given(st.lists(st.integers(1, 2**40) | st.integers(2**62, 2**66), min_size=1, max_size=40))
     def test_matches_python_sum(self, freqs):
         seq = DegreeSequence(sorted(freqs, reverse=True))
         assert self_join_bound(seq) == sum(f * f for f in seq.freqs)
@@ -158,6 +165,142 @@ class TestErrorGuarantee:
 
 def _widths(fn: PiecewiseLinearFn):
     return [b - a for a, b in zip(fn.knots, fn.knots[1:])]
+
+
+def per_rank_walk(freqs: list[int], budget: float) -> tuple[list[Fraction], list[int]]:
+    """The greedy rule of ``valid_compress`` rank by rank, in exact
+    arithmetic: the knots (positions and row counts) up to the end of the
+    last sloped segment, without the flat cap."""
+    threshold = Fraction(budget * float(sum(f * f for f in freqs)))
+    knots, values = [Fraction(0)], [0]
+    slope, err, mass = freqs[0], 0, 0
+    for f in freqs:
+        err += f * (slope - f)
+        if err >= threshold:
+            knots.append(knots[-1] + Fraction(mass, slope))
+            values.append(values[-1] + mass)
+            slope, err, mass = f, 0, 0
+        mass += f
+    knots.append(knots[-1] + Fraction(mass, slope))
+    values.append(values[-1] + mass)
+    return knots, values
+
+
+def per_rank_audit(seq: DegreeSequence, candidate: PiecewiseLinearFn) -> bool:
+    """Whether the audit that ``is_valid_compression`` had before it walked
+    runs accepts: domination checked at every integer rank and every knot."""
+    d, total = seq.distinct, seq.total
+    if abs(candidate.end - d) > 1e-6 * max(1.0, d):
+        return False
+    for a, b in zip(candidate.slopes, candidate.slopes[1:]):
+        if b > a + 1e-7 * max(1.0, b):
+            return False
+    exact = np.concatenate(([0.0], np.cumsum(np.asarray(seq.freqs, dtype=np.float64))))
+    approx = sample_integer_ranks(candidate, d)
+    if np.any(approx + 1e-9 * np.maximum(1.0, exact) < exact):
+        return False
+    for x in candidate.knots:
+        if 0.0 < x < d:
+            i0 = int(x)
+            exact_x = exact[i0] + (x - i0) * seq.freqs[i0]
+            if candidate.value_at(x) + 1e-9 * max(1.0, exact_x) < exact_x:
+                return False
+    return abs(candidate.total - total) <= 1e-6 * max(1.0, total)
+
+
+@st.composite
+def run_sequences(draw):
+    """Degree sequences of up to 8 runs: small degrees, degrees above 2^31
+    and above 2^63, single ranks, short runs and runs of thousands of ranks."""
+    degree = st.one_of(st.integers(1, 60), st.integers(2**31, 2**40), st.integers(2**63, 2**66))
+    length = st.one_of(st.just(1), st.integers(1, 6), st.integers(500, 3000))
+    runs = draw(st.lists(st.tuples(degree, length), min_size=1, max_size=8))
+    merged: dict[int, int] = {}
+    for f, r in runs:
+        merged[f] = merged.get(f, 0) + r
+    return DegreeSequence([f for f in sorted(merged, reverse=True) for _ in range(merged[f])])
+
+
+BUDGETS = st.sampled_from([1e-9, 0.001, 0.01, 0.1, 1.0, 5.0])
+
+
+def as_runs(seq: DegreeSequence) -> np.ndarray:
+    """The (degree, run length) pairs the catalog builder passes."""
+    degrees, counts = np.unique(np.array(seq.freqs, dtype=object), return_counts=True)
+    return np.array([[int(f), int(r)] for f, r in zip(degrees[::-1], counts[::-1])], dtype=object)
+
+
+class TestRunWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(run_sequences(), BUDGETS)
+    def test_opens_segments_where_the_per_rank_walk_does(self, seq, budget):
+        got = valid_compress(seq, budget)
+        knots, values = per_rank_walk(list(seq.freqs), budget)
+        if len(got.knots) == len(knots) + 1:  # the flat cap
+            assert got.knots[-1] == seq.distinct and got.values[-1] == float(seq.total)
+        else:
+            assert len(got.knots) == len(knots)
+        # each knot's value is the exact count of the ranks before it,
+        # which names the rank that opens the next segment
+        assert list(got.values[: len(values)]) == [float(v) for v in values]
+        for x, want in zip(got.knots, knots):
+            assert x == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert got.values[-1] == float(seq.total)
+
+    @settings(max_examples=150, deadline=None)
+    @given(run_sequences(), BUDGETS)
+    def test_audit_accepts_every_output(self, seq, budget):
+        got = valid_compress(seq, budget)
+        assert is_valid_compression(seq, got).ok
+        runs = as_runs(seq)
+        assert valid_compress(runs, budget) == got
+        assert is_valid_compression(runs, got).ok
+
+
+def lowered_candidates(draw, seq: DegreeSequence, fn: PiecewiseLinearFn):
+    """``fn`` lowered by more than 1e-6 relative in one of three ways: at
+    one knot; at a fractional rank inside a run, below the exact
+    cumulative there, by its minimum with a concave tent that dips there;
+    or at the domain end, by moving the last knot past it.  None when the
+    lowered knot leaves no concave profile."""
+    knots, values = list(fn.knots), list(fn.values)
+    drop = draw(st.floats(2e-6, 0.5))
+    how = draw(st.sampled_from(["knot", "inside-run", "end"]))
+    if how == "inside-run":
+        rank = draw(st.integers(0, seq.distinct - 1)) + draw(st.floats(0.01, 0.99))
+        i0 = int(rank)
+        low = (sum(seq.freqs[:i0]) + (rank - i0) * seq.freqs[i0]) * (1.0 - drop)
+        rise = min(low / rank, seq.freqs[i0])
+        tent = PiecewiseLinearFn((0.0, rank, fn.end), (0.0, low, low + rise * (fn.end - rank)))
+        return pw_min([fn, tent])
+    if how == "knot":
+        i = draw(st.integers(1, len(knots) - 1))
+        values[i] *= 1.0 - drop
+    else:
+        knots[-1] += min(drop, 1e-6) * max(1.0, seq.distinct)
+    try:
+        return PiecewiseLinearFn(knots, values)
+    except ValueError:
+        return None
+
+
+class TestRunAudit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), run_sequences(), BUDGETS)
+    def test_rejects_what_the_per_rank_audit_rejects(self, data, seq, budget):
+        low = lowered_candidates(data.draw, seq, valid_compress(seq, budget))
+        if low is not None and not per_rank_audit(seq, low):
+            assert not is_valid_compression(seq, low).ok
+            assert not is_valid_compression(as_runs(seq), low).ok
+
+    def test_rejects_a_profile_below_only_at_the_domain_end(self):
+        # EX = (4, 2, 2, 1, 1, 1): the last knot sits 5e-6 past d = 6, so
+        # the profile is 11 only there and about 10.999995 at rank 6; no
+        # knot lies inside the last run
+        fn = PiecewiseLinearFn((0.0, 1.0, 3.0, 6.000005), (0.0, 4.0, 8.0, 11.0))
+        assert not per_rank_audit(EX, fn)
+        report = is_valid_compression(EX, fn)
+        assert not report.ok and "at rank 6" in report.reason
 
 
 class TestDistance:

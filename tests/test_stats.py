@@ -124,6 +124,20 @@ class TestExtractDegreeSequence:
         assert extract_degree_sequence(codes_of(rel, "s")[rows]) == DegreeSequence((2,))
 
 
+class TestRowGroups:
+    @pytest.mark.parametrize("distinct", [1 << 16, (1 << 16) + 1])
+    def test_matches_stable_argsort(self, distinct):
+        # codes 0..distinct-1, each on one to three rows, and nulls, shuffled:
+        # the uint16 sort stops at 2^16 distinct values
+        rng = np.random.default_rng(distinct)
+        codes = np.repeat(np.arange(-1, distinct), rng.integers(1, 4, distinct + 1))
+        codes = rng.permutation(codes)
+        groups = stats_module._row_groups("f", list(range(distinct)), codes)
+        live = np.flatnonzero(codes >= 0)
+        assert groups.rows.tolist() == live[np.argsort(codes[live], kind="stable")].tolist()
+        assert groups.bounds.tolist() == [0, *np.cumsum(np.bincount(codes[live])).tolist()]
+
+
 def counter_degrees(cells: list, sets: list[list[np.ndarray]]) -> list[list[int]]:
     """Descending degrees of each row set, counted cell by cell; Python's ==
     makes -0.0 and 0.0 one key, and None and NaN never join."""
@@ -233,6 +247,65 @@ class TestSharedDegreePass:
         assert shared_pass(text, [[np.array([1, 4])], [np.array([0, 3, 2])]], 0) == [[], [2, 1]]
 
 
+def sorted_degree_batches(join_codes: np.ndarray, sets: list[list[np.ndarray]]):
+    """``_degree_batches`` as it was before the dense tally: one
+    ``np.unique`` counts the pairs of a batch, one ``np.lexsort`` orders
+    each set's counts descending; the same batches."""
+    width = int(join_codes.max(initial=-1)) + 1
+    sizes = np.array([sum(part.size for part in parts) for parts in sets], dtype=np.int64)
+    batch_of = (np.cumsum(sizes) - 1) // max(FLOOR, join_codes.size // 4)
+    cuts = [*np.flatnonzero(np.diff(batch_of, prepend=-2)).tolist(), len(sets)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        keys = join_codes[np.concatenate([part for parts in sets[lo:hi] for part in parts])]
+        owner = np.repeat(np.arange(hi - lo, dtype=np.int64), sizes[lo:hi])
+        live = keys >= 0
+        pairs, counts = np.unique(owner[live] * width + keys[live], return_counts=True)
+        owner = pairs // width
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=hi - lo))))
+        yield counts[np.lexsort((-counts, owner))], offsets
+
+
+@st.composite
+def tally_cases(draw):
+    """Join codes with nulls (-1), sets of one to three disjoint parts, and
+    null padding of zero to two batch floors, some of it added to the sets.
+    Dense cases have at most 4 codes and a live row in every set, so every
+    batch has sets * width <= 4 * live rows and is tallied; sparse cases
+    have more than 4 codes per row, so no batch is."""
+    dense = draw(st.booleans())
+    n = draw(st.integers(1, 60))
+    width = draw(st.integers(1, 4)) if dense else 4 * n + draw(st.integers(1, 1000))
+    codes = np.array(draw(st.lists(st.integers(-1, width - 1), min_size=n, max_size=n)))
+    codes[draw(st.integers(0, n - 1))] = width - 1
+    live = np.flatnonzero(codes >= 0).tolist()
+    sets = []
+    for _ in range(draw(st.integers(0, 8))):
+        rows = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        if dense and not set(rows) & set(live):
+            rows.append(draw(st.sampled_from(live)))
+        cut = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+        bounds = [0, *cut, len(rows)]
+        sets.append([np.array(rows[a:b], dtype=np.intp) for a, b in zip(bounds, bounds[1:])])
+    pad = FLOOR * draw(st.integers(0, 2))
+    for k, extra in enumerate(draw(st.lists(st.integers(0, pad), max_size=len(sets)))):
+        sets[k].append(np.arange(n, n + extra, dtype=np.intp))
+    return np.concatenate([codes, np.full(pad, -1)]).astype(np.intp), sets
+
+
+class TestDenseTally:
+    @settings(max_examples=300, deadline=None)
+    @given(tally_cases())
+    def test_matches_sorting_the_pairs(self, case):
+        codes, sets = case
+        got = list(stats_module._degree_batches(codes, sets))
+        want = list(sorted_degree_batches(codes, sets))
+        assert len(got) == len(want)
+        for (degrees, offsets), (want_degrees, want_offsets) in zip(got, want):
+            assert degrees.dtype == want_degrees.dtype and offsets.dtype == want_offsets.dtype
+            assert degrees.tolist() == want_degrees.tolist()
+            assert offsets.tolist() == want_offsets.tolist()
+
+
 @st.composite
 def member_sets(draw):
     """A join column whose first 12 rows give the sequences (3, 1), (2, 2)
@@ -251,14 +324,15 @@ def member_sets(draw):
 
 
 def counting(monkeypatch, *names: str) -> dict[str, list]:
-    """Wrap the named ``seqbound.stats`` functions to record the first
-    argument of every call."""
+    """Wrap the named ``seqbound.stats`` functions to record the degree
+    sequence of every call: the builder passes each as its (degree, run
+    length) pairs, which are expanded back to a DegreeSequence."""
     calls: dict[str, list] = {name: [] for name in names}
     for name in names:
         fn, log = getattr(stats_module, name), calls[name]
 
         def wrapped(first, *args, _fn=fn, _log=log, **kwargs):
-            _log.append(first)
+            _log.append(DegreeSequence(np.repeat(first[:, 0], first[:, 1])))
             return _fn(first, *args, **kwargs)
 
         monkeypatch.setattr(stats_module, name, wrapped)
