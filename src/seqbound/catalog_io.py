@@ -138,22 +138,32 @@ def _catalog_plain(catalog: StatisticsCatalog) -> dict:
     }
 
 
-def _check_references(rs: RelationStats) -> None:
-    """Reject a relation whose statistics name columns it does not declare;
-    the bound engine would otherwise fail on a missing profile mid-query."""
+def _check_relation(rs: RelationStats) -> None:
+    """Reject a relation whose statistics name columns it does not declare,
+    which the bound engine would otherwise miss mid-query, or whose profiles
+    hold more rows than the relation (beyond 1e-9 relative): a lone
+    relation's row cap subtracts its fallbacks' totals from the cardinality."""
     for col in rs.join_columns + rs.filter_columns:
         if col not in rs.column_kinds:
             raise ValueError("relation %r: role column %r has no declared kind" % (rs.name, col))
     for col in rs.column_kinds:
         if col not in rs.fallback:
             raise ValueError("relation %r: column %r has no fallback profile" % (rs.name, col))
+    fns = [*rs.fallback.values()]
     for family in FAMILIES:
-        for join, filter_ in getattr(rs, family):
+        for (join, filter_), st in getattr(rs, family).items():
             if join not in rs.join_columns or filter_ not in rs.filter_columns:
                 raise ValueError(
                     "relation %r: %s stats name undeclared column pair (%r, %r)"
                     % (rs.name, family, join, filter_)
                 )
+            fns += [*st.representatives, st.default]
+    most = max((fn.total for fn in fns), default=0.0)
+    if most > rs.cardinality + 1e-9 * max(1, rs.cardinality):
+        raise ValueError(
+            "relation %r: a profile holds %r rows, more than its cardinality %d"
+            % (rs.name, most, rs.cardinality)
+        )
 
 
 def _catalog_load(plain: dict) -> StatisticsCatalog:
@@ -177,7 +187,7 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
                 for family in FAMILIES
             },
         )
-        _check_references(relations[name])
+        _check_relation(relations[name])
     pkfk = tuple(PkFkEdge(**e) for e in plain["pkfk"])
     for e in pkfk:  # the pushdown reads every key and pushed-down column
         if not isinstance(e.propagated, dict):

@@ -36,7 +36,6 @@ from .query import (
     BoundPlan,
     Eq,
     InSet,
-    JoinStep,
     Like,
     MergeStep,
     Or,
@@ -261,27 +260,6 @@ def _apply_pkfk(catalog: StatisticsCatalog, query: Query, notes: list[str]) -> Q
     return Query(query.atoms, predicates)
 
 
-def _ensure_join_vars(
-    catalog: StatisticsCatalog, query: Query, notes: list[str]
-) -> Query:
-    atoms = []
-    changed = False
-    for atom in query.atoms:
-        if atom.var_columns:
-            atoms.append(atom)
-            continue
-        rel = catalog.relations[atom.relation]
-        col = rel.join_columns[0] if rel.join_columns else sorted(rel.column_kinds)[0]
-        atoms.append(
-            Atom(atom.alias, atom.relation, (("_" + atom.alias, (col,)),))
-        )
-        notes.append("%s joins nothing; bounding it through column %s" % (atom.alias, col))
-        changed = True
-    if not changed:
-        return query
-    return Query(tuple(atoms), dict(query.predicates))
-
-
 def _validate(catalog: StatisticsCatalog, query: Query) -> None:
     if not query.atoms:
         raise UnsupportedQueryError("query has no relations")
@@ -320,7 +298,7 @@ class _Conditioner:
         self.notes = notes
         self.by_column: dict[tuple[str, str], PiecewiseLinearFn] = {}
         self.fused: dict[tuple[str, tuple[str, ...]], PiecewiseLinearFn] = {}
-        self.caps: dict[str, float] = {}
+        self.caps: dict[str, tuple[float, str | None]] = {}
 
     def column_profile(self, atom: Atom, col: str) -> PiecewiseLinearFn:
         key = (atom.alias, col)
@@ -332,7 +310,7 @@ class _Conditioner:
         if col in rel.join_columns:
             fn = condition_sequence(self.catalog, atom.relation, col, pred)
         else:
-            fn = truncate_cumulative(rel.fallback[col], self.atom_cap(atom))
+            fn = truncate_cumulative(rel.fallback[col], self.atom_cap(atom)[0])
             self.notes.append(
                 "%s.%s is not a declared join column; capped its profile at the "
                 "conditioned row count" % (atom.alias, col)
@@ -340,22 +318,19 @@ class _Conditioner:
         self.by_column[key] = fn
         return fn
 
-    def atom_cap(self, atom: Atom) -> float:
+    def atom_cap(self, atom: Atom) -> tuple[float, str | None]:
+        """The most rows ``atom`` can hold under its predicate, and the join
+        column giving it: the least over join columns of the conditioned
+        total plus the column's null rows, else the cardinality and None."""
         got = self.caps.get(atom.alias)
-        if got is not None:
-            return got
-        rel = self.catalog.relations[atom.relation]
-        if rel.join_columns:
-            # a conditioned profile counts the rows whose join column is
-            # non-null; the column's null rows may satisfy the predicate too
-            cap = min(
-                self.column_profile(atom, j).total + rel.cardinality - rel.fallback[j].total
+        if got is None:
+            rel = self.catalog.relations[atom.relation]
+            caps = [
+                (self.column_profile(atom, j).total + rel.cardinality - rel.fallback[j].total, j)
                 for j in rel.join_columns
-            )
-        else:
-            cap = float(rel.cardinality)
-        self.caps[atom.alias] = cap
-        return cap
+            ]
+            got = self.caps[atom.alias] = min(caps, default=(float(rel.cardinality), None))
+        return got
 
     def variable_profile(self, atom: Atom, cols: tuple[str, ...]) -> PiecewiseLinearFn:
         """Profile of the variable ``atom`` binds to ``cols``: the pointwise
@@ -373,47 +348,45 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
     """Upper-bound the COUNT(*) of a join query against the catalog."""
     _validate(catalog, query)
     notes: list[str] = []
-    q = _ensure_join_vars(catalog, _apply_pkfk(catalog, query, notes), notes)
-    graph = join_graph(q)
-    fused = fuse_parallel_joins(graph)
-    if fused is not graph:
-        notes.append("fused parallel join edges into multi-column variables")
-        graph = fused
-    if not graph.connected:
-        raise UnsupportedQueryError(
-            "query is a cross product; every relation must join the rest"
-        )
-    trees = spanning_trees(graph, SPANNING_TREE_CAP)
-    strategy = "acyclic" if graph.acyclic else "min-over-%d-spanning-trees" % len(trees)
+    q = _apply_pkfk(catalog, query, notes)
     conditioner = _Conditioner(catalog, q, notes)
-    best = math.inf
-    best_steps: tuple[tuple, ...] = ()
-    memo: dict = {}
-    for idx, tree in enumerate(trees):
-        profiles = {
-            (atom.alias, var): conditioner.variable_profile(atom, cols)
-            for atom in tree.atoms
-            for var, cols in atom.var_columns
-        }
-        value, steps = plan_bound(decompose(tree), profiles, memo)
-        if len(trees) > 1:
-            notes.append("spanning tree %d/%d -> %.6g" % (idx + 1, len(trees), value))
-        if value < best:
-            best = value
-            best_steps = steps
-    # COUNT(*) of a lone relation includes rows whose carrier column is
-    # null, which no profile can see; joins are unaffected because null
-    # keys never match.
-    if len(graph.atoms) == 1 and all(v.startswith("_") for v in graph.atoms[0].variables()):
-        atom = graph.atoms[0]
-        rel = catalog.relations[atom.relation]
-        carrier = atom.var_columns[0][1][0]
-        nulls = max(0.0, float(rel.cardinality) - rel.fallback[carrier].total)
-        if nulls > 0:
-            best += nulls
-            notes.append(
-                "%s.%s has %g null row(s); added them to the bound" % (atom.alias, carrier, nulls)
+    if len(q.atoms) == 1:  # COUNT(*) is the rows the predicate keeps
+        atom = q.atoms[0]
+        best, col = conditioner.atom_cap(atom)
+        notes.append(
+            "%s is one relation; bounded by its row cap %.6g" % (atom.alias, best)
+            + ("" if col is None else ", least through %s.%s" % (atom.alias, col))
+        )
+        strategy, best_steps = "single-relation", ()
+    else:
+        graph = join_graph(q)
+        fused = fuse_parallel_joins(graph)
+        if fused is not graph:
+            notes.append("fused parallel join edges into multi-column variables")
+            graph = fused
+        if not graph.connected:
+            raise UnsupportedQueryError(
+                "query is a cross product; every relation must join the rest"
             )
+        trees = spanning_trees(graph, SPANNING_TREE_CAP)
+        strategy = "acyclic" if graph.acyclic else "min-over-%d-spanning-trees" % len(trees)
+        best = math.inf
+        best_steps = ()
+        memo: dict = {}
+        for idx, tree in enumerate(trees):
+            # a variable only one alias binds constrains nothing the plan reads
+            profiles = {
+                (atom.alias, var): conditioner.variable_profile(atom, cols)
+                for atom in tree.atoms
+                for var, cols in atom.var_columns
+                if len(tree.variables[var]) >= 2
+            }
+            value, steps = plan_bound(decompose(tree), profiles, memo)
+            if len(trees) > 1:
+                notes.append("spanning tree %d/%d -> %.6g" % (idx + 1, len(trees), value))
+            if value < best:
+                best = value
+                best_steps = steps
     # Counts are integers, so a value within float noise of an integer is
     # snapped to it: a genuinely fractional value can only cover integer
     # counts at or below its floor, so snapping never loses soundness,

@@ -799,26 +799,22 @@ def decompose(graph: JoinGraph) -> BoundPlan:
     """Turn an acyclic connected join graph into a bottom-up plan of merge
     and join steps whose root evaluates to the cardinality bound.
 
-    The root relation is the atom with the most variables (ties broken by
-    alias); its anchor is a variable shared with no other atom when one
-    exists, the alphabetically first variable otherwise.  Atoms with a
-    single join variable and nothing beneath them feed their profiles in
+    Only variables that two or more aliases bind are planned over: the
+    root relation is the atom with the most of them (ties broken by
+    alias), anchored at its alphabetically first.  Atoms with a single
+    join variable and nothing beneath them feed their profiles in
     directly; each atom's profile is consumed exactly once.
     """
     if not graph.connected:
         raise ValueError("cannot plan a disconnected query")
     if not graph.acyclic:
         raise ValueError("cannot plan a cyclic query directly")
-    atoms = {a.alias: a for a in graph.atoms}
-    for atom in graph.atoms:
-        if not atom.var_columns:
-            raise ValueError("atom %r has no join variable" % atom.alias)
     join_vars = {v for v, als in graph.variables.items() if len(als) >= 2}
-    max_vars = max(len(a.var_columns) for a in graph.atoms)
-    root_alias = min(a.alias for a in graph.atoms if len(a.var_columns) == max_vars)
-    root_atom = atoms[root_alias]
-    free = [v for v in root_atom.variables() if v not in join_vars]
-    anchor = min(free) if free else min(root_atom.variables())
+    shared = {a.alias: [v for v in a.variables() if v in join_vars] for a in graph.atoms}
+    root_alias = min(shared, key=lambda a: (-len(shared[a]), a))
+    if not shared[root_alias]:
+        raise ValueError("atom %r has no join variable" % root_alias)
+    anchor = min(shared[root_alias])
 
     steps: list[MergeStep | JoinStep] = []
     visited = {root_alias}
@@ -844,8 +840,8 @@ def decompose(graph: JoinGraph) -> BoundPlan:
 
     def build(alias: str, via: str, root: bool = False) -> str:
         children = []
-        for var, _ in atoms[alias].var_columns:
-            if var == via or var not in join_vars:
+        for var in shared[alias]:
+            if var == via:
                 continue
             ids = child_inputs(var)
             if ids:
@@ -862,7 +858,7 @@ def decompose(graph: JoinGraph) -> BoundPlan:
         out = new_id()
         steps.append(MergeStep(out, anchor, (root_out, *sibling_ids)))
         root_out = out
-    if len(visited) != len(atoms):
+    if len(visited) != len(shared):
         raise ValueError("cannot plan a disconnected query")
     return BoundPlan(tuple(steps), root_out, graph.atoms)
 
@@ -969,9 +965,6 @@ def _retie(graph: JoinGraph, kept: tuple[tuple[str, str, str], ...]) -> JoinGrap
         kept_by_var.setdefault(var, []).append((a1, a2))
     groups: list[tuple[str, tuple[str, ...]]] = []
     for var, aliases in graph.variables.items():
-        if len(aliases) == 1:
-            groups.append((var, aliases))
-            continue
         parent: dict[str, str] = {}
         for a1, a2 in kept_by_var.get(var, ()):
             parent[_find(parent, a1)] = _find(parent, a2)

@@ -48,13 +48,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compress import distances_to, drop_vectors, is_valid_compression, valid_compress
+from .compress import distances_to, drop_vectors, is_valid_compression, shortfall, valid_compress
 from .pwfn import (
     DegreeSequence,
     PiecewiseLinearFn,
     _upper_concave_envelope,
     pw_max,
-    sample_integer_ranks,
+    sample_integer_ranks,  # noqa: F401  unused; perfbench/bench_trace.py wraps it here
     zero_cumulative,
 )
 from .relation import ColumnRole, Column, ConfigError, PkFkDeclaration, Relation
@@ -275,6 +275,15 @@ def _audited_profile(seq, params: BuildParams, context: str) -> PiecewiseLinearF
     return fn
 
 
+def _audit(fn: PiecewiseLinearFn, curves: list, context: str) -> None:
+    """Check that a stored profile dominates the curves it stands for."""
+    rank = shortfall(fn, curves)
+    if rank is not None:
+        raise StatsBuildError(
+            "profile fails to dominate what it stands for at rank %r (%s)" % (rank, context)
+        )
+
+
 def _member_profiles(
     batches, params: BuildParams, context: str, profiles: dict
 ) -> list[PiecewiseLinearFn]:
@@ -351,24 +360,6 @@ def cluster_sequence_groups(
     return sorted(clusters, key=lambda c: c[0])
 
 
-def _audit_dominates(rep: PiecewiseLinearFn, top: np.ndarray, context: str) -> None:
-    """Check a profile against the per-integer-rank maximum of the
-    cumulatives it stands for (ranks 0 .. len(top) - 1)."""
-    rep_grid = sample_integer_ranks(rep, top.size - 1)
-    if np.any(rep_grid + 1e-9 * np.maximum(1.0, top) < top):
-        raise StatsBuildError("profile fails to dominate what it stands for (%s)" % context)
-
-
-def _audit_representative(
-    rep: PiecewiseLinearFn, member_fns: list[PiecewiseLinearFn], context: str
-) -> None:
-    upto = int(np.ceil(rep.end))
-    top = np.zeros(upto + 1)
-    for fn in {id(fn): fn for fn in member_fns}.values():
-        np.maximum(top, sample_integer_ranks(fn, upto), out=top)
-    _audit_dominates(rep, top, context)
-
-
 def _build_groups(
     fns: list[PiecewiseLinearFn], params: BuildParams, context: str
 ) -> tuple[tuple[PiecewiseLinearFn, ...], list[int]]:
@@ -379,7 +370,8 @@ def _build_groups(
     for cluster in cluster_sequence_groups(fns, _cluster_count(params.clusters, len(fns))):
         member_fns = [fns[i] for i in cluster]
         rep = pw_max(member_fns)
-        _audit_representative(rep, member_fns, context)
+        members = {id(fn): fn for fn in member_fns}.values()
+        _audit(rep, [(fn.knots, fn.values) for fn in members], context)
         for i in cluster:
             group_of[i] = len(representatives)
         representatives.append(rep)
@@ -411,7 +403,7 @@ def _tail_majorant(
         np.arange(top.size, dtype=np.float64).tolist(), top.tolist()
     )
     majorant = PiecewiseLinearFn(knots, values)
-    _audit_dominates(majorant, top, context)
+    _audit(majorant, [(np.arange(top.size, dtype=np.float64), top)], context)
     return majorant
 
 

@@ -368,19 +368,39 @@ class TestFormatErrors:
         self.edit_payload(p, set_at("cardinality", value=2**53))
         assert load_catalog(str(p)).relations["fact"].cardinality == 2**53
 
-    def test_bound_past_the_float_range_exits_2(self, tmp_path, capsys):
-        # every profile value times 1e300 loads (all finite), but the
-        # self-join's bound is past the float range: once OverflowError
-        # at round(best)
+    @pytest.mark.parametrize("factor", [1e3, 1e300])
+    def test_profile_above_the_cardinality_exits_2(self, tmp_path, capsys, factor):
+        # every profile value times 1000 or 1e300 is finite, but then some
+        # profile holds more rows than its relation; 1e300 once loaded and
+        # overflowed at bound time
         p = self.write_good(tmp_path)
 
         def scale(plain):
             for profile in plain["profiles"]:
-                profile[1] = [v * 1e300 for v in profile[1]]
+                profile[1] = [v * factor for v in profile[1]]
 
         self.edit_payload(p, scale)
+        self.assert_rejected(p, "more than its cardinality", capsys)
+
+    def test_bound_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # a valid catalog: 2**53 rows on one fk key; 21 aliases joined on fk
+        # count (2**53)**21 rows, past the float range: once OverflowError
+        # at round(best)
+        p = self.write_good(tmp_path)
+
+        def one_huge_key(plain):
+            fact = plain["relations"]["fact"]
+            fact["cardinality"] = 2**53
+            fact["fallback"]["fk"] = len(plain["profiles"])
+            plain["profiles"].append([[0.0, 1.0], [0.0, float(2**53)]])
+
+        self.edit_payload(p, one_huge_key)
         catalog = load_catalog(str(p))
-        sql = "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk"
+        aliases = ["a%d" % i for i in range(21)]
+        sql = "SELECT COUNT(*) FROM %s WHERE %s" % (
+            ", ".join("fact AS %s" % a for a in aliases),
+            " AND ".join("%s.fk = %s.fk" % pair for pair in zip(aliases, aliases[1:])),
+        )
         query = parse_query(sql, {"fact": catalog.relations["fact"].column_kinds})
         with pytest.raises(InconsistentStatisticsError, match="overflows a float"):
             bound_query(catalog, query)

@@ -14,6 +14,7 @@ from seqbound.compress import (
     is_valid_compression,
     lossless_compress,
     self_join_bound,
+    shortfall,
     valid_compress,
 )
 from seqbound.pwfn import (
@@ -384,3 +385,49 @@ class TestDistance:
         assert np.array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 2.0)
         assert np.all(dist >= 2.0)
+
+
+def _quarters(draw, low: int, high: int, n: int) -> list[float]:
+    """Up to ``n`` distinct ascending multiples of 1/4 in [low/4, high/4]:
+    exact in binary, so no rounding hides or invents a shortfall."""
+    return sorted({k / 4 for k in draw(st.lists(st.integers(low, high), min_size=1, max_size=n))})
+
+
+def _curves(draw, n: int):
+    """``n`` non-decreasing piecewise linear curves from (0, 0), ending
+    anywhere in (0, 6]."""
+    curves = []
+    for _ in range(n):
+        ends = _quarters(draw, 1, 24, 5)
+        rises = draw(st.lists(st.integers(0, 16), min_size=len(ends), max_size=len(ends)))
+        curves.append((np.array([0.0, *ends]), np.cumsum([0.0, *rises]) / 4))
+    return curves
+
+
+class TestShortfall:
+    def test_fractional_rank_and_flat_ends(self):
+        fn = PiecewiseLinearFn((0.0, 1.0, 2.0), (0.0, 2.5, 3.0))
+        member = (np.array([0.0, 0.5, 2.0]), np.array([0.0, 2.0, 3.0]))
+        short = (np.array([0.0, 0.5]), np.array([0.0, 1.0]))  # flat at 1 past 0.5
+        longer = (np.array([0.0, 2.0, 3.0]), np.array([0.0, 3.0, 3.5]))  # fn is flat past 2
+        assert shortfall(fn, [short]) is None
+        assert shortfall(fn, [short, member]) == 0.5
+        assert shortfall(fn, [longer, short]) == 3.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_agrees_with_reading_each_curve_alone(self, data, n):
+        curves = _curves(data.draw, n)
+        knots = _quarters(data.draw, 1, 24, 4)
+        slopes = sorted(data.draw(st.lists(st.integers(0, 12), min_size=len(knots),
+                                           max_size=len(knots))), reverse=True)
+        rises = np.diff([0.0, *knots]) * slopes / 4
+        fn = PiecewiseLinearFn([0.0, *knots], np.cumsum([0.0, *rises]))
+        want = None
+        for k, v in curves:
+            ranks = np.union1d(k, fn.knots)
+            curve, have = np.interp(ranks, k, v), np.interp(ranks, fn.knots, fn.values)
+            short = ranks[have + 1e-9 * np.maximum(1.0, curve) < curve]
+            if short.size:
+                want = short[0] if want is None else min(want, short[0])
+        assert shortfall(fn, curves) == want

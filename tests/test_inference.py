@@ -16,6 +16,7 @@ from seqbound.oracle import corrupt_catalog, true_cardinality
 from seqbound.pwfn import PiecewiseLinearFn, sample_integer_ranks, zero_cumulative
 from seqbound.query import (
     And,
+    Atom,
     BoundPlan,
     Eq,
     InSet,
@@ -279,7 +280,10 @@ class TestBoundQuery:
             SHOP_SCHEMA,
         )
         assert res.bound == 6
-        assert any("joins nothing" in n for n in res.notes)
+        assert res.strategy == "single-relation" and res.steps == ()
+        assert res.notes == (
+            "orders is one relation; bounded by its row cap 6, least through orders.cust",
+        )
 
     def test_single_table_count_includes_null_carrier_rows(self):
         rel = Relation(
@@ -288,9 +292,10 @@ class TestBoundQuery:
         )
         catalog = build_catalog({"r": rel}, {"r": ColumnRole(("j",), ())}, params=EXACT)
         res = bound(catalog, "SELECT COUNT(*) FROM r", {"r": {"j": "numeric"}})
-        # the profile only sees the two non-null rows; COUNT(*) is 4
+        # the profile only sees the two non-null rows; the row cap adds the
+        # two null rows back, and COUNT(*) is 4
         assert res.bound == 4
-        assert any("null row(s)" in n for n in res.notes)
+        assert res.notes == ("r is one relation; bounded by its row cap 4, least through r.j",)
         joined = bound(
             catalog,
             "SELECT COUNT(*) FROM r AS a, r AS b WHERE a.j = b.j",
@@ -298,7 +303,58 @@ class TestBoundQuery:
         )
         # null keys never join, so nothing is added there
         assert joined.bound == 2
-        assert not any("null row(s)" in n for n in joined.notes)
+        assert not any("row cap" in n for n in joined.notes)
+
+    def test_single_table_takes_the_least_join_column_cap(self):
+        # f = 'a' keeps rows 0 and 4: through j1 that is 2 non-null rows plus
+        # j1's 2 null rows, through j2 one non-null row plus j2's 1 null row
+        rel = Relation(
+            "r",
+            [Column("j1", "numeric"), Column("j2", "numeric"), Column("f", "text")],
+            {
+                "j1": np.array([1.0, 2.0, np.nan, np.nan, 3.0, 4.0]),
+                "j2": np.array([1.0, 1.0, 1.0, 1.0, np.nan, 2.0]),
+                "f": ["a", "b", "b", "b", "a", "b"],
+            },
+            6,
+        )
+        catalog = build_catalog({"r": rel}, {"r": ColumnRole(("j1", "j2"), ("f",))}, params=EXACT)
+        schema = {"r": {"j1": "numeric", "j2": "numeric", "f": "text"}}
+        res = bound(catalog, "SELECT COUNT(*) FROM r WHERE r.f = 'a'", schema)
+        assert res.bound == 2
+        assert res.notes == ("r is one relation; bounded by its row cap 2, least through r.j2",)
+
+    def test_single_table_without_join_column_is_its_cardinality(self):
+        rel = Relation("r", [Column("f", "text")], {"f": ["a", "b", None]}, 3)
+        catalog = build_catalog({"r": rel}, {"r": ColumnRole((), ("f",))}, params=EXACT)
+        res = bound(catalog, "SELECT COUNT(*) FROM r WHERE r.f = 'a'", {"r": {"f": "text"}})
+        assert res.bound == 3
+        assert res.notes == ("r is one relation; bounded by its row cap 3",)
+
+    def test_api_variable_bound_by_one_alias_is_not_planned(self):
+        # v1 binds r.x, not a declared join column, alone; planning over it
+        # would anchor r at a column with one non-null row and bound the
+        # join at 2, and reading it would add a note
+        r = Relation(
+            "r", [Column("j", "numeric"), Column("x", "numeric")],
+            {"j": np.array([1.0, 1.0, 1.0, 2.0]), "x": np.array([np.nan, np.nan, np.nan, 5.0])}, 4,
+        )
+        s = Relation("s", [Column("j", "numeric")], {"j": np.array([1.0, 1.0, 2.0])}, 3)
+        rels = {"r": r, "s": s}
+        catalog = build_catalog(
+            rels, {"r": ColumnRole(("j",), ()), "s": ColumnRole(("j",), ())}, params=EXACT
+        )
+        query = Query((
+            Atom("r", "r", (("v0", ("j",)), ("v1", ("x",)))),
+            Atom("s", "s", (("v0", ("j",)),)),
+        ))
+        res = bound_query(catalog, query)
+        assert true_cardinality(rels, query) == 7
+        assert (res.bound, res.notes) == (7, ())
+        assert res.steps == (
+            "s1: join r anchored at v0 (mass 4) -> integral 4",
+            "s2: merge s1*s/v0 over v0 -> integral 7",
+        )
 
     def test_impossible_predicate_bounds_to_zero(self):
         catalog, _ = shop_catalog()
@@ -458,7 +514,6 @@ class TestWorkPerQuery:
             # the dimension predicate is pushed onto the fact side
             "SELECT COUNT(*) FROM orders AS o, customers AS c"
             " WHERE o.cust = c.id AND c.region = 'east'",
-            "SELECT COUNT(*) FROM orders AS o WHERE o.status = 'open'",
         ],
     )
     def test_acyclic_query_builds_one_join_graph(self, monkeypatch, sql):
@@ -467,6 +522,14 @@ class TestWorkPerQuery:
         graphs = counted(monkeypatch, "join_graph", seqbound.inference, seqbound.query)
         assert bound_query(catalog, query).strategy == "acyclic"
         assert len(graphs) == 1
+
+    def test_lone_relation_builds_no_join_graph(self, monkeypatch):
+        catalog, _ = shop_catalog()
+        query = parse_query("SELECT COUNT(*) FROM orders AS o WHERE o.status = 'open'", SHOP_SCHEMA)
+        graphs = counted(monkeypatch, "join_graph", seqbound.inference, seqbound.query)
+        res = bound_query(catalog, query)
+        assert (res.strategy, res.bound, res.steps) == ("single-relation", 6, ())
+        assert graphs == []
 
     def test_fused_query_builds_one_join_graph(self, monkeypatch):
         catalog, _, schema = pair_catalog()

@@ -587,6 +587,19 @@ class TestDecompose:
         consumed = sorted(base_aliases + join_aliases)
         assert consumed == sorted(a.alias for a in plan.atoms)
 
+    def test_root_ranked_and_anchored_by_shared_variables_only(self):
+        # r binds the most variables, but v1 and v2 are its alone: s, with
+        # two shared variables, is the root, and r feeds its v0 profile in
+        graph = join_graph(Query((
+            Atom("r", "rr", (("v0", ("x",)), ("v1", ("y",)), ("v2", ("z",)))),
+            Atom("s", "ss", (("v0", ("x",)), ("v3", ("y",)))),
+            Atom("t", "tt", (("v3", ("y",)),)),
+        )))
+        assert decompose(graph).steps == (
+            JoinStep("s1", "s", "v0", (("v3", "t/v3"),)),
+            MergeStep("s2", "v0", ("s1", "r/v0")),
+        )
+
     def test_rejects_cyclic_and_disconnected(self):
         triangle = parse(
             "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c"

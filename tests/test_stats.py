@@ -586,10 +586,23 @@ class TestEqualityStats:
                 if grid is not None:
                     assert np.all(rep >= grid - 1e-9)
 
-    def test_audit_catches_a_repeated_member(self):
+    def test_audit_catches_a_repeated_member(self, monkeypatch):
+        # a representative that is only the first member: the audit reads
+        # each distinct member once and must still see the larger one
         small, big = cum((2, 1)), cum((3, 1))
+        monkeypatch.setattr(stats_module, "pw_max", lambda fns: fns[0])
         with pytest.raises(StatsBuildError, match="fails to dominate"):
-            stats_module._audit_representative(small, [small, big, small, big, big], "r.j")
+            stats_module._build_groups([small, big, small, big, big], BuildParams(clusters=1), "r.j")
+
+    def test_audit_checks_fractional_ranks(self, monkeypatch):
+        # the member is 2 at rank 0.5, where the representative is 1.25;
+        # at every integer rank the representative is at least the member
+        member = PiecewiseLinearFn((0.0, 0.5, 2.0), (0.0, 2.0, 3.0))
+        rep = PiecewiseLinearFn((0.0, 1.0, 2.0), (0.0, 2.5, 3.0))
+        assert np.all(sample_integer_ranks(rep, 2) >= sample_integer_ranks(member, 2))
+        monkeypatch.setattr(stats_module, "pw_max", lambda fns: rep)
+        with pytest.raises(StatsBuildError, match="at rank 0.5"):
+            stats_module._build_groups([member], BuildParams(clusters=1), "r.j")
 
 
 @st.composite
