@@ -31,6 +31,7 @@ from dataclasses import asdict
 from .pwfn import PiecewiseLinearFn
 from .stats import (
     FAMILIES,
+    GRAM_LEN,
     FilterStats,
     PkFkEdge,
     RelationStats,
@@ -41,7 +42,7 @@ from .stats import (
 __all__ = ["CatalogFormatError", "save_catalog", "load_catalog", "MAGIC", "VERSION"]
 
 MAGIC = b"SEQBOUND-STATS"
-VERSION = 6
+VERSION = 7
 
 
 class CatalogFormatError(RuntimeError):
@@ -138,11 +139,24 @@ def _catalog_plain(catalog: StatisticsCatalog) -> dict:
     }
 
 
+def _key_fits(key: object, family: str, filter_kind: str) -> bool:
+    """Whether a key of one family's statistics on a filter column of one
+    kind can ever be looked up: a query literal or lower-cased gram is
+    looked up by equality, so a key of another kind would never match, and
+    its rows would fall to a default that lacks them."""
+    if family == "like":
+        return type(key) is str and len(key) == GRAM_LEN and key == key.lower()
+    if filter_kind == "numeric":
+        return type(key) in (int, float)
+    return type(key) is str
+
+
 def _check_relation(rs: RelationStats) -> None:
     """Reject a relation whose statistics name columns it does not declare,
-    which the bound engine would otherwise miss mid-query, or whose profiles
-    hold more rows than the relation (beyond 1e-9 relative): a lone
-    relation's row cap subtracts its fallbacks' totals from the cardinality."""
+    which the bound engine would otherwise miss mid-query, hold keys of the
+    wrong kind (see :func:`_key_fits`), or whose profiles hold more rows
+    than the relation (beyond 1e-9 relative): a lone relation's row cap
+    subtracts its fallbacks' totals from the cardinality."""
     for col in rs.join_columns + rs.filter_columns:
         if col not in rs.column_kinds:
             raise ValueError("relation %r: role column %r has no declared kind" % (rs.name, col))
@@ -156,6 +170,13 @@ def _check_relation(rs: RelationStats) -> None:
                 raise ValueError(
                     "relation %r: %s stats name undeclared column pair (%r, %r)"
                     % (rs.name, family, join, filter_)
+                )
+            kind = rs.column_kinds[filter_]
+            bad = [k for k in st.keys if not _key_fits(k, family, kind)]
+            if bad:
+                raise ValueError(
+                    "relation %r: %s stats (%r, %r) hold key %r of the wrong kind for a %s filter"
+                    % (rs.name, family, join, filter_, bad[0], kind)
                 )
             fns += [*st.representatives, st.default]
     most = max((fn.total for fn in fns), default=0.0)

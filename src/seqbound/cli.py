@@ -24,15 +24,6 @@ EXIT_CONFIG = 2
 EXIT_QUERY = 3
 
 
-def _clusters(text: str) -> int | str:
-    if text == "auto":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected 'auto' or an integer, got %r" % text) from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqbound",
@@ -45,11 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output catalog path")
     # each dest is a BuildParams field; a given flag overrides the schema's value
     p.add_argument("--c", dest="compression_budget", type=float, help="relative error budget per profile")
-    p.add_argument("--hist-depth", dest="hist_depth", type=int, help="range histogram depth")
     p.add_argument("--mcv", dest="mcv_size", type=int, help="most common values tracked per column pair")
-    p.add_argument(
-        "--clusters", type=_clusters, help="most profile groups per family ('auto' or a count)"
-    )
 
     p = sub.add_parser("estimate", help="bound a COUNT(*) query against a catalog")
     p.add_argument("--catalog", required=True, help="catalog path")
@@ -172,15 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     params = catalog.params
-    print(
-        "params: budget=%g hist_depth=%d mcv=%d clusters=%s"
-        % (
-            params.compression_budget,
-            params.hist_depth,
-            params.mcv_size,
-            params.clusters,
-        )
-    )
+    print("params: budget=%g mcv=%d" % (params.compression_budget, params.mcv_size))
     for name in sorted(catalog.relations):
         rs = catalog.relations[name]
         print("relation %s: %d rows" % (name, rs.cardinality))

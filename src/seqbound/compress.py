@@ -73,7 +73,7 @@ def lossless_compress(seq: DegreeSequence) -> PiecewiseConstantFn:
     )
 
 
-def valid_compress(seq, error_budget: float = 0.01) -> PiecewiseLinearFn:
+def valid_compress(seq, error_budget: float) -> PiecewiseLinearFn:
     """Compress a degree sequence (see :func:`_runs`) into a dominating
     cumulative profile.
 

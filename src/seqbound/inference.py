@@ -58,8 +58,6 @@ from .stats import (
 
 __all__ = ["BoundResult", "condition_sequence", "plan_bound", "bound_query"]
 
-SPANNING_TREE_CAP = 64
-
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -368,7 +366,7 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
             raise UnsupportedQueryError(
                 "query is a cross product; every relation must join the rest"
             )
-        trees = spanning_trees(graph, SPANNING_TREE_CAP)
+        trees = spanning_trees(graph)
         strategy = "acyclic" if graph.acyclic else "min-over-%d-spanning-trees" % len(trees)
         best = math.inf
         best_steps = ()

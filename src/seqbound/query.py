@@ -207,6 +207,8 @@ _COMPARISONS = ("=", "<", "<=", ">", ">=")
 # Deepest parenthesis nesting a predicate may use: the parser, and every
 # walk of a predicate tree, recurses at most once per level.
 MAX_NESTING = 100
+# Most spanning trees of a cyclic query that the bound is minimised over.
+SPANNING_TREE_CAP = 64
 
 
 def _tokenize(text: str) -> list[tuple[str, ...]]:
@@ -895,7 +897,7 @@ def fuse_parallel_joins(graph: JoinGraph) -> JoinGraph:
     return JoinGraph(tuple(atoms), variables, cycles, graph.connected)
 
 
-def spanning_trees(graph: JoinGraph, cap: int = 64) -> tuple[JoinGraph, ...]:
+def spanning_trees(graph: JoinGraph, cap: int = SPANNING_TREE_CAP) -> tuple[JoinGraph, ...]:
     """All acyclic reshapes of a cyclic join graph, one graph per spanning
     tree of its atom-level join multigraph (up to ``cap``, in canonical
     edge order); an acyclic graph is its own only tree.  Dropped edges

@@ -201,8 +201,7 @@ def load_workspace(schema_path: str) -> Workspace:
             ...
           ],
           "pk_fk": [{"fact": ..., "fk": ..., "dim": ..., "pk": ...}, ...],
-          "params": {"compression_budget": ..., "hist_depth": ...,
-                     "mcv_size": ..., "clusters": ...}
+          "params": {"compression_budget": ..., "mcv_size": ...}
         }
 
     CSV paths are resolved relative to the schema file's directory.

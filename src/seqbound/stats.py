@@ -79,6 +79,9 @@ __all__ = [
 ]
 
 GRAM_LEN = 3
+# Range histograms split a filter column into at most 2**HIST_DEPTH
+# equi-depth buckets at the finest level.
+HIST_DEPTH = 7
 # Smallest batch of _degree_batches, in rows: below it numpy's fixed cost
 # per batch outweighs the smaller work arrays.
 BATCH_MIN_ROWS = 16384
@@ -101,19 +104,13 @@ class BuildParams:
     """Catalog build knobs and their defaults."""
 
     compression_budget: float = 0.01
-    hist_depth: int = 7
     mcv_size: int = 1000
-    clusters: int | str = "auto"
 
     def __post_init__(self) -> None:
         if not (_is_number(self.compression_budget) and self.compression_budget > 0.0):
             raise ConfigError("compression_budget must be a positive number")
-        if not (_is_int(self.hist_depth) and self.hist_depth >= 1):
-            raise ConfigError("hist_depth must be an integer of at least 1")
         if not (_is_int(self.mcv_size) and self.mcv_size >= 0):
             raise ConfigError("mcv_size must be a non-negative integer")
-        if self.clusters != "auto" and not (_is_int(self.clusters) and self.clusters >= 1):
-            raise ConfigError("clusters must be 'auto' or an integer of at least 1")
 
 
 def make_build_params(raw: dict) -> BuildParams:
@@ -307,10 +304,9 @@ def _member_profiles(
     return fns
 
 
-def _cluster_count(policy: int | str, n_members: int) -> int:
-    if isinstance(policy, str):
-        return min(n_members, max(4, math.ceil(n_members / 8)))
-    return min(n_members, policy)
+def _cluster_count(n_members: int) -> int:
+    """Groups per family: at most max(4, ceil(members / 8))."""
+    return min(n_members, max(4, math.ceil(n_members / 8)))
 
 
 def cluster_sequence_groups(
@@ -361,13 +357,13 @@ def cluster_sequence_groups(
 
 
 def _build_groups(
-    fns: list[PiecewiseLinearFn], params: BuildParams, context: str
+    fns: list[PiecewiseLinearFn], context: str
 ) -> tuple[tuple[PiecewiseLinearFn, ...], list[int]]:
     """Cluster member profiles; returns the groups' audited representatives
     and the index of every member's representative."""
     representatives: list[PiecewiseLinearFn] = []
     group_of = [0] * len(fns)
-    for cluster in cluster_sequence_groups(fns, _cluster_count(params.clusters, len(fns))):
+    for cluster in cluster_sequence_groups(fns, _cluster_count(len(fns))):
         member_fns = [fns[i] for i in cluster]
         rep = pw_max(member_fns)
         members = {id(fn): fn for fn in member_fns}.values()
@@ -417,7 +413,7 @@ def _keyed_stats(
     tracked = ordered[: params.mcv_size]
     batches = _degree_batches(join_codes, [parts for _, parts in tracked])
     fns = _member_profiles(batches, params, context, profiles)
-    representatives, group_of = _build_groups(fns, params, context)
+    representatives, group_of = _build_groups(fns, context)
     tail = [parts for _, parts in ordered[params.mcv_size :]]
     default = _tail_majorant(join_codes, tail, context)
     keys = {key: group for (key, _), group in zip(tracked, group_of)}
@@ -437,21 +433,15 @@ def build_equality_stats(
     return _keyed_stats(join_codes, rows_by_value, params, context, profiles)
 
 
-def _equi_depth_cuts(uniq: np.ndarray, counts: np.ndarray, depth: int) -> list[float]:
+def _equi_depth_cuts(uniq: np.ndarray, counts: np.ndarray) -> list[float]:
     """Cuts splitting values (``uniq`` ascending, ``counts`` rows of each)
-    into 2**depth buckets of near-equal count; each cut is the smallest
-    value of the bucket that it starts."""
+    into 2**HIST_DEPTH buckets of near-equal count; each cut is the
+    smallest value of the bucket that it starts."""
     if uniq.size < 2:
         return []
     cum = np.cumsum(counts)
-    total = int(cum[-1])
-    # With 2**depth >= 2 * total the targets lie at most half a row apart,
-    # so every value but the smallest starts a bucket.  Deciding this first
-    # keeps a deep histogram on few rows from making 2**depth targets.
-    if (total - 1).bit_length() < depth:
-        return uniq[1:].tolist()
-    parts = 2 ** depth
-    idx = np.searchsorted(cum, np.arange(1, parts) * total / parts, side="left")
+    parts = 2**HIST_DEPTH
+    idx = np.searchsorted(cum, np.arange(1, parts) * int(cum[-1]) / parts, side="left")
     return np.unique(uniq[idx[idx + 1 < uniq.size] + 1]).tolist()
 
 
@@ -467,7 +457,7 @@ def build_range_stats(
     if not isinstance(rel.data[groups.column], np.ndarray):
         raise StatsBuildError("range statistics need a numeric filter column")
     uniq = np.array(groups.values, dtype=np.float64)
-    cuts = _equi_depth_cuts(uniq, np.diff(groups.bounds), params.hist_depth)
+    cuts = _equi_depth_cuts(uniq, np.diff(groups.bounds))
     edges = groups.bounds[[0, *np.searchsorted(uniq, cuts).tolist(), uniq.size]].tolist()
     depth = len(cuts).bit_length()
     # level k's edges, finest level first: every 2**k-th finest edge, and the last
@@ -475,7 +465,7 @@ def build_range_stats(
     buckets = [[groups.rows[s:e]] for level in spans for s, e in level]
     context = "%s.%s | %s range" % (rel.name, join_col, groups.column)
     fns = _member_profiles(_degree_batches(join_codes, buckets), params, context, profiles)
-    representatives, group_of = _build_groups(fns, params, context)
+    representatives, group_of = _build_groups(fns, context)
     ids = iter(group_of)
     levels = tuple(tuple(islice(ids, (len(cuts) >> k) + 1)) for k in range(depth))
     return FilterStats(representatives, root, cuts=tuple(cuts), levels=levels)

@@ -36,7 +36,8 @@ def sample_catalog():
         [Column("fk", "numeric"), Column("amt", "numeric"), Column("tag", "text")],
         {
             "fk": rng.integers(1, 9, size=60).astype(float),
-            "amt": rng.integers(0, 20, size=60).astype(float),
+            # 8 values on 60 rows: each but the smallest starts a finest bucket
+            "amt": rng.integers(0, 8, size=60).astype(float),
             "tag": [["alpha", "beta", "gamma", "delta"][i % 4] for i in range(60)],
         },
         60,
@@ -57,7 +58,7 @@ def sample_catalog():
             "dim": ColumnRole(("k",), ("name",)),
         },
         (PkFkDeclaration("fact", "fk", "dim", "k"),),
-        BuildParams(mcv_size=6, hist_depth=3, clusters=3),
+        BuildParams(mcv_size=6),
     )
 
 
@@ -219,7 +220,7 @@ class TestFormatErrors:
         assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
         assert re.search(match, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
     def test_old_version_rejected(self, tmp_path, capsys, version):
         p = self.write_good(tmp_path)
         blob = bytearray(p.read_bytes())
@@ -232,9 +233,11 @@ class TestFormatErrors:
         [
             # format 4 stored "max_segments": null
             ({"max_segments": None}, "unknown build parameters: max_segments"),
-            ({"clusters": "3"}, "clusters must be 'auto' or an integer"),
+            # format 6 stored "hist_depth" and "clusters"
+            ({"hist_depth": 7, "clusters": "auto"}, "unknown build parameters: clusters, hist_depth"),
+            ({"mcv_size": "3"}, "mcv_size must be a non-negative integer"),
         ],
-        ids=["unknown-key", "string-clusters"],
+        ids=["unknown-key", "format-6-keys", "string-mcv-size"],
     )
     def test_invalid_params(self, tmp_path, capsys, params, match):
         p = self.write_good(tmp_path)
@@ -261,13 +264,29 @@ class TestFormatErrors:
              r"histogram cuts .* are not ascending numbers"),
             (edit_range(lambda r: r["levels"].pop()), r"2 histogram level\(s\) for 7 cut\(s\)"),
             (edit_range(lambda r: r["levels"][1].pop()), "histogram level 1 of 7 cut"),
-            (edit_range(lambda r: r["keys"].append([])), r"4 key list\(s\) for 3 representative"),
+            (edit_range(lambda r: r["keys"].append([])), r"5 key list\(s\) for 4 representative"),
             (lambda c: c["relations"]["fact"]["equality"][0]["keys"].pop(),
              r"key list\(s\) for \d+ representative"),
+            # equality entries: (fk, __dim__name) text, (fk, amt) numeric, (fk, tag) text;
+            # like entries: (fk, __dim__name), (fk, tag)
+            (set_at("equality", 1, "keys", 0, 0, value="1.0"),
+             r"key '1\.0' of the wrong kind for a numeric filter"),
+            (set_at("equality", 1, "keys", 0, 0, value=True),
+             "key True of the wrong kind for a numeric filter"),
+            (set_at("equality", 2, "keys", 0, 0, value=1.0),
+             r"key 1\.0 of the wrong kind for a text filter"),
+            (set_at("like", 1, "keys", 0, 0, value="alph"),
+             "key 'alph' of the wrong kind for a text filter"),
+            (set_at("like", 1, "keys", 0, 0, value=123),
+             "key 123 of the wrong kind for a text filter"),
+            # query grams are lower-cased, so no pattern reaches this key
+            (set_at("like", 1, "keys", 0, 0, value="ALP"),
+             "key 'ALP' of the wrong kind for a text filter"),
         ],
         ids=[
             "string-cuts", "nan-cut", "descending-cuts", "level-count", "level-length",
-            "more-key-lists", "fewer-key-lists",
+            "more-key-lists", "fewer-key-lists", "string-numeric-key", "bool-numeric-key",
+            "number-text-key", "long-gram", "number-gram", "upper-case-gram",
         ],
     )
     def test_malformed_statistic(self, tmp_path, capsys, edit, match):
@@ -362,6 +381,36 @@ class TestFormatErrors:
         p = self.write_good(tmp_path)
         self.edit_payload(p, edit)
         self.assert_rejected(p, match, capsys)
+
+    def test_string_keys_on_a_numeric_filter_exit_2(self, tmp_path, capsys):
+        # keys that no numeric literal equals send a tracked value to the
+        # tail default, which lacks its rows: once bounded at 5, true count 25
+        r = Relation(
+            "r",
+            [Column("j", "numeric"), Column("f", "numeric")],
+            {
+                "j": np.array([1, 1, 1, 1, 1, 2, 3, 4, 5, 6], dtype=float),
+                "f": np.array([7, 7, 7, 7, 7, 8, 9, 10, 11, 12], dtype=float),
+            },
+            10,
+        )
+        cat = build_catalog({"r": r}, {"r": ColumnRole(("j",), ("f",))}, params=BuildParams(mcv_size=2))
+        p = tmp_path / "c.bin"
+        save_catalog(cat, str(p))
+        sql = "SELECT COUNT(*) FROM r AS a, r AS b WHERE a.j = b.j AND a.f = 7"
+        assert main(["estimate", "--catalog", str(p), "--query", sql]) == 0
+        assert int(capsys.readouterr().out) >= 25
+
+        def stringify(plain):
+            [eq] = plain["relations"]["r"]["equality"]
+            assert eq["keys"] == [[7.0], [8.0]]
+            eq["keys"] = [[str(k) for k in ks] for ks in eq["keys"]]
+
+        self.edit_payload(p, stringify)
+        with pytest.raises(CatalogFormatError, match="key '7.0' of the wrong kind"):
+            load_catalog(str(p))
+        assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
+        assert "of the wrong kind for a numeric filter" in capsys.readouterr().err
 
     def test_largest_cardinality_loads(self, tmp_path):
         p = self.write_good(tmp_path)

@@ -1,11 +1,13 @@
 """End-to-end command line flows over a small file-backed workspace."""
 
 import json
+import re
 
 import pytest
 
 from seqbound.catalog_io import MAGIC, load_catalog
 from seqbound.cli import main
+from seqbound.stats import BuildParams
 
 ORDERS_CSV = """cust,status,total
 1,open,5
@@ -120,49 +122,44 @@ class TestBuild:
     def test_flag_overrides_reach_the_catalog(self, tmp_path):
         schema = shop_schema(tmp_path)
         out = str(tmp_path / "shop.cat")
-        assert main([
-            "build", "--schema", schema, "--out", out,
-            "--c", "0.5", "--hist-depth", "4", "--mcv", "10",
-            "--clusters", "3",
-        ]) == 0
-        params = load_catalog(out).params
-        assert params.compression_budget == 0.5
-        assert params.hist_depth == 4
-        assert params.mcv_size == 10
-        assert params.clusters == 3
+        assert main(["build", "--schema", schema, "--out", out, "--c", "0.5", "--mcv", "10"]) == 0
+        assert load_catalog(out).params == BuildParams(compression_budget=0.5, mcv_size=10)
 
-    def test_clusters_auto_stays_a_policy(self, tmp_path):
-        schema = shop_schema(tmp_path)
-        out = str(tmp_path / "shop.cat")
-        assert main(["build", "--schema", schema, "--out", out, "--clusters", "auto"]) == 0
-        assert load_catalog(out).params.clusters == "auto"
+    def test_help_lists_one_flag_per_build_parameter(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["build", "--help"])
+        assert exit_.value.code == 0
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--schema", "--out", "--c", "--mcv"}
 
     def test_missing_schema_is_a_config_error(self, tmp_path, capsys):
         out = str(tmp_path / "x.cat")
         assert main(["build", "--schema", str(tmp_path / "nope.json"), "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_param_is_a_config_error(self, tmp_path, capsys):
-        schema = shop_schema(tmp_path, params={"fanciness": 3})
+    # hist_depth and clusters were build parameters before catalog format 7
+    @pytest.mark.parametrize("name", ["fanciness", "hist_depth", "clusters"])
+    def test_unknown_param_is_a_config_error(self, tmp_path, capsys, name):
+        schema = shop_schema(tmp_path, params={name: 3})
         assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
-        assert "unknown build parameters" in capsys.readouterr().err
+        assert "unknown build parameters: %s" % name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "params", [{"hist_depth": 2.5}, {"mcv_size": 2.5}, {"clusters": "3"}]
+        "params", [{"compression_budget": "0.1"}, {"mcv_size": 2.5}, {"mcv_size": "3"}]
     )
     def test_wrongly_typed_param_is_a_config_error(self, tmp_path, capsys, params):
         schema = shop_schema(tmp_path, params=params)
         assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
         assert "must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["x", "2.5", ""])
-    def test_bad_clusters_flag_is_a_usage_error(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("flag", [["--clusters", "auto"], ["--hist-depth", "7"]])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, flag):
         schema = shop_schema(tmp_path)
         argv = ["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]
         with pytest.raises(SystemExit) as exit_:
-            main(argv + ["--clusters", value])
+            main(argv + flag)
         assert exit_.value.code == 2
-        assert "argument --clusters: expected 'auto' or an integer" in capsys.readouterr().err
+        assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value", [("name", ["orders"]), ("join_columns", "cust")]
@@ -298,7 +295,7 @@ class TestInspect:
         capsys.readouterr()
         assert main(["inspect", "--catalog", cat]) == 0
         out = capsys.readouterr().out
-        assert "params: budget=1e-09" in out
+        assert "params: budget=1e-09 mcv=1000\n" in out
         assert "relation orders: 10 rows" in out
         assert "column cust (numeric, join)" in out
         assert "column status (text, filter)" in out

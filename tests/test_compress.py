@@ -106,7 +106,7 @@ class TestValidCompress:
         assert len(got.knots) == 2
 
     def test_empty_sequence(self):
-        got = valid_compress(DegreeSequence(()))
+        got = valid_compress(DegreeSequence(()), 0.01)
         assert got.total == 0.0
 
     def test_segment_count_never_exceeds_sqrt_bound(self):
@@ -352,7 +352,7 @@ class TestDistance:
     def test_repeated_profiles_are_read_once(self, monkeypatch, length):
         rng = random.Random(length)
         seqs = [sorted((rng.randint(1, 30) for _ in range(length)), reverse=True) for _ in range(4)]
-        pool = [valid_compress(DegreeSequence(seq)) for seq in seqs]
+        pool = [valid_compress(DegreeSequence(seq), 0.01) for seq in seqs]
         repeated = [pool[i] for i in (0, 1, 0, 2, 3, 3, 1, 0)]
         copies = [PiecewiseLinearFn(fn.knots, fn.values) for fn in repeated]
         want_drops, want_sq = drop_vectors(copies)
@@ -377,7 +377,7 @@ class TestDistance:
             DegreeSequence(sorted((rng.randint(1, 400) for _ in range(d)), reverse=True))
             for d in (rng.randint(4500, 5500) for _ in range(10))
         ]
-        fns = [valid_compress(seq) for seq in seqs]
+        fns = [valid_compress(seq, 0.01) for seq in seqs]
         fns += [cumulate(lossless_compress(DegreeSequence((2,) * d))) for d in (4800, 5000)]
         drops, sq = drop_vectors(fns)
         assert drops.shape[1] <= 64

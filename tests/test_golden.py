@@ -3,8 +3,9 @@
 ``golden_bounds.jsonl`` holds, for about a thousand queries drawn with
 ``oracle.generate_database`` and ``oracle.generate_query`` from fixed
 seeds, the integer bound under two build settings (the defaults, and
-``mcv_size=4, clusters=2`` so that multi-member groups, the equality
-default and the LIKE default are all reached) and the true COUNT(*).
+``mcv_size=5`` so that multi-member groups, the equality default and the
+LIKE default are all reached, as ``test_small_setting_reaches_every_path``
+checks) and the true COUNT(*).
 Each database's record also holds, per setting, the SHA-256 of its
 saved catalog file, so a change that alters any stored statistic shows
 even where no corpus query reads it.  A refactor must reproduce every
@@ -29,6 +30,7 @@ import json
 import os
 import random
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from seqbound.stats import BuildParams, build_catalog
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_bounds.jsonl")
 PARAMS = {
     "default": BuildParams(),
-    "small": BuildParams(mcv_size=4, clusters=2),
+    "small": BuildParams(mcv_size=5),
 }
 # (shape, databases, queries per database); cyclic and multi-column shapes
 # draw databases whose relations all carry two join columns
@@ -178,6 +180,29 @@ def test_golden_corpus_covers_shapes_and_settings():
     # the small setting must differ from the defaults somewhere, or it
     # exercises nothing the default catalog does not
     assert any(q["bounds"]["small"] != q["bounds"]["default"] for q in queries)
+
+
+def _path_counts(catalog) -> tuple[int, int, int]:
+    """How many equality statistics have a group of several tracked
+    values, how many a non-zero default, and how many LIKE statistics a
+    non-zero default."""
+    multi = eq_default = like_default = 0
+    for rs in catalog.relations.values():
+        for st in rs.equality.values():
+            multi += max(Counter(st.keys.values()).values(), default=0) >= 2
+            eq_default += st.default.total > 0
+        like_default += sum(st.default.total > 0 for st in rs.like.values())
+    return multi, eq_default, like_default
+
+
+def test_small_setting_reaches_every_path():
+    # exact counts over the corpus workspaces, so that a change of the
+    # setting or of the builder that loses a path shows here
+    totals = [0, 0, 0]
+    for _, _, _, _, relations, roles, pkfk in _workspaces():
+        counts = _path_counts(build_catalog(relations, roles, pkfk, PARAMS["small"]))
+        totals = [a + b for a, b in zip(totals, counts)]
+    assert totals == [779, 668, 345]
 
 
 def _moves(stored: list[dict], records: list[dict]):

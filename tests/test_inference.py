@@ -799,14 +799,25 @@ class TestSoundnessRegressions:
         schema = {"r": {"j": "numeric", "f": "numeric"}}
         assert bound(catalog, "SELECT COUNT(*) FROM r WHERE r.f = 0", schema).bound >= 5
 
-    def test_negative_literals_bound_negative_filter_values(self):
+    def test_negative_literals_bound_negative_filter_values(self, monkeypatch):
         # equality, range and IN over negative filter values, on the MCV
-        # path (default mcv_size) and the tail path (mcv_size=2)
+        # path (default mcv_size) and the tail path (mcv_size=2), with
+        # ranges resolved by histogram buckets and by the root
         f = np.array([-10.0, -10.0, -7.5, -3.0, -3.0, -3.0, -1.0, 2.0, 4.0, -3.0])
         j = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 1.0, 4.0, 1.0])
         r = Relation("r", [Column("j", "numeric"), Column("f", "numeric")], {"j": j, "f": f}, f.size)
         schema = {"r": {"j": "numeric", "f": "numeric"}}
-        for params in (BuildParams(), BuildParams(mcv_size=2, hist_depth=2)):
+        lookup = seqbound.inference.lookup_range_group
+        paths = []
+
+        def recorded(stats, *args):
+            fn = lookup(stats, *args)
+            paths.append("root" if fn is stats.default else "bucket")
+            return fn
+
+        monkeypatch.setattr(seqbound.inference, "lookup_range_group", recorded)
+        for params in (BuildParams(), BuildParams(mcv_size=2)):
+            paths.clear()
             catalog = build_catalog({"r": r}, {"r": ColumnRole(("j",), ("f",))}, params=params)
             for where in (
                 "a.f = -3",
@@ -826,6 +837,7 @@ class TestSoundnessRegressions:
                     true = true_cardinality({"r": r}, query)
                     assert true > 0, sql
                     assert bound_query(catalog, query).bound >= true, sql
+            assert {"bucket", "root"} <= set(paths)
 
     def test_infinite_literals_bound_their_rows(self):
         # 1e999 parses as inf: a range up to it and an equality on -inf,
@@ -835,7 +847,7 @@ class TestSoundnessRegressions:
         j = np.array([1.0, 2.0, 1.0, 1.0, 3.0, 3.0, 2.0, 1.0, 1.0])
         r = Relation("r", [Column("j", "numeric"), Column("f", "numeric")], {"j": j, "f": f}, f.size)
         schema = {"r": {"j": "numeric", "f": "numeric"}}
-        for params in (BuildParams(), BuildParams(mcv_size=1, hist_depth=2)):
+        for params in (BuildParams(), BuildParams(mcv_size=1)):
             catalog = build_catalog({"r": r}, {"r": ColumnRole(("j",), ("f",))}, params=params)
             for where in ("a.f < 1e999", "a.f = -1e999"):
                 for sql in (
@@ -872,7 +884,7 @@ class TestUndeclaredJoinSoundness:
         columns = [Column(c, "numeric") for c in data]
         r = Relation("r", columns, data, data["f"].size)
         roles = {"r": ColumnRole(join_columns, ("f",))}
-        catalog = build_catalog({"r": r}, roles, params=BuildParams(hist_depth=2))
+        catalog = build_catalog({"r": r}, roles, params=BuildParams())
         query = parse_query(sql, {"r": dict.fromkeys(data, "numeric")})
         assert bound_query(catalog, query).bound >= true_cardinality({"r": r}, query)
 

@@ -1,8 +1,8 @@
 import bisect
 import math
-import time
 import tracemalloc
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -67,27 +67,20 @@ def audited(rel: Relation, rows: np.ndarray, params: BuildParams) -> PiecewiseLi
 
 class TestBuildParams:
     def test_defaults(self):
-        p = BuildParams()
-        assert (p.compression_budget, p.hist_depth, p.mcv_size) == (0.01, 7, 1000)
-        assert p.clusters == "auto"
+        assert asdict(BuildParams()) == {"compression_budget": 0.01, "mcv_size": 1000}
+        assert stats_module.HIST_DEPTH == 7
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             BuildParams(compression_budget=-1)
         with pytest.raises(ConfigError):
-            BuildParams(hist_depth=0)
-        with pytest.raises(ConfigError):
-            BuildParams(clusters="many")
-        with pytest.raises(ConfigError):
-            BuildParams(clusters=0)
+            BuildParams(mcv_size=-1)
 
     @pytest.mark.parametrize(
         "raw",
         [
-            {"hist_depth": 2.5},
             {"mcv_size": 2.5},
-            {"clusters": 2.5},
-            {"clusters": "3"},
+            {"mcv_size": "3"},
             {"compression_budget": "0.1"},
             {"compression_budget": float("nan")},
         ],
@@ -97,7 +90,8 @@ class TestBuildParams:
             make_build_params(raw)
 
     def test_make_rejects_unknown_keys(self):
-        for key in ("fanciness", "max_segments"):
+        # max_segments, hist_depth and clusters were parameters of earlier formats
+        for key in ("fanciness", "max_segments", "hist_depth", "clusters"):
             with pytest.raises(ConfigError, match="unknown build parameters: %s" % key):
                 make_build_params({key: 3})
         assert make_build_params({"mcv_size": 7}).mcv_size == 7
@@ -367,8 +361,9 @@ class TestProfileTable:
             return cluster(fns, n_groups)
 
         monkeypatch.setattr(stats_module, "cluster_sequence_groups", recorded)
-        # at hist_depth 6 the finest range level has one bucket per value
-        catalog = build_catalog(relations, self.ROLES, params=BuildParams(hist_depth=6))
+        # 2**HIST_DEPTH buckets over 25 rows: the finest range level has one
+        # bucket per value
+        catalog = build_catalog(relations, self.ROLES)
         r_eq, r_range, s_eq, s_range = members
         assert all(a is b for a, b in zip(r_eq + r_range, s_eq + s_range, strict=True))
         assert all(a is b for a, b in zip(r_eq, r_range[:5], strict=True))
@@ -525,7 +520,7 @@ class TestClustering:
             freqs = rng.integers(2, 60) // np.arange(1, d + 1) ** rng.uniform(0, 1)
             seq = DegreeSequence(np.maximum(1, freqs).astype(int).tolist())
             fns.append(valid_compress(seq, 0.05))
-        n_groups = stats_module._cluster_count("auto", len(fns))
+        n_groups = stats_module._cluster_count(len(fns))
         tracemalloc.start()
         try:
             clusters = cluster_sequence_groups(fns, n_groups)
@@ -575,7 +570,9 @@ class TestEqualityStats:
             {"j": j, "f": f},
             200,
         )
-        stats = family(build_equality_stats, rel, "j", "f", BuildParams(clusters=3))
+        stats = family(build_equality_stats, rel, "j", "f", BuildParams())
+        # 12 values in max(4, ceil(12 / 8)) groups: some group has several
+        assert len(stats.representatives) == 4 < len(stats.keys) == 12
         for g, representative in enumerate(stats.representatives):
             upto = int(np.ceil(representative.end))
             rep = sample_integer_ranks(representative, upto)
@@ -591,8 +588,12 @@ class TestEqualityStats:
         # each distinct member once and must still see the larger one
         small, big = cum((2, 1)), cum((3, 1))
         monkeypatch.setattr(stats_module, "pw_max", lambda fns: fns[0])
+        # one group of every member
+        monkeypatch.setattr(
+            stats_module, "cluster_sequence_groups", lambda fns, n: [list(range(len(fns)))]
+        )
         with pytest.raises(StatsBuildError, match="fails to dominate"):
-            stats_module._build_groups([small, big, small, big, big], BuildParams(clusters=1), "r.j")
+            stats_module._build_groups([small, big, small, big, big], "r.j")
 
     def test_audit_checks_fractional_ranks(self, monkeypatch):
         # the member is 2 at rank 0.5, where the representative is 1.25;
@@ -602,7 +603,7 @@ class TestEqualityStats:
         assert np.all(sample_integer_ranks(rep, 2) >= sample_integer_ranks(member, 2))
         monkeypatch.setattr(stats_module, "pw_max", lambda fns: rep)
         with pytest.raises(StatsBuildError, match="at rank 0.5"):
-            stats_module._build_groups([member], BuildParams(clusters=1), "r.j")
+            stats_module._build_groups([member], "r.j")
 
 
 @st.composite
@@ -624,7 +625,7 @@ def tail_relations(draw):
     mcv_size = draw(st.integers(0, max(0, distinct - 1)))
     budget = draw(st.sampled_from([0.01, 0.3, 1.0]))
     rel = Relation("r", [Column("j", join_kind), Column("f", "numeric")], {"j": j, "f": f}, n)
-    return rel, BuildParams(compression_budget=budget, mcv_size=mcv_size, clusters=2)
+    return rel, BuildParams(compression_budget=budget, mcv_size=mcv_size)
 
 
 def tail_row_sets(rel: Relation, params: BuildParams) -> list[np.ndarray]:
@@ -707,7 +708,7 @@ class TestEqualityDefault:
         assert [c.freqs for c in calls] == [(6,), (5, 1), (4, 1, 1), (3, 2, 1)]
 
 
-def target_loop_cuts(values: np.ndarray, depth: int) -> list[float]:
+def target_loop_cuts(values: np.ndarray) -> list[float]:
     """Equi-depth cuts by one ``searchsorted`` per target, keeping each cut
     above the last: the reference for ``_equi_depth_cuts``' single search."""
     uniq, counts = np.unique(values, return_counts=True)
@@ -715,9 +716,7 @@ def target_loop_cuts(values: np.ndarray, depth: int) -> list[float]:
         return []
     cum = np.cumsum(counts)
     total = int(cum[-1])
-    if (total - 1).bit_length() < depth:
-        return uniq[1:].tolist()
-    parts = 2 ** depth
+    parts = 2**stats_module.HIST_DEPTH
     cuts: list[float] = []
     for j in range(1, parts):
         idx = int(np.searchsorted(cum, j * total / parts, side="left"))
@@ -744,16 +743,17 @@ def reference_range_lookup(stats, lo, hi, hi_incl):
 
 
 class TestRangeStats:
-    def make(self, hist_depth=2):
+    def make(self):
+        # four values of two rows each: 2**HIST_DEPTH buckets over 8 rows cut
+        # at every value but the smallest
         rel = Relation(
             "r",
             [Column("j", "numeric"), Column("f", "numeric")],
-            {"j": np.arange(1.0, 9.0), "f": np.arange(1.0, 9.0)},
+            {"j": np.arange(1.0, 9.0), "f": np.repeat([1.0, 3.0, 5.0, 7.0], 2)},
             8,
         )
-        params = BuildParams(hist_depth=hist_depth, clusters=100)
         root = cum((1,) * 8)
-        return family(build_range_stats, rel, "j", "f", params, root), root
+        return family(build_range_stats, rel, "j", "f", BuildParams(), root), root
 
     def test_level_structure(self):
         stats, _ = self.make()
@@ -787,24 +787,13 @@ class TestRangeStats:
         with pytest.raises(StatsBuildError):
             family(build_range_stats, rel, "j", "f", BuildParams(), cum((1,) * 6))
 
-    def test_deep_histogram_on_few_rows_is_bounded(self):
-        # 2**40 buckets over 8 rows: every value but the smallest is a
-        # finest cut, as at depth 7, without visiting 2**40 targets
-        start = time.perf_counter()
-        deep, _ = self.make(hist_depth=40)
-        assert time.perf_counter() - start < 1.0
-        shallow = self.make(hist_depth=7)[0]
-        assert (deep.cuts, deep.levels) == (shallow.cuts, shallow.levels)
-        assert deep.cuts == (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
-
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from(["integers", "zipf", "normal"]),
         st.integers(1, 3000),
-        st.integers(1, 13),
     )
-    def test_equi_depth_cuts_match_the_target_loop(self, seed, shape, n, depth):
+    def test_equi_depth_cuts_match_the_target_loop(self, seed, shape, n):
         rng = np.random.default_rng(seed)
         if shape == "integers":
             values = rng.integers(0, int(rng.integers(1, 2 * n + 2)), n).astype(np.float64)
@@ -813,8 +802,8 @@ class TestRangeStats:
         else:
             values = rng.normal(0.0, 10.0, n).round(int(rng.integers(0, 3)))
         uniq, counts = np.unique(values, return_counts=True)
-        got = stats_module._equi_depth_cuts(uniq, counts, depth)
-        assert got == target_loop_cuts(values, depth)
+        got = stats_module._equi_depth_cuts(uniq, counts)
+        assert got == target_loop_cuts(values)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1097,7 +1086,7 @@ class TestBuildCatalog:
         catalog = build_catalog(
             {"r": rel},
             {"r": ColumnRole(("j1", "j2"), ("a", "b", "s"))},
-            params=BuildParams(mcv_size=3, hist_depth=3),
+            params=BuildParams(mcv_size=3),
         )
         assert coded == Counter(dict.fromkeys(data, 1))
         assert grouped == Counter({"a": 1, "b": 1, "s": 1})

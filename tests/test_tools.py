@@ -13,10 +13,13 @@ import sys
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
 
+def tool_argv(*args: str) -> list[str]:
+    return [sys.executable, os.path.join(TOOLS, args[0]), *args[1:]]
+
+
 def run_tool(*args: str) -> list[dict]:
     out = subprocess.run(
-        [sys.executable, os.path.join(TOOLS, args[0]), *args[1:]],
-        capture_output=True, text=True, check=True, timeout=120,
+        tool_argv(*args), capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     return [json.loads(line) for line in out.splitlines()]
 
@@ -43,3 +46,18 @@ def test_dump_bounds_prints_a_catalog_record_then_one_line_per_query():
         assert set(row) == {"sql", "bound", "value", "strategy", "notes", "steps"}
         assert float.fromhex(row["value"]) <= row["bound"] + 1
         assert row["steps"] and all(isinstance(s, str) for s in row["steps"])
+
+
+def test_dump_bounds_stops_quietly_when_its_reader_closes():
+    # the dump is several times a pipe's buffer, so the tool is still
+    # writing when the reader goes away after one line
+    proc = subprocess.Popen(
+        tool_argv("dump_bounds.py", "star-estimate", "1"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    head = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=120)
+    assert head["workload"] == "star-estimate"
+    assert err == ""  # no BrokenPipeError traceback

@@ -26,6 +26,7 @@ bytes and every bound are the same on every seed, so dumps at two seeds
 are byte-identical and one seed covers the query list.
 
 The program is imported from ``src/`` of the checkout this file sits in.
+A reader that closes early, as ``| head`` does, ends the dump quietly.
 """
 
 from __future__ import annotations
@@ -107,4 +108,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stop, and send the interpreter's last flush of
+        # what is still buffered to /dev/null rather than to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
