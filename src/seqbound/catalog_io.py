@@ -262,5 +262,5 @@ def load_catalog(path: str) -> StatisticsCatalog:
         raise CatalogFormatError("%s: payload is not a JSON object" % path)
     try:
         return _catalog_load(plain)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CatalogFormatError("%s: invalid catalog structure: %s" % (path, exc)) from exc

@@ -115,9 +115,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    workspace = None
+    workspace = params = None
     if args.schema is not None:
         ws = load_workspace(args.schema)
+        params = make_build_params(ws.params)
         for warning in ws.load_warnings:
             print("warning: %s" % warning, file=sys.stderr)
         workspace = (ws.relations, ws.roles, ws.pkfk)
@@ -128,6 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_cyclic=n_extra,
         n_multicol=n_extra,
         seed=args.seed,
+        params=params,
         workspace=workspace,
         catalog_mutator=mutate,
     )

@@ -369,6 +369,11 @@ def generate_query(
 ) -> tuple[str, Query]:
     """Random supported query of the requested join shape, as SQL + AST."""
     names = sorted(relations)
+    # only relations with a join column can join; when every relation has
+    # one, the draws are those of drawing from all of them
+    joinable = [r for r in names if roles[r].join_columns]
+    if shape != "acyclic" and not joinable:
+        raise GenerationImpossible("no relation has a join column")
     schema = _schema_of(relations)
     for _ in range(40):
         if shape == "multicol":
@@ -377,10 +382,12 @@ def generate_query(
                 raise GenerationImpossible("no relation has two join columns")
             k = rng.choice((2, 2, 3))
             chosen = [rng.choice(wide), rng.choice(wide)]
-            chosen += [rng.choice(names) for _ in range(k - 2)]
+            chosen += [rng.choice(joinable) for _ in range(k - 2)]
         else:
             k = rng.choice((1, 2, 2, 3, 3, 4)) if shape == "acyclic" else rng.choice((3, 3, 4))
-            chosen = [rng.choice(names) for _ in range(k)]
+            # with no join column anywhere, an acyclic query is one relation
+            k = k if joinable else 1
+            chosen = [rng.choice(names if k == 1 else joinable) for _ in range(k)]
         aliases = ["t%d" % i for i in range(len(chosen))]
         conds: list[str] = []
         start = 1

@@ -71,21 +71,14 @@ class DegreeSequence:
     __slots__ = ("freqs", "total", "distinct")
 
     def __init__(self, freqs: Iterable[int]):
-        items = freqs if isinstance(freqs, (list, tuple, np.ndarray)) else list(freqs)
-        a = np.asarray(items)
-        if a.ndim != 1 or a.dtype.kind != "i":
-            # empty, bool, float, text or beyond int64: int() each item and
-            # compare them as Python ints
-            a = np.array([int(f) for f in items], dtype=object)
-        fs = tuple(a.tolist())
-        # Report the first offending position, as a left-to-right scan would.
-        nonpositive = np.flatnonzero(a <= 0)
-        first_bad = nonpositive[0] if nonpositive.size else len(fs)
-        rises = np.flatnonzero(a[1:] > a[:-1])
-        if rises.size and rises[0] + 1 < first_bad:
-            raise ValueError("frequencies must be non-increasing")
-        if nonpositive.size:
-            raise ValueError("frequencies must be positive, got %r" % (fs[first_bad],))
+        fs = tuple(int(f) for f in freqs)
+        prev = None
+        for f in fs:
+            if f <= 0:
+                raise ValueError("frequencies must be positive, got %r" % (f,))
+            if prev is not None and f > prev:
+                raise ValueError("frequencies must be non-increasing")
+            prev = f
         self.freqs = fs
         self.total = sum(fs)
         self.distinct = len(fs)

@@ -204,7 +204,9 @@ def load_workspace(schema_path: str) -> Workspace:
           "params": {"compression_budget": ..., "mcv_size": ...}
         }
 
-    CSV paths are resolved relative to the schema file's directory.
+    CSV paths are resolved relative to the schema file's directory.  Only
+    the file's shape and the CSVs are checked here: ``stats.build_catalog``
+    checks roles and ``pk_fk`` links, as it does for every caller, and
     ``params`` is returned as written; ``stats.make_build_params`` checks it.
     """
     try:
@@ -246,40 +248,16 @@ def load_workspace(schema_path: str) -> Workspace:
                 "%s: %d numeric cell(s) were empty or unparseable and loaded as nulls"
                 % (csv_path, w)
             )
-        join_cols = _names(entry, "join_columns", ctx)
-        filter_cols = _names(entry, "filter_columns", ctx)
-        for c in join_cols + filter_cols:
-            if c not in seen:
-                raise ConfigError("relation %r: role names unknown column %r" % (name, c))
         relations[name] = rel
-        roles[name] = ColumnRole(join_cols, filter_cols)
-    pkfk: list[PkFkDeclaration] = []
+        roles[name] = ColumnRole(
+            _names(entry, "join_columns", ctx), _names(entry, "filter_columns", ctx)
+        )
     pk_fk = doc.get("pk_fk", [])
     if not isinstance(pk_fk, list):
         raise ConfigError("schema: 'pk_fk' must be a list")
-    for entry in pk_fk:
-        decl = PkFkDeclaration(
-            _require(entry, "fact", "pk_fk entry"),
-            _require(entry, "fk", "pk_fk entry"),
-            _require(entry, "dim", "pk_fk entry"),
-            _require(entry, "pk", "pk_fk entry"),
-        )
-        for rel_name, col in ((decl.fact, decl.fk), (decl.dim, decl.pk)):
-            if rel_name not in relations:
-                raise ConfigError("pk_fk names unknown relation %r" % rel_name)
-            if not relations[rel_name].has_column(col):
-                raise ConfigError(
-                    "pk_fk names unknown column %r.%r" % (rel_name, col)
-                )
-        fk_kind = relations[decl.fact].kind_of(decl.fk)
-        pk_kind = relations[decl.dim].kind_of(decl.pk)
-        if fk_kind != pk_kind:
-            raise ConfigError(
-                "pk_fk links %s column %r.%r to %s column %r.%r; key columns must share a kind"
-                % (fk_kind, decl.fact, decl.fk, pk_kind, decl.dim, decl.pk)
-            )
-        pkfk.append(decl)
+    keys = ("fact", "fk", "dim", "pk")
+    pkfk = tuple(PkFkDeclaration(*(_require(e, k, "pk_fk entry") for k in keys)) for e in pk_fk)
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("schema: 'params' must be an object")
-    return Workspace(relations, roles, tuple(pkfk), dict(params), tuple(warnings))
+    return Workspace(relations, roles, pkfk, dict(params), tuple(warnings))

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import islice, pairwise
@@ -107,8 +108,14 @@ class BuildParams:
     mcv_size: int = 1000
 
     def __post_init__(self) -> None:
-        if not (_is_number(self.compression_budget) and self.compression_budget > 0.0):
-            raise ConfigError("compression_budget must be a positive number")
+        budget = self.compression_budget
+        # an integer past the float range would overflow in valid_compress
+        if not (
+            _is_number(budget)
+            and budget > 0.0
+            and (type(budget) is float or budget <= sys.float_info.max)
+        ):
+            raise ConfigError("compression_budget must be a positive number within the float range")
         if not (_is_int(self.mcv_size) and self.mcv_size >= 0):
             raise ConfigError("mcv_size must be a non-negative integer")
 
@@ -617,13 +624,24 @@ def build_catalog(
     pkfk: tuple[PkFkDeclaration, ...] = (),
     params: BuildParams | None = None,
 ) -> StatisticsCatalog:
-    """Build the full statistics catalog for a workspace."""
+    """Build the full statistics catalog for a workspace.  Every caller's
+    relation, role and link names are checked here (ConfigError), and the
+    key columns of each link in :func:`precompute_pk_fk`."""
     params = params or BuildParams()
+    if relations.keys() - roles.keys():
+        raise ConfigError("relation %r has no role" % min(relations.keys() - roles.keys()))
     for name, role in roles.items():
-        rel = relations[name]
+        if name not in relations:
+            raise ConfigError("role names unknown relation %r" % name)
         for c in role.join_columns + role.filter_columns:
-            if not rel.has_column(c):
+            if not relations[name].has_column(c):
                 raise ConfigError("relation %r: role names unknown column %r" % (name, c))
+    for decl in pkfk:
+        for rel_name, col in ((decl.fact, decl.fk), (decl.dim, decl.pk)):
+            if rel_name not in relations:
+                raise ConfigError("pk_fk names unknown relation %r" % rel_name)
+            if not relations[rel_name].has_column(col):
+                raise ConfigError("pk_fk names unknown column %r.%r" % (rel_name, col))
     work = dict(relations)
     work_roles = dict(roles)
     edges: list[PkFkEdge] = []

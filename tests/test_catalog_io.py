@@ -1,8 +1,13 @@
+import copy
 import hashlib
+import importlib.util
 import json
 import math
+import os
+import random
 import re
 import struct
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -302,6 +307,9 @@ class TestFormatErrors:
              "must be finite"),
             (set_profile_at("fallback", "amt", part="knots", pos=-1, value=math.inf),
              "must be finite"),
+            # once gave OverflowError from math.isfinite
+            (set_profile_at("fallback", "amt", part="knots", pos=-1, value=10**400),
+             "int too large to convert to float"),
             (set_profile_at("equality", 0, "default", part="values", pos=1, value=math.nan),
              "must be finite"),
             (set_at("cardinality", value=math.inf), "non-negative integer"),
@@ -309,7 +317,7 @@ class TestFormatErrors:
             (set_at("cardinality", value=60.5), "non-negative integer"),
         ],
         ids=[
-            "infinite-total", "infinite-knot", "nan-value",
+            "infinite-total", "infinite-knot", "huge-integer-knot", "nan-value",
             "infinite-cardinality", "negative-cardinality", "fractional-cardinality",
         ],
     )
@@ -549,3 +557,57 @@ def test_self_join_of_a_profile_rising_inside_the_tolerance(tmp_path, capsys):
     assert main(["estimate", "--catalog", str(p), "--query", sql]) == 0
     # both segments at the larger square, (2 + 1.5e-7)^2, over ranks (0, 3]
     assert int(capsys.readouterr().out) == 13
+
+
+def _fuzz_tool():
+    """``tools/fuzz_catalog.py``, whose mutator and checks the test shares."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "fuzz_catalog", os.path.join(root, "tools", "fuzz_catalog.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# every resolution path of the sample catalog: row caps, keys and defaults,
+# histogram buckets and the root, tracked and short grams, IN, OR and the
+# PK-FK pushdown
+MUTATION_QUERIES = [
+    "SELECT COUNT(*) FROM fact AS a",
+    "SELECT COUNT(*) FROM dim AS d WHERE d.name = 'bbb'",
+    "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk",
+    "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk AND a.amt = 3 AND b.amt = 99",
+    "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk AND a.amt BETWEEN 2 AND 3",
+    "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk AND a.amt > 1",
+    "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk AND a.tag LIKE '%lph%'",
+    "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk AND b.tag LIKE '%zzz%'",
+    "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk AND a.tag LIKE '%a%'",
+    "SELECT COUNT(*) FROM fact AS a, fact AS b WHERE a.fk = b.fk"
+    " AND (a.tag IN ('beta', 'gamma') OR a.amt < 2)",
+    "SELECT COUNT(*) FROM fact AS f, dim AS d WHERE f.fk = d.k AND d.name = 'ccc'",
+    "SELECT COUNT(*) FROM fact AS f, dim AS d, fact AS g"
+    " WHERE f.fk = d.k AND g.fk = d.k AND d.name LIKE '%hh%' AND g.amt <= 4",
+]
+
+
+def test_mutated_catalogs_load_or_answer(tmp_path):
+    # Each mutant changes one node of the sample payload and carries a
+    # valid checksum: it must be refused at load, or answer every query with
+    # a bound or a documented error, never a traceback.
+    fuzz = _fuzz_tool()
+    good = tmp_path / "good.bin"
+    save_catalog(sample_catalog(), str(good))
+    plain = fuzz.decode_catalog(good.read_bytes())
+    assert fuzz.check_catalog(str(good), MUTATION_QUERIES) == "answered"
+    p = tmp_path / "mutant.bin"
+    outcomes = Counter()
+    for i in range(1000):
+        mutant = copy.deepcopy(plain)
+        edit = fuzz.mutate(mutant, random.Random(i))
+        p.write_bytes(fuzz.encode_catalog(mutant))
+        try:
+            outcomes[fuzz.check_catalog(str(p), MUTATION_QUERIES)] += 1
+        except Exception as exc:
+            pytest.fail("mutant %d (%s): %s: %s" % (i, edit, fuzz.crash_class(exc), exc))
+    assert outcomes["answered"] >= 100 and outcomes["refused"] >= 100

@@ -5,9 +5,10 @@ import re
 
 import pytest
 
+from seqbound import oracle
 from seqbound.catalog_io import MAGIC, load_catalog
 from seqbound.cli import main
-from seqbound.stats import BuildParams
+from seqbound.stats import BuildParams, build_catalog
 
 ORDERS_CSV = """cust,status,total
 1,open,5
@@ -145,7 +146,8 @@ class TestBuild:
         assert "unknown build parameters: %s" % name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "params", [{"compression_budget": "0.1"}, {"mcv_size": 2.5}, {"mcv_size": "3"}]
+        "params",
+        [{"compression_budget": "0.1"}, {"compression_budget": 10**400}, {"mcv_size": 2.5}, {"mcv_size": "3"}],
     )
     def test_wrongly_typed_param_is_a_config_error(self, tmp_path, capsys, params):
         schema = shop_schema(tmp_path, params=params)
@@ -283,6 +285,41 @@ class TestVerify:
             "verify", "--schema", schema, "--trials", "5", "--seed", "0", "--corrupt",
         ]) == 1
         assert "negative control FAILED" in capsys.readouterr().out
+
+    def test_invalid_schema_params_exit_2(self, tmp_path, capsys):
+        schema = shop_schema(tmp_path, params={"mcv_size": -1, "bogus": 3})
+        assert main(["verify", "--schema", schema, "--trials", "2"]) == 2
+        assert "unknown build parameters: bogus" in capsys.readouterr().err
+
+    def test_schema_params_reach_the_catalog(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def recording_build(relations, roles, pkfk, params):
+            built.append(params)
+            return build_catalog(relations, roles, pkfk, params)
+
+        monkeypatch.setattr(oracle, "build_catalog", recording_build)
+        schema = shop_schema(tmp_path, params={"mcv_size": 1})
+        assert main(["verify", "--schema", schema, "--trials", "4"]) == 0
+        assert built == [BuildParams(mcv_size=1)]
+
+    def test_relations_without_join_columns(self, tmp_path, capsys):
+        # once an IndexError from drawing a join column out of an empty list
+        write(tmp_path / "r.csv", "a,f\n1,5\n2,5\n2,6\n")
+        doc = {
+            "relations": [
+                {
+                    "name": "r",
+                    "csv": "r.csv",
+                    "columns": [{"name": "a", "kind": "numeric"}, {"name": "f", "kind": "numeric"}],
+                    "join_columns": [],
+                    "filter_columns": ["f"],
+                }
+            ],
+        }
+        schema = write(tmp_path / "schema.json", json.dumps(doc))
+        assert main(["verify", "--schema", schema, "--trials", "20", "--seed", "3"]) == 0
+        assert "trials=24 violations=0" in capsys.readouterr().out
 
     def test_random_workspaces(self, capsys):
         assert main(["verify", "--trials", "2", "--seed", "1"]) == 0

@@ -262,6 +262,21 @@ class TestGenerateQuery:
         with pytest.raises(GenerationImpossible):
             generate_query(random.Random(0), rels, narrow, "multicol")
 
+    def test_relations_without_join_columns(self):
+        rels, roles, _ = self.workspace()
+        bare = {n: ColumnRole((), roles[n].filter_columns) for n in roles}
+        for seed in range(10):
+            _, query = generate_query(random.Random(seed), rels, bare, "acyclic")
+            assert len(query.atoms) == 1
+        for shape in ("cyclic", "multicol"):
+            with pytest.raises(GenerationImpossible):
+                generate_query(random.Random(0), rels, bare, shape)
+        # only the one relation with a join column joins
+        one = {**bare, "r0": roles["r0"]}
+        for seed in range(10):
+            _, query = generate_query(random.Random(seed), rels, one, "acyclic")
+            assert len(query.atoms) == 1 or {a.relation for a in query.atoms} == {"r0"}
+
     def test_max_predicates_zero(self):
         rels, roles, _ = self.workspace()
         for seed in range(5):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqbound.cli import main
 from seqbound.relation import (
     Column,
     ColumnRole,
@@ -289,6 +290,44 @@ def make_schema(tmp_path, params=None, pk_fk=None):
     return path
 
 
+def run_cli(command, schema, capsys):
+    """Exit code and last stderr line of ``seqbound build`` or ``verify``
+    on a schema that load_workspace reads without complaint."""
+    load_workspace(str(schema))
+    args = ["--out", str(schema.parent / "x.cat")] if command == "build" else ["--trials", "2"]
+    code = main([command, "--schema", str(schema), *args])
+    return code, capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def link(fact, fk, dim, pk):
+    return lambda doc: doc["pk_fk"].append({"fact": fact, "fk": fk, "dim": dim, "pk": pk})
+
+
+# load_workspace only reads files: build_catalog refuses these for every
+# caller, and precompute_pk_fk the link of keys of two kinds
+UNBUILDABLE = {
+    "unknown-role-column": (
+        lambda doc: doc["relations"][0].update(join_columns=["nope"]),
+        "error: relation 'r': role names unknown column 'nope'",
+    ),
+    "unknown-link-relation": (link("zz", "j", "d", "k"), "error: pk_fk names unknown relation 'zz'"),
+    "unknown-link-column": (link("r", "j", "d", "nope"), "error: pk_fk names unknown column 'd'.'nope'"),
+    "link-kinds-differ": (
+        link("r", "s", "d", "k"),
+        "error: r.s (text) cannot reference d.k (numeric): key columns must share a kind",
+    ),
+}
+
+
+def unbuildable_schema(tmp_path, case):
+    edit, message = UNBUILDABLE[case]
+    path = make_schema(tmp_path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    write(path, json.dumps(doc))
+    return path, message
+
+
 class TestLoadWorkspace:
     def test_happy_path(self, tmp_path):
         ws = load_workspace(str(make_schema(tmp_path)))
@@ -308,13 +347,9 @@ class TestLoadWorkspace:
         ws = load_workspace(str(make_schema(tmp_path, params={"mcv_size": 5})))
         assert ws.params == {"mcv_size": 5}
 
-    def test_unknown_role_column(self, tmp_path):
-        path = make_schema(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["relations"][0]["join_columns"] = ["nope"]
-        write(path, json.dumps(doc))
-        with pytest.raises(ConfigError):
-            load_workspace(str(path))
+    def test_unknown_role_column(self, tmp_path, capsys):
+        path, message = unbuildable_schema(tmp_path, "unknown-role-column")
+        assert run_cli("build", path, capsys) == (2, message)
 
     def test_duplicate_relation(self, tmp_path):
         path = make_schema(tmp_path)
@@ -324,19 +359,22 @@ class TestLoadWorkspace:
         with pytest.raises(ConfigError):
             load_workspace(str(path))
 
-    def test_pk_fk_unknown_relation(self, tmp_path):
-        path = make_schema(
-            tmp_path, pk_fk=[{"fact": "zz", "fk": "j", "dim": "d", "pk": "k"}]
-        )
-        with pytest.raises(ConfigError):
-            load_workspace(str(path))
+    def test_pk_fk_unknown_relation(self, tmp_path, capsys):
+        path, message = unbuildable_schema(tmp_path, "unknown-link-relation")
+        assert run_cli("build", path, capsys) == (2, message)
 
-    def test_pk_fk_columns_of_different_kinds(self, tmp_path):
-        path = make_schema(
-            tmp_path, pk_fk=[{"fact": "r", "fk": "s", "dim": "d", "pk": "k"}]
-        )
-        with pytest.raises(ConfigError, match="key columns must share a kind"):
-            load_workspace(str(path))
+    def test_pk_fk_unknown_column(self, tmp_path, capsys):
+        path, message = unbuildable_schema(tmp_path, "unknown-link-column")
+        assert run_cli("build", path, capsys) == (2, message)
+
+    def test_pk_fk_columns_of_different_kinds(self, tmp_path, capsys):
+        path, message = unbuildable_schema(tmp_path, "link-kinds-differ")
+        assert run_cli("build", path, capsys) == (2, message)
+
+    @pytest.mark.parametrize("case", UNBUILDABLE)
+    def test_verify_refuses_what_build_refuses(self, tmp_path, capsys, case):
+        path, message = unbuildable_schema(tmp_path, case)
+        assert run_cli("verify", path, capsys) == (2, message)
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "schema.json"

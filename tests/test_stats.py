@@ -83,6 +83,8 @@ class TestBuildParams:
             {"mcv_size": "3"},
             {"compression_budget": "0.1"},
             {"compression_budget": float("nan")},
+            # once passed, then overflowed converting to a float in valid_compress
+            {"compression_budget": 10**400},
         ],
     )
     def test_wrongly_typed_values_are_config_errors(self, raw):
@@ -1056,6 +1058,32 @@ class TestBuildCatalog:
         rel = little_relation()
         with pytest.raises(ConfigError):
             build_catalog({"r": rel}, {"r": ColumnRole(("nope",), ())})
+
+    @pytest.mark.parametrize(
+        "roles, link, match",
+        [
+            ({"zz": ColumnRole(("j",), ())}, None, "role names unknown relation 'zz'"),
+            ({"d": None}, None, "relation 'd' has no role"),
+            ({}, ("r", "j", "zz", "k"), "pk_fk names unknown relation 'zz'"),
+            ({}, ("r", "nope", "d", "k"), r"pk_fk names unknown column 'r'\.'nope'"),
+            ({"d": None}, ("r", "j", "d", "k"), "relation 'd' has no role"),
+        ],
+        ids=["role-of-unknown-relation", "relation-without-role", "link-to-unknown-relation",
+             "link-on-unknown-column", "link-to-relation-without-role"],
+    )
+    def test_unknown_name_is_a_config_error(self, roles, link, match):
+        # each once ended in a bare KeyError
+        relations = {
+            "r": Relation("r", [Column("j", "numeric"), Column("f", "numeric")],
+                          {"j": np.array([1.0, 2.0]), "f": np.array([3.0, 4.0])}, 2),
+            "d": Relation("d", [Column("k", "numeric"), Column("g", "text")],
+                          {"k": np.array([1.0, 2.0]), "g": ["x", "y"]}, 2),
+        }
+        # roles maps a relation to its role, or to None to leave it out
+        roles = {"r": ColumnRole(("j",), ("f",)), "d": ColumnRole(("k",), ("g",)), **roles}
+        pkfk = (PkFkDeclaration(*link),) if link else ()
+        with pytest.raises(ConfigError, match=match):
+            build_catalog(relations, {n: r for n, r in roles.items() if r is not None}, pkfk)
 
     def test_each_column_is_coded_once(self, monkeypatch):
         rng = np.random.default_rng(3)

@@ -61,3 +61,12 @@ def test_dump_bounds_stops_quietly_when_its_reader_closes():
     proc.wait(timeout=120)
     assert head["workload"] == "star-estimate"
     assert err == ""  # no BrokenPipeError traceback
+
+
+def test_fuzz_catalog_prints_outcome_counts_in_both_modes():
+    for mode in ([], ["--build"]):
+        (row,) = run_tool("fuzz_catalog.py", *mode, "--workload", "deep-estimate", "1", "30")
+        assert set(row) == {"seed", "mutants", "outcomes"}
+        assert (row["seed"], row["mutants"]) == (1, 30)
+        assert sum(row["outcomes"].values()) == 30
+        assert "crash" not in row["outcomes"]
