@@ -1,9 +1,11 @@
 """Catalog persistence.
 
-A catalog file is a fixed header (magic string, format version, payload
-length), a JSON payload, and a SHA-256 checksum of the payload.  The
-payload is canonical: object keys are sorted and no optional whitespace is
-written, so saving the same catalog twice produces byte-identical files.
+A catalog file is a fixed header (magic string, format version, stored
+length, inflated length), the zlib stream (RFC 1950, level 6) of a JSON
+payload, and a SHA-256 checksum of that stream.  The payload is canonical:
+object keys are sorted and no optional whitespace is written, so saving
+the same catalog twice produces byte-identical files.  :func:`encode_file`
+and :func:`decode_file` are the only code that knows this layout.
 Floats are written as their shortest round-tripping decimal (``Infinity``
 for infinities), so a load/save round trip reproduces every float bit for
 bit.
@@ -24,7 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+import zlib
 from collections.abc import Callable
 from dataclasses import asdict
 
@@ -39,10 +43,14 @@ from .stats import (
     make_build_params,
 )
 
-__all__ = ["CatalogFormatError", "save_catalog", "load_catalog", "MAGIC", "VERSION"]
+__all__ = [
+    "CatalogFormatError", "save_catalog", "load_catalog", "encode_file", "decode_file",
+    "MAGIC", "VERSION", "HEADER",
+]
 
 MAGIC = b"SEQBOUND-STATS"
-VERSION = 7
+VERSION = 8
+HEADER = struct.Struct("<IQQ")  # version, stored length, inflated length
 
 
 class CatalogFormatError(RuntimeError):
@@ -224,43 +232,69 @@ def _catalog_load(plain: dict) -> StatisticsCatalog:
 
 # ------------------------------------------------------------- file I/O
 
-def save_catalog(catalog: StatisticsCatalog, path: str) -> int:
-    """Write catalog to path; returns the number of distinct profiles stored."""
-    plain = _catalog_plain(catalog)
+def encode_file(plain: dict) -> bytes:
+    """The bytes of a catalog file holding a plain payload."""
     payload = json.dumps(plain, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQ", VERSION, len(payload)))
-        fh.write(payload)
-        fh.write(hashlib.sha256(payload).digest())
+    stored = zlib.compress(payload, 6)
+    header = HEADER.pack(VERSION, len(stored), len(payload))
+    return MAGIC + header + stored + hashlib.sha256(stored).digest()
+
+
+def decode_file(blob: bytes) -> dict:
+    """The plain payload of a catalog file's bytes; raises CatalogFormatError."""
+    pos = len(MAGIC) + HEADER.size
+    if blob[: len(MAGIC)] != MAGIC or len(blob) < pos:
+        raise CatalogFormatError("not a statistics catalog")
+    # the version comes first in every format's header
+    version, length, size = HEADER.unpack_from(blob, len(MAGIC))
+    if version != VERSION:
+        raise CatalogFormatError(
+            "format version %d not supported (reader handles %d)" % (version, VERSION)
+        )
+    stored, digest = blob[pos : pos + length], blob[pos + length : pos + length + 32]
+    if len(digest) != 32:
+        raise CatalogFormatError("truncated catalog")
+    if hashlib.sha256(stored).digest() != digest:
+        raise CatalogFormatError("checksum mismatch, file corrupted")
+    inflater = zlib.decompressobj()
+    try:
+        # inflate at most the declared length (a limit of 0 means none)
+        payload = inflater.decompress(stored, max(size, 1))
+    except (OverflowError, zlib.error) as exc:
+        raise CatalogFormatError("malformed payload: %s" % exc) from exc
+    if len(payload) != size or not inflater.eof or inflater.unused_data:
+        raise CatalogFormatError("malformed payload: stream does not end at %d bytes" % size)
+    try:
+        plain = json.loads(payload)
+    except (ValueError, RecursionError) as exc:
+        raise CatalogFormatError("malformed payload: %s" % exc) from exc
+    if not isinstance(plain, dict):
+        raise CatalogFormatError("payload is not a JSON object")
+    return plain
+
+
+def save_catalog(catalog: StatisticsCatalog, path: str) -> int:
+    """Write catalog to path; returns the number of distinct profiles stored.
+    The file is written beside path and then renamed onto it, so a save
+    that fails partway leaves any earlier catalog at path intact."""
+    plain = _catalog_plain(catalog)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(encode_file(plain))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return len(plain["profiles"])
 
 
 def load_catalog(path: str) -> StatisticsCatalog:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(MAGIC) + 12 + 32 or blob[: len(MAGIC)] != MAGIC:
-        raise CatalogFormatError("%s: not a statistics catalog" % path)
-    version, length = struct.unpack_from("<IQ", blob, len(MAGIC))
-    if version != VERSION:
-        raise CatalogFormatError(
-            "%s: format version %d not supported (reader handles %d)"
-            % (path, version, VERSION)
-        )
-    pos = len(MAGIC) + 12
-    payload = blob[pos : pos + length]
-    if len(payload) != length or len(blob) < pos + length + 32:
-        raise CatalogFormatError("%s: truncated catalog" % path)
-    digest = blob[pos + length : pos + length + 32]
-    if hashlib.sha256(payload).digest() != digest:
-        raise CatalogFormatError("%s: checksum mismatch, file corrupted" % path)
     try:
-        plain = json.loads(payload)
-    except (ValueError, RecursionError) as exc:
-        raise CatalogFormatError("%s: malformed payload: %s" % (path, exc)) from exc
-    if not isinstance(plain, dict):
-        raise CatalogFormatError("%s: payload is not a JSON object" % path)
-    try:
-        return _catalog_load(plain)
+        return _catalog_load(decode_file(blob))
+    except CatalogFormatError as exc:
+        raise CatalogFormatError("%s: %s" % (path, exc)) from exc
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CatalogFormatError("%s: invalid catalog structure: %s" % (path, exc)) from exc

@@ -535,6 +535,12 @@ def precompute_pk_fk(
     (null when the foreign key matches nothing).  Predicates on the
     dimension can then be evaluated against the fact's own statistics.
     """
+    for rel, col in ((fact, fk), (dim, pk)):
+        if not rel.has_column(col):
+            raise ConfigError("pk_fk names unknown column %r.%r" % (rel.name, col))
+    for col in dim_filter_cols:
+        if not dim.has_column(col):
+            raise ConfigError("relation %r: role names unknown column %r" % (dim.name, col))
     if dim.kind_of(pk) != fact.kind_of(fk):
         raise StatsBuildError(
             "%s.%s (%s) cannot reference %s.%s (%s): key columns must share a kind"

@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import importlib.util
 import json
@@ -7,15 +8,21 @@ import os
 import random
 import re
 import struct
+import zlib
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from seqbound import catalog_io
 from seqbound.catalog_io import (
+    HEADER,
     MAGIC,
+    VERSION,
     CatalogFormatError,
+    decode_file,
+    encode_file,
     load_catalog,
     save_catalog,
 )
@@ -115,7 +122,7 @@ class TestRoundTrip:
         save_catalog(cat, str(p1))
         # each range default is its join column's fallback, and the file
         # stores that profile, like every other, once
-        plain = json.loads(p1.read_bytes()[len(MAGIC) + 12 : -32])
+        plain = decode_file(p1.read_bytes())
         stored = [fn for rs in cat.relations.values() for fn in _profiles(rs)]
         assert len(plain["profiles"]) == len(set(stored)) < len(stored)
         for rp in plain["relations"].values():
@@ -163,6 +170,11 @@ def edit_range(edit):
     return lambda plain: edit(plain["relations"]["fact"]["range"][0])
 
 
+def framed(payload: bytes) -> tuple[bytes, int]:
+    """The stored stream of a payload, and its inflated length."""
+    return zlib.compress(payload), len(payload)
+
+
 class TestFormatErrors:
     def write_good(self, tmp_path):
         p = tmp_path / "c.bin"
@@ -202,30 +214,21 @@ class TestFormatErrors:
         with pytest.raises(OSError):
             load_catalog(str(tmp_path / "nope.bin"))
 
-    def rewrite_payload(self, p, payload: bytes) -> None:
-        """Replace the payload of catalog file p, with a valid checksum."""
-        blob = p.read_bytes()
-        p.write_bytes(
-            blob[: len(MAGIC) + 4]
-            + struct.pack("<Q", len(payload))
-            + payload
-            + hashlib.sha256(payload).digest()
-        )
-
     def edit_payload(self, p, edit) -> None:
         """Apply edit to the decoded payload of p and re-encode it."""
-        plain = json.loads(p.read_bytes()[len(MAGIC) + 12 : -32])
+        plain = decode_file(p.read_bytes())
         edit(plain)
-        self.rewrite_payload(p, json.dumps(plain).encode())
+        p.write_bytes(encode_file(plain))
 
     def assert_rejected(self, p, match, capsys):
         with pytest.raises(CatalogFormatError, match=match):
             load_catalog(str(p))
         sql = "SELECT COUNT(*) FROM fact WHERE fact.amt < 1"
         assert main(["estimate", "--catalog", str(p), "--query", sql]) == 2
-        assert re.search(match, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(match, err) and "Traceback" not in err
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7])
     def test_old_version_rejected(self, tmp_path, capsys, version):
         p = self.write_good(tmp_path)
         blob = bytearray(p.read_bytes())
@@ -465,14 +468,64 @@ class TestFormatErrors:
         assert "overflows a float" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "payload",
-        [b"{not json", b"[1, 2, 3]", b"[" * 200_000 + b"]" * 200_000],
-        ids=["invalid-json", "not-an-object", "deep-nesting"],
+        "frame, match",
+        [
+            (lambda raw: framed(b"{not json"), "malformed payload: Expecting"),
+            (lambda raw: framed(b"[1, 2, 3]"), "payload is not a JSON object"),
+            (lambda raw: framed(b"[" * 200_000 + b"]" * 200_000),
+             "malformed payload: maximum recursion"),
+            (lambda raw: (raw, len(raw)), "malformed payload: Error -3"),
+            (lambda raw: (zlib.compress(raw)[:-8], len(raw)), "stream does not end at"),
+            (lambda raw: (zlib.compress(raw) + b"\0", len(raw)), "stream does not end at"),
+            (lambda raw: (zlib.compress(raw), len(raw) - 1), "stream does not end at"),
+            (lambda raw: (zlib.compress(raw), len(raw) + 1), "stream does not end at"),
+            # a limit of 0 would inflate without bound; 2**64 - 1 overflows it
+            (lambda raw: (zlib.compress(raw), 0), "stream does not end at 0 "),
+            (lambda raw: (zlib.compress(raw), 2**64 - 1), "malformed payload: .*too large"),
+        ],
+        ids=[
+            "invalid-json", "not-an-object", "deep-nesting", "not-zlib", "truncated-stream",
+            "bytes-after-stream", "length-one-below", "length-one-above", "length-zero",
+            "length-past-ssize_t",
+        ],
     )
-    def test_undecodable_payload(self, tmp_path, capsys, payload):
+    def test_undecodable_payload(self, tmp_path, capsys, frame, match):
+        # each file carries a valid checksum of its stored stream; raw is
+        # the good file's payload
         p = self.write_good(tmp_path)
-        self.rewrite_payload(p, payload)
-        self.assert_rejected(p, "payload", capsys)
+        stored, inflated = frame(json.dumps(decode_file(p.read_bytes())).encode())
+        header = HEADER.pack(VERSION, len(stored), inflated)
+        p.write_bytes(MAGIC + header + stored + hashlib.sha256(stored).digest())
+        self.assert_rejected(p, match, capsys)
+
+    def test_failed_save_keeps_the_previous_catalog(self, tmp_path, monkeypatch):
+        p = self.write_good(tmp_path)
+        before = p.read_bytes()
+
+        class DiskFull:
+            """A file that takes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(catalog_io, "open", lambda *a: DiskFull(open(*a)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_catalog(sample_catalog(), str(p))
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == [p.name]
+        assert load_catalog(str(p)).relations["fact"].cardinality == 60
 
 
 def _assert_bit_identical(a, b):
@@ -598,14 +651,14 @@ def test_mutated_catalogs_load_or_answer(tmp_path):
     fuzz = _fuzz_tool()
     good = tmp_path / "good.bin"
     save_catalog(sample_catalog(), str(good))
-    plain = fuzz.decode_catalog(good.read_bytes())
+    plain = decode_file(good.read_bytes())
     assert fuzz.check_catalog(str(good), MUTATION_QUERIES) == "answered"
     p = tmp_path / "mutant.bin"
     outcomes = Counter()
     for i in range(1000):
         mutant = copy.deepcopy(plain)
         edit = fuzz.mutate(mutant, random.Random(i))
-        p.write_bytes(fuzz.encode_catalog(mutant))
+        p.write_bytes(encode_file(mutant))
         try:
             outcomes[fuzz.check_catalog(str(p), MUTATION_QUERIES)] += 1
         except Exception as exc:

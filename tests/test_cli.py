@@ -6,7 +6,7 @@ import re
 import pytest
 
 from seqbound import oracle
-from seqbound.catalog_io import MAGIC, load_catalog
+from seqbound.catalog_io import decode_file, load_catalog
 from seqbound.cli import main
 from seqbound.stats import BuildParams, build_catalog
 
@@ -116,7 +116,7 @@ class TestBuild:
         schema = shop_schema(tmp_path)
         out = tmp_path / "shop.cat"
         assert main(["build", "--schema", schema, "--out", str(out)]) == 0
-        payload = json.loads(out.read_bytes()[len(MAGIC) + 12 : -32])
+        payload = decode_file(out.read_bytes())
         stdout = capsys.readouterr().out
         assert "%d stored profile(s)" % len(payload["profiles"]) in stdout
 

@@ -7,8 +7,10 @@ seeds, the integer bound under two build settings (the defaults, and
 LIKE default are all reached, as ``test_small_setting_reaches_every_path``
 checks) and the true COUNT(*).
 Each database's record also holds, per setting, the SHA-256 of its
-saved catalog file, so a change that alters any stored statistic shows
-even where no corpus query reads it.  A refactor must reproduce every
+saved catalog's canonical JSON payload, decoded from the file by
+``catalog_io.decode_file``, so a change that alters any stored statistic
+shows even where no corpus query reads it, while the corpus does not pin
+the bytes of one zlib build.  A refactor must reproduce every
 bound and every fingerprint exactly; a change that moves one on purpose
 regenerates the file and names each moved entry.
 
@@ -34,7 +36,7 @@ from collections import Counter
 
 import numpy as np
 
-from seqbound.catalog_io import save_catalog
+from seqbound.catalog_io import decode_file, save_catalog
 from seqbound.oracle import (
     GenerationImpossible,
     OracleCapExceeded,
@@ -84,14 +86,16 @@ def _digest(relations) -> str:
 
 
 def _fingerprints(catalogs) -> dict[str, str]:
-    """SHA-256 of each catalog's saved file, by setting."""
+    """SHA-256 of each saved catalog's canonical payload, by setting."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "catalog.bin")
         for name, cat in catalogs.items():
             save_catalog(cat, path)
             with open(path, "rb") as fh:
-                out[name] = hashlib.sha256(fh.read()).hexdigest()
+                plain = decode_file(fh.read())
+            payload = json.dumps(plain, sort_keys=True, separators=(",", ":")).encode()
+            out[name] = hashlib.sha256(payload).hexdigest()
     return out
 
 

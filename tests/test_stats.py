@@ -937,6 +937,21 @@ class TestPkFk:
         with pytest.raises(StatsBuildError, match="key columns must share a kind"):
             precompute_pk_fk(fact, dim, "fk", "k", ("g",))
 
+    @pytest.mark.parametrize(
+        "fk, pk, cols, match",
+        [
+            ("nope", "k", (), r"pk_fk names unknown column 'f'\.'nope'"),
+            ("fk", "nope", (), r"pk_fk names unknown column 'd'\.'nope'"),
+            ("fk", "k", ("nope",), "relation 'd': role names unknown column 'nope'"),
+        ],
+        ids=["unknown-fk", "unknown-pk", "unknown-filter-column"],
+    )
+    def test_unknown_column_is_a_config_error(self, fk, pk, cols, match):
+        # each once ended in a bare KeyError
+        fact, dim = self.make_pair()
+        with pytest.raises(ConfigError, match=match):
+            precompute_pk_fk(fact, dim, fk, pk, cols)
+
 
 def cells(data) -> list:
     """A column as Python values, null as None."""

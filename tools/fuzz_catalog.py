@@ -9,8 +9,9 @@
 perfbench workload (``star-build``, ``star-estimate``, ``deep-estimate``)
 as ``tools/dump_bounds.py`` does, from perfbench's generators, which are
 imported and never modified.  Mutant i changes one node of one workload's
-payload (the workloads take turns), is re-encoded with a valid checksum
-and is loaded.  It must either fail to load with ``CatalogFormatError``,
+payload (the workloads take turns), is re-encoded by
+``catalog_io.encode_file`` (so its stream and checksum are valid) and is
+loaded.  It must either fail to load with ``CatalogFormatError``,
 or answer each of ``QUERIES`` queries spread over the workload's list
 with a non-negative integer bound, a ``QueryError`` or an
 ``InconsistentStatisticsError``.
@@ -37,7 +38,6 @@ import argparse
 import contextlib
 import copy
 import csv
-import hashlib
 import io
 import json
 import math
@@ -45,7 +45,6 @@ import os
 import random
 import resource
 import signal
-import struct
 import sys
 import tempfile
 import traceback
@@ -55,7 +54,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
 import seqbound  # noqa: E402
-from seqbound.catalog_io import MAGIC, VERSION, CatalogFormatError, load_catalog  # noqa: E402
+from seqbound.catalog_io import (  # noqa: E402
+    CatalogFormatError,
+    decode_file,
+    encode_file,
+    load_catalog,
+)
 from seqbound.cli import main as seqbound_main  # noqa: E402
 from seqbound.inference import bound_query  # noqa: E402
 from seqbound.pwfn import InconsistentStatisticsError  # noqa: E402
@@ -141,16 +145,6 @@ def mutate(doc, rng: random.Random) -> str:
     return "%s %s -> %s" % ("/".join(map(str, path)), op, _short(new))
 
 
-def encode_catalog(plain: dict) -> bytes:
-    """A catalog file holding the payload, with a valid checksum."""
-    payload = json.dumps(plain, sort_keys=True, separators=(",", ":")).encode()
-    return MAGIC + struct.pack("<IQ", VERSION, len(payload)) + payload + hashlib.sha256(payload).digest()
-
-
-def decode_catalog(blob: bytes) -> dict:
-    return json.loads(blob[len(MAGIC) + 12 : -32])
-
-
 def check_catalog(path: str, queries: list[str]) -> str:
     """Load a catalog file and bound each query against it: ``refused`` when
     the load raises CatalogFormatError, ``answered`` when every query gets a
@@ -232,7 +226,7 @@ def catalog_cases(seed: int, workloads) -> list:
             path = os.path.join(work, "catalog.bin")
             seqbound.save_catalog(catalog, path)
             with open(path, "rb") as fh:
-                plain = decode_catalog(fh.read())
+                plain = decode_file(fh.read())
         step = max(1, len(queries) // QUERIES)
         cases.append((workload, (plain, [q.sql() for q in queries[::step][:QUERIES]])))
     return cases
@@ -244,7 +238,7 @@ def catalog_mutant(data, rng: random.Random, work: str):
     edit = mutate(mutant, rng)
     path = os.path.join(work, "mutant.bin")
     with open(path, "wb") as fh:
-        fh.write(encode_catalog(mutant))
+        fh.write(encode_file(mutant))
     return edit, lambda: check_catalog(path, queries)
 
 
