@@ -254,6 +254,8 @@ def decode_file(blob: bytes) -> dict:
     stored, digest = blob[pos : pos + length], blob[pos + length : pos + length + 32]
     if len(digest) != 32:
         raise CatalogFormatError("truncated catalog")
+    if len(blob) != pos + length + 32:
+        raise CatalogFormatError("%d byte(s) after the checksum" % (len(blob) - pos - length - 32))
     if hashlib.sha256(stored).digest() != digest:
         raise CatalogFormatError("checksum mismatch, file corrupted")
     inflater = zlib.decompressobj()

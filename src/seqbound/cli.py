@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .catalog_io import CatalogFormatError, load_catalog, save_catalog
 from .inference import bound_query
 from .oracle import corrupt_catalog, run_soundness_suite
 from .query import QueryError, parse_query
 from .relation import ConfigError, load_workspace
-from .stats import FAMILIES, BuildParams, StatsBuildError, build_catalog, make_build_params
+from .stats import FAMILIES, StatsBuildError, build_catalog, make_build_params
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -34,9 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a statistics catalog from a schema")
     p.add_argument("--schema", required=True, help="schema description (JSON)")
     p.add_argument("--out", required=True, help="output catalog path")
-    # each dest is a BuildParams field; a given flag overrides the schema's value
-    p.add_argument("--c", dest="compression_budget", type=float, help="relative error budget per profile")
-    p.add_argument("--mcv", dest="mcv_size", type=int, help="most common values tracked per column pair")
 
     p = sub.add_parser("estimate", help="bound a COUNT(*) query against a catalog")
     p.add_argument("--catalog", required=True, help="catalog path")
@@ -59,14 +55,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    workspace = load_workspace(args.schema)
-    flags = {f.name: getattr(args, f.name) for f in fields(BuildParams)}
-    params = make_build_params(
-        {**workspace.params, **{k: v for k, v in flags.items() if v is not None}}
-    )
+def _load_schema(path: str):
+    """A schema's workspace and build parameters (from its params only)."""
+    workspace = load_workspace(path)
+    params = make_build_params(workspace.params)
     for warning in workspace.load_warnings:
         print("warning: %s" % warning, file=sys.stderr)
+    return workspace, params
+
+
+def _cmd_build(args: argparse.Namespace) -> int:
+    workspace, params = _load_schema(args.schema)
     catalog = build_catalog(workspace.relations, workspace.roles, workspace.pkfk, params)
     n_profiles = save_catalog(catalog, args.out)
     print(
@@ -117,10 +116,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     workspace = params = None
     if args.schema is not None:
-        ws = load_workspace(args.schema)
-        params = make_build_params(ws.params)
-        for warning in ws.load_warnings:
-            print("warning: %s" % warning, file=sys.stderr)
+        ws, params = _load_schema(args.schema)
         workspace = (ws.relations, ws.roles, ws.pkfk)
     n_extra = max(1, args.trials // 10)
     mutate = (lambda c: corrupt_catalog(c, 0.5)) if args.corrupt else None

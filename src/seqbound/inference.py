@@ -35,7 +35,6 @@ from .query import (
     Atom,
     BoundPlan,
     Eq,
-    InSet,
     Like,
     MergeStep,
     Or,
@@ -46,11 +45,11 @@ from .query import (
     decompose,
     fuse_parallel_joins,
     join_graph,
+    like_parts,
     spanning_trees,
 )
 from .stats import (
     FilterStats,
-    RelationStats,
     StatisticsCatalog,
     _grams,
     lookup_range_group,
@@ -102,13 +101,10 @@ def condition_sequence(
             # rows matching the pattern hold every one of its grams, so
             # each gram's profile covers them
             stats = rel.like.get((join_col, node.column))
-            grams = sorted(_grams(node.pattern.strip("%")))
+            grams = sorted(_grams(like_parts(node.pattern)[1]))
             if stats is None or not grams:
                 return unconditioned
             return pw_min([_resolve_key(stats, g) for g in grams])
-        if isinstance(node, InSet):
-            parts = [resolve(Eq(node.column, v)) for v in node.values]
-            return pw_min([pw_sum(parts), unconditioned])
         if isinstance(node, And):
             return pw_min([resolve(c) for c in node.children])
         if isinstance(node, Or):
@@ -208,7 +204,7 @@ def _trace_line(record: tuple) -> str:
 
 
 def _rewrite_onto_fact(node: Predicate, mapping: dict[str, str]) -> Predicate | None:
-    if isinstance(node, (Eq, Range, Like, InSet)):
+    if isinstance(node, (Eq, Range, Like)):
         col = mapping.get(node.column)
         return None if col is None else replace(node, column=col)
     if isinstance(node, And):
@@ -261,30 +257,30 @@ def _apply_pkfk(catalog: StatisticsCatalog, query: Query, notes: list[str]) -> Q
 def _validate(catalog: StatisticsCatalog, query: Query) -> None:
     if not query.atoms:
         raise UnsupportedQueryError("query has no relations")
+    aliases: set[str] = set()
     for atom in query.atoms:
+        if atom.alias in aliases:
+            raise UnsupportedQueryError("duplicate alias %r" % atom.alias)
+        aliases.add(atom.alias)
         rel = catalog.relations.get(atom.relation)
         if rel is None:
             raise UnsupportedQueryError("no statistics for relation %r" % atom.relation)
-        for _, cols in atom.var_columns:
-            for col in cols:
-                if col not in rel.column_kinds:
-                    raise UnsupportedQueryError(
-                        "relation %r has no column %r" % (atom.relation, col)
-                    )
-        pred = query.predicates.get(atom.alias)
-        if pred is not None:
-            _validate_predicate(rel, atom, pred)
+        joined = [col for _, cols in atom.var_columns for col in cols]
+        for col in joined + _leaf_columns(query.predicates.get(atom.alias)):
+            if col not in rel.column_kinds:
+                raise UnsupportedQueryError("relation %r has no column %r" % (atom.relation, col))
+    for alias, pred in query.predicates.items():
+        if pred is not None and alias not in aliases:
+            raise UnsupportedQueryError("predicate on alias %r, which names no relation" % alias)
 
 
-def _validate_predicate(rel: RelationStats, atom: Atom, node: Predicate) -> None:
+def _leaf_columns(node: Predicate | None) -> list[str]:
+    """The columns a predicate tree's leaves test, in order."""
+    if node is None:
+        return []
     if isinstance(node, (And, Or)):
-        for c in node.children:
-            _validate_predicate(rel, atom, c)
-        return
-    if node.column not in rel.column_kinds:
-        raise UnsupportedQueryError(
-            "relation %r has no column %r" % (atom.relation, node.column)
-        )
+        return [col for c in node.children for col in _leaf_columns(c)]
+    return [node.column]
 
 
 class _Conditioner:

@@ -284,8 +284,6 @@ def _flat_onset(fn: PiecewiseLinearFn) -> float:
     j = bisect.bisect_left(fn.values, total)
     if j == 0:
         return 0.0
-    if fn.values[j] == fn.values[j - 1]:
-        return fn.knots[j - 1]
     if fn.slopes[j - 1] > 0.0:
         return fn.knots[j - 1] + (total - fn.values[j - 1]) / fn.slopes[j - 1]
     return fn.knots[j]
@@ -355,8 +353,6 @@ def pw_multiply(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> PiecewiseCons
         fe = f_edges[i]
         ge = g_edges[j]
         e = fe if fe <= ge else ge
-        if e > end:
-            e = end
         edges.append(e)
         values.append(f_values[i] * g_values[j])
         # Edges are positive and e <= fe, so this tolerance is _slack(e, fe).

@@ -7,10 +7,10 @@ predicates::
     SELECT COUNT(*) FROM r AS t0, s AS t1
     WHERE t0.a = t1.b AND t0.x BETWEEN 2 AND 9 AND (t1.y = 3 OR t1.y = 5)
 
-Join conditions connect columns of two relations; predicates may combine
-equality, range, IN, and LIKE tests with AND/OR as long as each predicate
-tree touches a single relation.  Anything else (negation, non-equality
-joins, joins under OR, subqueries) is rejected as unsupported.
+Join conditions connect columns of two relations; predicates combine
+equality, range, LIKE and IN tests (an IN list is an OR of equalities)
+with AND/OR, each predicate tree on a single relation.  Anything else
+(negation, non-equality joins, joins under OR, subqueries) is unsupported.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "Eq",
     "Range",
     "Like",
-    "InSet",
     "And",
     "Or",
     "Atom",
@@ -44,6 +43,7 @@ __all__ = [
     "decompose",
     "spanning_trees",
     "fuse_parallel_joins",
+    "like_parts",
     "like_matches",
     "predicate_matches",
 ]
@@ -89,12 +89,6 @@ class Like:
 
 
 @dataclass(frozen=True)
-class InSet:
-    column: str
-    values: tuple
-
-
-@dataclass(frozen=True)
 class And:
     children: tuple
 
@@ -104,7 +98,7 @@ class Or:
     children: tuple
 
 
-Predicate = Eq | Range | Like | InSet | And | Or
+Predicate = Eq | Range | Like | And | Or
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,14 @@ class Atom:
 @dataclass
 class Query:
     atoms: tuple[Atom, ...]
-    predicates: dict[str, Predicate | None] = field(default_factory=dict)
+    predicates: dict[str, Predicate] = field(default_factory=dict)
+
+
+def like_parts(pattern: str) -> tuple[bool, str, bool]:
+    """A LIKE pattern read as (leading ``%``, literal, trailing ``%``)."""
+    lead = pattern.startswith("%")
+    trail = len(pattern) > 1 and pattern.endswith("%")
+    return lead, pattern[lead : len(pattern) - trail], trail
 
 
 def like_matches(value: str | None, pattern: str) -> bool:
@@ -138,9 +139,8 @@ def like_matches(value: str | None, pattern: str) -> bool:
     if value is None:
         return False
     val = value.lower()
-    lead = pattern.startswith("%")
-    trail = len(pattern) > 1 and pattern.endswith("%")
-    lit = pattern[1 if lead else 0 : -1 if trail else len(pattern)].lower()
+    lead, lit, trail = like_parts(pattern)
+    lit = lit.lower()
     if lead and trail:
         return lit in val
     if lead:
@@ -167,9 +167,6 @@ def predicate_matches(node: Predicate, get: Callable[[str], float | str | None])
     if isinstance(node, Like):
         v = get(node.column)
         return isinstance(v, str) and like_matches(v, node.pattern)
-    if isinstance(node, InSet):
-        v = get(node.column)
-        return v is not None and v in node.values
     if isinstance(node, And):
         return all(predicate_matches(c, get) for c in node.children)
     if isinstance(node, Or):
@@ -472,8 +469,7 @@ class _Parser:
             pattern = pattern[1:-1].replace("''", "'")
             if self.column_kind(ref) != "text":
                 raise UnsupportedQueryError("LIKE needs a text column", self.pos(at))
-            body = pattern[1 if pattern.startswith("%") else 0 :]
-            body = body[: -1] if body.endswith("%") else body
+            body = like_parts(pattern)[1]
             if "%" in body or "_" in body:
                 raise UnsupportedQueryError(
                     "only plain substring patterns are supported", self.pos(pat_at)
@@ -492,7 +488,7 @@ class _Parser:
                 if sep == ")":
                     break
                 raise QueryParseError("expected ',' or ')' in IN list", self.pos(self.i - 1))
-            return InSet(ref.column, tuple(sorted(set(values)))), ref
+            return Or(tuple(Eq(ref.column, v) for v in sorted(set(values)))), ref
         if op not in _COMPARISONS:
             raise QueryParseError("expected a comparison, got %r" % (_text(tok) or "end"), self.pos(at))
         if _ident(self.tokens[self.i]):
@@ -542,15 +538,11 @@ class _Parser:
                 alias, node = self.lift(conjunct)
                 by_alias[alias].append(node)
         atoms = self.make_atoms(joins)
-        predicates: dict[str, Predicate | None] = {}
-        for alias in self.aliases:
-            nodes = by_alias[alias]
-            if not nodes:
-                predicates[alias] = None
-            elif len(nodes) == 1:
-                predicates[alias] = nodes[0]
-            else:
-                predicates[alias] = And(tuple(nodes))
+        predicates = {
+            alias: nodes[0] if len(nodes) == 1 else And(tuple(nodes))
+            for alias, nodes in by_alias.items()
+            if nodes
+        }
         return Query(atoms, predicates)
 
     def lift(self, node) -> tuple[str, Predicate]:
@@ -676,19 +668,21 @@ def _render(node: Predicate, alias: str, parenthesize: bool = False) -> str:
         return "(%s)" % text if parenthesize and len(parts) > 1 else text
     if isinstance(node, Like):
         return "%s.%s LIKE %s" % (alias, node.column, _format_literal(node.pattern))
-    if isinstance(node, InSet):
-        return "%s.%s IN (%s)" % (
-            alias,
-            node.column,
-            ", ".join(_format_literal(v) for v in node.values),
-        )
     if isinstance(node, And):
         text = " AND ".join(
             _render(c, alias, isinstance(c, (And, Or))) for c in node.children
         )
         return "(%s)" % text if parenthesize else text
     if isinstance(node, Or):
-        return "(%s)" % " OR ".join(_render(c, alias, True) for c in node.children)
+        kids = node.children
+        # an IN list parses to equalities on one column, with values of one
+        # kind in strictly ascending order, and prints back as one
+        keys = [(c.column, isinstance(c.value, str), c.value) for c in kids if type(c) is Eq]
+        if kids and len(keys) == len(kids) and keys[0][:2] == keys[-1][:2]:
+            if all(map(operator.lt, keys, keys[1:])):
+                values = ", ".join(_format_literal(k[2]) for k in keys)
+                return "%s.%s IN (%s)" % (alias, keys[0][0], values)
+        return "(%s)" % " OR ".join(_render(c, alias, True) for c in kids)
     raise TypeError("unknown predicate node %r" % (node,))
 
 

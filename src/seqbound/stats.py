@@ -121,7 +121,7 @@ class BuildParams:
 
 
 def make_build_params(raw: dict) -> BuildParams:
-    """Build parameters from outside input (schema, flags, catalog payload);
+    """Build parameters from outside input (schema, catalog payload);
     raises ConfigError for an unknown key or an invalid value."""
     unknown = set(raw) - {f.name for f in fields(BuildParams)}
     if unknown:

@@ -195,12 +195,16 @@ class TestFormatErrors:
         with pytest.raises(CatalogFormatError, match="version 99"):
             load_catalog(str(p))
 
-    def test_truncation(self, tmp_path):
+    def test_truncation(self, tmp_path, capsys):
+        # the checksum closes the file: a file cut short or run on is refused
         p = self.write_good(tmp_path)
         blob = p.read_bytes()
-        p.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CatalogFormatError, match="truncated"):
-            load_catalog(str(p))
+        for bad, match in (
+            (blob[: len(blob) // 2], "truncated"),
+            (blob + b"trailing junk", r"13 byte\(s\) after the checksum"),
+        ):
+            p.write_bytes(bad)
+            self.assert_rejected(p, match, capsys)
 
     def test_corruption(self, tmp_path):
         p = self.write_good(tmp_path)

@@ -120,18 +120,19 @@ class TestBuild:
         stdout = capsys.readouterr().out
         assert "%d stored profile(s)" % len(payload["profiles"]) in stdout
 
-    def test_flag_overrides_reach_the_catalog(self, tmp_path):
-        schema = shop_schema(tmp_path)
+    def test_schema_params_reach_the_catalog(self, tmp_path):
+        schema = shop_schema(tmp_path, params={"compression_budget": 0.5, "mcv_size": 10})
         out = str(tmp_path / "shop.cat")
-        assert main(["build", "--schema", schema, "--out", out, "--c", "0.5", "--mcv", "10"]) == 0
+        assert main(["build", "--schema", schema, "--out", out]) == 0
         assert load_catalog(out).params == BuildParams(compression_budget=0.5, mcv_size=10)
 
-    def test_help_lists_one_flag_per_build_parameter(self, capsys):
+    def test_help_lists_only_the_schema_and_the_output(self, capsys):
+        # build parameters come from the schema's params, never from flags
         with pytest.raises(SystemExit) as exit_:
             main(["build", "--help"])
         assert exit_.value.code == 0
         flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-        assert flags == {"--help", "--schema", "--out", "--c", "--mcv"}
+        assert flags == {"--help", "--schema", "--out"}
 
     def test_missing_schema_is_a_config_error(self, tmp_path, capsys):
         out = str(tmp_path / "x.cat")
@@ -154,7 +155,9 @@ class TestBuild:
         assert main(["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]) == 2
         assert "must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--clusters", "auto"], ["--hist-depth", "7"]])
+    @pytest.mark.parametrize(
+        "flag", [["--clusters", "auto"], ["--hist-depth", "7"], ["--c", "0.5"], ["--mcv", "10"]]
+    )
     def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, flag):
         schema = shop_schema(tmp_path)
         argv = ["build", "--schema", schema, "--out", str(tmp_path / "x.cat")]

@@ -13,13 +13,12 @@ import seqbound.inference
 import seqbound.query
 from seqbound.inference import bound_query, condition_sequence, plan_bound
 from seqbound.oracle import corrupt_catalog, true_cardinality
-from seqbound.pwfn import PiecewiseLinearFn, sample_integer_ranks, zero_cumulative
+from seqbound.pwfn import PiecewiseLinearFn, pw_min, sample_integer_ranks, zero_cumulative
 from seqbound.query import (
     And,
     Atom,
     BoundPlan,
     Eq,
-    InSet,
     JoinStep,
     Like,
     MergeStep,
@@ -135,8 +134,28 @@ class TestConditionSequence:
         assert self.conditioned(Eq("status", "nope")).total == 0.0
 
     def test_in_set_sums_but_never_beats_fallback(self):
-        fn = self.conditioned(InSet("status", ("done", "open")))
+        fn = self.conditioned(Or((Eq("status", "done"), Eq("status", "open"))))
         assert fn.total == 10.0
+
+    def test_in_list_is_the_ascending_or_of_its_equalities(self):
+        join = "SELECT COUNT(*) FROM orders AS o, customers AS c WHERE o.cust = c.id AND "
+        for in_list, equalities in [
+            ("o.status IN ('open', 'done')", "(o.status = 'done' OR o.status = 'open')"),
+            ("c.region IN ('west', 'east', 'west')", "(c.region = 'east' OR c.region = 'west')"),
+            ("o.total IN (15, 5) AND c.region IN ('east')", "(o.total = 5 OR o.total = 15)"
+             " AND c.region IN ('east')"),
+        ]:
+            q_in, q_or = (parse_query(join + s, SHOP_SCHEMA) for s in (in_list, equalities))
+            assert q_in == q_or
+            got, want = bound_query(self.catalog, q_in), bound_query(self.catalog, q_or)
+            assert got == want and got.value.hex() == want.value.hex()
+
+    def test_one_value_in_list_keeps_the_unconditioned_cap(self):
+        q = parse_query("SELECT COUNT(*) FROM orders WHERE orders.status IN ('open')", SHOP_SCHEMA)
+        assert q.predicates["orders"] == Or((Eq("status", "open"),))
+        stats = self.catalog.relations["orders"].equality[("cust", "status")]
+        key = stats.representatives[stats.keys["open"]]
+        assert self.conditioned(q.predicates["orders"]) == pw_min([key, self.fallback])
 
     def test_and_takes_lower_envelope(self):
         fn = self.conditioned(And((Eq("status", "open"), Eq("status", "done"))))
@@ -179,7 +198,7 @@ class TestConditionSequence:
             Eq("status", "open"),
             Range("total", 5.0, 20.0),
             Like("status", "%pen%"),
-            InSet("status", ("open",)),
+            Or((Eq("status", "open"),)),
         ],
     )
     def test_conditioning_never_exceeds_fallback(self, pred):
@@ -453,6 +472,21 @@ class TestBoundQuery:
                    "customers": SHOP_SCHEMA["customers"]}
         with pytest.raises(UnsupportedQueryError, match="has no column"):
             bound(catalog, "SELECT COUNT(*) FROM orders WHERE orders.ghost = 1", drifted)
+        # a Query built without the parser is held to its alias rules: a
+        # repeated alias, or a predicate on an alias no atom has
+        rels = {
+            "r": Relation("r", [Column("j", "numeric")], {"j": np.ones(50)}, 50),
+            "s": Relation("s", [Column("j", "numeric")], {"j": np.array([1.0, 2.0, 3.0])}, 3),
+        }
+        catalog = build_catalog(rels, {n: ColumnRole(("j",), ()) for n in rels}, params=EXACT)
+        on_j = (("v0", ("j",)),)
+        for atoms in [(("a", "r"), ("a", "s")), (("a", "r"), ("a", "s"), ("b", "r"))]:
+            query = Query(tuple(Atom(alias, rel, on_j) for alias, rel in atoms))
+            with pytest.raises(UnsupportedQueryError, match="duplicate alias 'a'"):
+                bound_query(catalog, query)
+        query = Query((Atom("a", "r", on_j), Atom("b", "s", on_j)), {"c": Eq("j", 1.0)})
+        with pytest.raises(UnsupportedQueryError, match="predicate on alias 'c'"):
+            bound_query(catalog, query)
 
 
 def counted(monkeypatch, name, *modules):

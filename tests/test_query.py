@@ -16,7 +16,6 @@ from seqbound.query import (
     And,
     Atom,
     Eq,
-    InSet,
     JoinStep,
     Like,
     MergeStep,
@@ -30,6 +29,7 @@ from seqbound.query import (
     fuse_parallel_joins,
     join_graph,
     like_matches,
+    like_parts,
     parse_query,
     predicate_matches,
     print_query,
@@ -100,8 +100,14 @@ class TestParsing:
         )
         assert q.predicates["o"] == Range("total", 5.0, 20.0, True, True)
         assert q.predicates["i"] == And(
-            (Like("sku", "%usb%"), InSet("qty", (1.0, 3.0)))
+            (Like("sku", "%usb%"), Or((Eq("qty", 1.0), Eq("qty", 3.0))))
         )
+
+    def test_alias_without_predicate_has_no_entry(self):
+        q = parse(
+            "SELECT COUNT(*) FROM orders AS o, customers AS c WHERE o.cust = c.id AND o.total > 3"
+        )
+        assert q.predicates == {"o": Range("total", 3.0, None, False, True)}
 
     def test_or_tree_survives(self):
         q = parse(
@@ -350,7 +356,7 @@ TOKENIZER_PINS = [
     (W + 'orders.total IS NULL', ('UnsupportedQueryError', 'IS NULL tests are not supported', 47)),
     (W + 'orders.total = 3 AND', ('QueryParseError', "expected column reference, got 'end'", 54)),
     ('SELECT COUNT(*) FROM orders AS select', ('QueryParseError', "unexpected trailing input 'SELECT'", 31)),
-    ("SELECT COUNT(*) FROM orders AS o, customers AS c WHERE o.cust = c.id AND (c.region = 'east' OR c.region = 'west') AND o.total > 2", ('ok', "SELECT COUNT(*) FROM orders AS o, customers AS c WHERE c.id = o.cust AND o.total > 2 AND (c.region = 'east' OR c.region = 'west')")),
+    ("SELECT COUNT(*) FROM orders AS o, customers AS c WHERE o.cust = c.id AND (c.region = 'east' OR c.region = 'west') AND o.total > 2", ('ok', "SELECT COUNT(*) FROM orders AS o, customers AS c WHERE c.id = o.cust AND o.total > 2 AND c.region IN ('east', 'west')")),
     ('SELECT COUNT(*) FROM items, orders WHERE items.order_id = orders.id AND qty >= 2', ('ok', 'SELECT COUNT(*) FROM items, orders WHERE items.order_id = orders.id AND items.qty >= 2')),
     (W + 'orders.total * 3', ('QueryParseError', "expected a comparison, got '*'", 47)),
     ('SELECT COUNT(*) FROM orders AS o, customers AS c WHERE (o.total = 1 OR c.id = 2)', ('UnsupportedQueryError', 'a predicate may only reference one relation', 71)),
@@ -395,13 +401,22 @@ class TestLikeMatching:
         assert like_matches("anything", "%")
         assert like_matches("", "%")
 
+    def test_one_reading_of_a_pattern(self):
+        assert like_parts("%ab%") == (True, "ab", True)
+        assert like_parts("ab%") == (False, "ab", True)
+        assert like_parts("%") == (True, "", False)
+        assert like_parts("%%") == (True, "", True)
+        # an API-built pattern keeps its inner percent signs as literal text
+        assert like_parts("%%ab%%") == (True, "%ab%", True)
+        assert like_matches("x%AB%y", "%%ab%%") and not like_matches("xaby", "%%ab%%")
+
 
 class TestPredicateEval:
     def test_nulls_never_match(self):
         get = lambda col: None
         assert not predicate_matches(Eq("x", 3.0), get)
         assert not predicate_matches(Range("x", 0.0, 9.0), get)
-        assert not predicate_matches(InSet("x", (3.0,)), get)
+        assert not predicate_matches(Or((Eq("x", 3.0),)), get)
         assert not predicate_matches(Like("x", "%a%"), get)
 
     def test_range_bounds(self):
@@ -439,6 +454,11 @@ ROUND_TRIP_QUERIES = [
     "SELECT COUNT(*) FROM orders WHERE orders.total > -1e999 AND orders.id IN (1e999, 2)",
     "SELECT COUNT(*) FROM orders"
     " WHERE (orders.id = 1 AND (orders.total = 2 AND orders.cust = 3)) OR orders.id = 5",
+    # an OR prints as an IN list only in the form an IN list parses to
+    "SELECT COUNT(*) FROM orders WHERE orders.id IN (3) AND orders.note IN ('b', 'a')",
+    "SELECT COUNT(*) FROM customers"
+    " WHERE (customers.region = 'west' OR customers.region = 'east')"
+    " AND (customers.id = 2 OR customers.id = 2 OR customers.name = 'x')",
 ]
 
 

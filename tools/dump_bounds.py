@@ -59,9 +59,11 @@ def workload_inputs(workload: str, seed: int):
     raise SystemExit("unknown workload %r (%s)" % (workload, ", ".join(WORKLOADS)))
 
 
-def dump(workload: str, seed: int, out, labelled: bool = False) -> None:
+def saved_catalog(workload: str, seed: int):
+    """The workload's dataset and query list, the bytes of the catalog file
+    built from its schema and saved as the benchmark does, and the catalog
+    loaded back from that file."""
     ds, queries = workload_inputs(workload, seed)
-    schema = ds.schema()
     with tempfile.TemporaryDirectory() as work:
         ws = seqbound.load_workspace(ds.write(work))
         catalog = seqbound.build_catalog(
@@ -70,8 +72,12 @@ def dump(workload: str, seed: int, out, labelled: bool = False) -> None:
         path = os.path.join(work, "catalog.bin")
         seqbound.save_catalog(catalog, path)
         with open(path, "rb") as fh:
-            blob = fh.read()
-        catalog = seqbound.load_catalog(path)
+            return ds, queries, fh.read(), seqbound.load_catalog(path)
+
+
+def dump(workload: str, seed: int, out, labelled: bool = False) -> None:
+    ds, queries, blob, catalog = saved_catalog(workload, seed)
+    schema = ds.schema()
     head = {"catalog_bytes": len(blob), "catalog_sha256": hashlib.sha256(blob).hexdigest()}
     out.write(json.dumps({"workload": workload, **head}) + "\n")
     for q in queries:

@@ -53,7 +53,6 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
-import seqbound  # noqa: E402
 from seqbound.catalog_io import (  # noqa: E402
     CatalogFormatError,
     decode_file,
@@ -213,22 +212,13 @@ def campaign(seed: int, n: int, cases, make_mutant) -> int:
 def catalog_cases(seed: int, workloads) -> list:
     """Each workload's saved catalog payload and its spread query sample."""
     # imported here, so that tests can import this file for its mutator
-    from dump_bounds import workload_inputs
+    from dump_bounds import saved_catalog
 
     cases = []
     for workload in workloads:
-        ds, queries = workload_inputs(workload, seed)
-        with tempfile.TemporaryDirectory() as work:
-            ws = seqbound.load_workspace(ds.write(work))
-            catalog = seqbound.build_catalog(
-                ws.relations, ws.roles, ws.pkfk, seqbound.make_build_params(ws.params)
-            )
-            path = os.path.join(work, "catalog.bin")
-            seqbound.save_catalog(catalog, path)
-            with open(path, "rb") as fh:
-                plain = decode_file(fh.read())
+        _, queries, blob, _ = saved_catalog(workload, seed)
         step = max(1, len(queries) // QUERIES)
-        cases.append((workload, (plain, [q.sql() for q in queries[::step][:QUERIES]])))
+        cases.append((workload, (decode_file(blob), [q.sql() for q in queries[::step][:QUERIES]])))
     return cases
 
 
