@@ -8,14 +8,7 @@ never undershoot the true count.
 """
 
 from .catalog_io import CatalogFormatError, load_catalog, save_catalog
-from .compress import (
-    ValidityReport,
-    compression_distance,
-    is_valid_compression,
-    lossless_compress,
-    self_join_bound,
-    valid_compress,
-)
+from .compress import is_valid_compression, self_join_bound, valid_compress
 from .inference import BoundResult, bound_query, condition_sequence
 from .pwfn import (
     DegreeSequence,
@@ -62,15 +55,12 @@ __all__ = [
     "StatisticsCatalog",
     "StatsBuildError",
     "UnsupportedQueryError",
-    "ValidityReport",
     "bound_query",
     "build_catalog",
-    "compression_distance",
     "condition_sequence",
     "is_valid_compression",
     "load_catalog",
     "load_workspace",
-    "lossless_compress",
     "make_build_params",
     "parse_query",
     "print_query",

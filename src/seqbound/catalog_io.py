@@ -35,11 +35,11 @@ from dataclasses import asdict
 from .pwfn import PiecewiseLinearFn
 from .stats import (
     FAMILIES,
-    GRAM_LEN,
     FilterStats,
     PkFkEdge,
     RelationStats,
     StatisticsCatalog,
+    grams,
     make_build_params,
 )
 
@@ -153,7 +153,7 @@ def _key_fits(key: object, family: str, filter_kind: str) -> bool:
     looked up by equality, so a key of another kind would never match, and
     its rows would fall to a default that lacks them."""
     if family == "like":
-        return type(key) is str and len(key) == GRAM_LEN and key == key.lower()
+        return type(key) is str and grams(key) == {key}
     if filter_kind == "numeric":
         return type(key) in (int, float)
     return type(key) is str

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import mul
 
@@ -24,29 +23,19 @@ import numpy as np
 
 from .pwfn import (
     DegreeSequence,
-    PiecewiseConstantFn,
     PiecewiseLinearFn,
     sample_integer_ranks,
     zero_cumulative,
 )
 
 __all__ = [
-    "ValidityReport",
     "self_join_bound",
-    "lossless_compress",
     "valid_compress",
     "is_valid_compression",
     "shortfall",
-    "compression_distance",
     "drop_vectors",
     "distances_to",
 ]
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    reason: str | None = None
 
 
 def _runs(seq) -> tuple[list[int], list[int]]:
@@ -61,16 +50,6 @@ def _runs(seq) -> tuple[list[int], list[int]]:
 def self_join_bound(seq) -> int:
     """Exact size of the column joined with itself: sum of squared frequencies."""
     return sum(f * f * r for f, r in zip(*_runs(seq)))
-
-
-def lossless_compress(seq: DegreeSequence) -> PiecewiseConstantFn:
-    """Exact step-function form of a degree sequence (equal runs coalesced)."""
-    if seq.distinct == 0:
-        return PiecewiseConstantFn((1.0,), (0.0,))
-    return PiecewiseConstantFn(
-        tuple(float(i) for i in range(1, seq.distinct + 1)),
-        tuple(float(f) for f in seq.freqs),
-    )
 
 
 def valid_compress(seq, error_budget: float) -> PiecewiseLinearFn:
@@ -140,9 +119,9 @@ def shortfall(fn: PiecewiseLinearFn, curves: list[tuple[Sequence, Sequence]]) ->
     return float(short.min()) if short.size else None
 
 
-def is_valid_compression(seq, candidate: PiecewiseLinearFn) -> ValidityReport:
-    """Check that a cumulative profile soundly stands in for a degree
-    sequence (see :func:`_runs`).
+def is_valid_compression(seq, candidate: PiecewiseLinearFn) -> str | None:
+    """Why a cumulative profile cannot soundly stand in for a degree
+    sequence (see :func:`_runs`), None when it can.
 
     Required: the profile dominates the exact cumulative profile on all of
     [0, d] (:func:`shortfall`), its total equals the sequence total
@@ -155,23 +134,17 @@ def is_valid_compression(seq, candidate: PiecewiseLinearFn) -> ValidityReport:
     d, total = ranks[-1], counts[-1]
     if d == 0:
         if abs(candidate.total) <= 1e-6:
-            return ValidityReport(True)
-        return ValidityReport(False, "nonzero mass for an empty sequence")
+            return None
+        return "nonzero mass for an empty sequence"
     if abs(candidate.end - d) > 1e-6 * max(1.0, d):
-        return ValidityReport(
-            False,
-            "domain ends at %r, expected the distinct count %d" % (candidate.end, d),
-        )
+        return "domain ends at %r, expected the distinct count %d" % (candidate.end, d)
     exact = (np.array(ranks, dtype=np.float64), np.array(counts, dtype=np.float64))
     rank = shortfall(candidate, [exact])
     if rank is not None:
-        return ValidityReport(False, "under-estimates the exact profile at rank %r" % rank)
+        return "under-estimates the exact profile at rank %r" % rank
     if abs(candidate.total - total) > 1e-6 * max(1.0, total):
-        return ValidityReport(
-            False,
-            "total mass %r differs from row count %d" % (candidate.total, total),
-        )
-    return ValidityReport(True)
+        return "total mass %r differs from row count %d" % (candidate.total, total)
+    return None
 
 
 # Profile ends beyond which drop_vectors reads a log-rank sketch, and the
@@ -232,9 +205,3 @@ def distances_to(drops: np.ndarray, sq: np.ndarray, i: int) -> np.ndarray:
     top = np.maximum(drops, drops[i])
     msq = np.einsum("ij,ij->i", top, top)
     return msq / sq + msq / sq[i]
-
-
-def compression_distance(f1: PiecewiseLinearFn, f2: PiecewiseLinearFn) -> float:
-    """The :func:`distances_to` distance of two profiles."""
-    drops, sq = drop_vectors([f1, f2])
-    return float(distances_to(drops, sq, 0)[1])

@@ -51,7 +51,7 @@ from .query import (
 from .stats import (
     FilterStats,
     StatisticsCatalog,
-    _grams,
+    grams,
     lookup_range_group,
 )
 
@@ -101,10 +101,10 @@ def condition_sequence(
             # rows matching the pattern hold every one of its grams, so
             # each gram's profile covers them
             stats = rel.like.get((join_col, node.column))
-            grams = sorted(_grams(like_parts(node.pattern)[1]))
-            if stats is None or not grams:
+            keys = sorted(grams(like_parts(node.pattern)[1]))
+            if stats is None or not keys:
                 return unconditioned
-            return pw_min([_resolve_key(stats, g) for g in grams])
+            return pw_min([_resolve_key(stats, g) for g in keys])
         if isinstance(node, And):
             return pw_min([resolve(c) for c in node.children])
         if isinstance(node, Or):

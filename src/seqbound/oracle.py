@@ -1,10 +1,8 @@
 """Ground truth and randomized verification.
 
-This module can materialize the adversarial instance a profile set
-describes (columns independently laid out most-frequent-first, so equal
-ranks co-occur), evaluate COUNT(*) queries exactly by brute force, and
-drive randomized soundness campaigns comparing the engine's bound against
-the exact count on generated schemas and queries.
+This module evaluates COUNT(*) queries exactly by brute force, and drives
+randomized soundness campaigns comparing the engine's bound against the
+exact count on generated schemas and queries.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .inference import bound_query
-from .pwfn import DegreeSequence, PiecewiseLinearFn, sample_integer_ranks
+from .pwfn import PiecewiseLinearFn
 from .query import (
     Query,
     UnsupportedQueryError,
@@ -39,10 +37,7 @@ from .stats import (
 
 __all__ = [
     "OracleCapExceeded",
-    "materialize_worst_case",
-    "materialize_from_compressed",
     "true_cardinality",
-    "value_tensor_probe",
     "generate_database",
     "generate_query",
     "verify_bound",
@@ -54,61 +49,6 @@ __all__ = [
 
 class OracleCapExceeded(RuntimeError):
     """Brute-force evaluation exceeded its operation budget."""
-
-
-# ------------------------------------------------------- materialization
-
-def materialize_worst_case(seqs: dict[str, DegreeSequence]) -> dict[str, np.ndarray]:
-    """Lay out each column independently by descending frequency.
-
-    Value labels are ranks 1..d; row r of a column holds the rank whose
-    cumulative span covers r.  All sequences must carry the same total.
-    """
-    totals = {c: s.total for c, s in seqs.items()}
-    if len(set(totals.values())) > 1:
-        raise ValueError("sequences disagree on the row count: %r" % totals)
-    return {
-        c: np.repeat(
-            np.arange(1, s.distinct + 1, dtype=np.float64),
-            np.asarray(s.freqs, dtype=np.intp),
-        )
-        for c, s in seqs.items()
-    }
-
-
-def materialize_from_compressed(
-    fns: dict[str, PiecewiseLinearFn],
-) -> dict[str, np.ndarray]:
-    """Worst-case instance realizing compressed profiles at integer ranks.
-
-    Each profile is rounded up rank by rank (so the realized cumulative
-    dominates it), turned into per-rank frequencies, and laid out
-    most-frequent-first.  Columns whose realized totals fall short of the
-    largest one are padded with fresh single-occurrence values.
-    """
-    cols: dict[str, np.ndarray] = {}
-    for c, fn in fns.items():
-        upto = int(math.ceil(fn.end - 1e-9))
-        grid = sample_integer_ranks(fn, upto)
-        cum = np.ceil(grid - 1e-9 * np.maximum(1.0, np.abs(grid))).astype(np.int64)
-        cum[0] = 0
-        cum = np.maximum.accumulate(cum)
-        freqs = np.diff(cum)
-        cols[c] = np.repeat(np.arange(1, upto + 1, dtype=np.float64), freqs)
-    n = max((arr.size for arr in cols.values()), default=0)
-    for c, arr in cols.items():
-        if arr.size < n:
-            upto = int(arr[-1]) if arr.size else 0
-            pad = np.arange(upto + 1, upto + 1 + (n - arr.size), dtype=np.float64)
-            cols[c] = np.concatenate([arr, pad])
-    return cols
-
-
-def value_tensor_probe(
-    col1: np.ndarray, col2: np.ndarray, m1: int, m2: int
-) -> int:
-    """Rows whose rank in column 1 is <= m1 and in column 2 is <= m2."""
-    return int(np.count_nonzero((col1 <= m1) & (col2 <= m2)))
 
 
 # ----------------------------------------------------------- brute force
@@ -233,7 +173,6 @@ def _zipf_column(rng: random.Random, n: int, distinct: int) -> list[float]:
 
 def generate_database(
     rng: random.Random,
-    max_rows: int = 200,
     two_join_cols: bool = False,
 ) -> tuple[dict[str, Relation], dict[str, ColumnRole], tuple[PkFkDeclaration, ...]]:
     """A small random star/snowflake-ish workspace for soundness trials."""
@@ -243,7 +182,7 @@ def generate_database(
     key_cols: list[tuple[str, str]] = []
     for i in range(n_rel):
         name = "r%d" % i
-        n = rng.randint(10, max_rows)
+        n = rng.randint(10, 200)
         cols: list[Column] = []
         data: dict[str, object] = {}
         n_join = 2 if two_join_cols else rng.randint(1, 2)

@@ -238,14 +238,9 @@ class PiecewiseLinearFn:
 
     def value_at(self, x: float) -> float:
         end = self.knots[-1]
-        if x <= 0.0:
-            return 0.0
-        if x >= end:
-            if x <= end + _slack(x, end):
-                return self.values[-1]
+        if x > end and x > end + _slack(x, end):
             raise ValueError("rank %r beyond domain end %r" % (x, end))
-        i = bisect.bisect_right(self.knots, x) - 1
-        return self.values[i] + self.slopes[i] * (x - self.knots[i])
+        return _values_at_sorted(self, (x,))[0]
 
     def rank_at(self, y: float) -> float:
         """Smallest rank x with F(x) >= y (the generalized inverse)."""
@@ -406,12 +401,8 @@ def _merged_knots(fns: Sequence[PiecewiseLinearFn], end: float) -> list[float]:
 
 def _values_at_sorted(fn: PiecewiseLinearFn, xs: Iterable[float]) -> list[float]:
     """fn(x), flat-extended beyond the domain end, for each x of an
-    ascending sequence.
-
-    One forward walk over the knots replaces a bisection per point: the
-    segment used is still the last knot at or below x, and the value is
-    computed by the same expression as :meth:`PiecewiseLinearFn.value_at`.
-    """
+    ascending sequence: one forward walk over the knots, reading each x on
+    the segment of the last knot at or below it."""
     knots, values, slopes = fn.knots, fn.values, fn.slopes
     end = knots[-1]
     total = values[-1]

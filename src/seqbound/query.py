@@ -784,7 +784,6 @@ class JoinStep:
 class BoundPlan:
     steps: tuple[MergeStep | JoinStep, ...]
     root: str
-    atoms: tuple[Atom, ...]
 
 
 def base_input(alias: str, var: str) -> str:
@@ -856,7 +855,7 @@ def decompose(graph: JoinGraph) -> BoundPlan:
         root_out = out
     if len(visited) != len(shared):
         raise ValueError("cannot plan a disconnected query")
-    return BoundPlan(tuple(steps), root_out, graph.atoms)
+    return BoundPlan(tuple(steps), root_out)
 
 
 # ------------------------------------------------------ query rewrites

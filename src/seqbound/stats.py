@@ -74,6 +74,7 @@ __all__ = [
     "build_equality_stats",
     "build_range_stats",
     "build_like_stats",
+    "grams",
     "lookup_range_group",
     "precompute_pk_fk",
     "build_catalog",
@@ -273,9 +274,9 @@ def _degree_batches(join_codes: np.ndarray, sets: list[list[np.ndarray]]):
 
 def _audited_profile(seq, params: BuildParams, context: str) -> PiecewiseLinearFn:
     fn = valid_compress(seq, params.compression_budget)
-    report = is_valid_compression(seq, fn)
-    if not report.ok:
-        raise StatsBuildError("compression audit failed for %s: %s" % (context, report.reason))
+    reason = is_valid_compression(seq, fn)
+    if reason is not None:
+        raise StatsBuildError("compression audit failed for %s: %s" % (context, reason))
     return fn
 
 
@@ -496,7 +497,9 @@ def lookup_range_group(
     return stats.default
 
 
-def _grams(text: str) -> set[str]:
+def grams(text: str) -> set[str]:
+    """The lower-cased GRAM_LEN-character substrings of a text: the keys of
+    its substring statistics."""
     low = text.lower()
     return {low[i : i + GRAM_LEN] for i in range(len(low) - GRAM_LEN + 1)}
 
@@ -515,7 +518,7 @@ def build_like_stats(
     # pattern long enough to consult these statistics.
     rows_by_gram: dict[str, list[np.ndarray]] = defaultdict(list)
     for text, rows in zip(groups.values, groups.parts()):
-        for g in _grams(text):
+        for g in grams(text):
             rows_by_gram[g].append(rows)
     context = "%s.%s | %s like" % (rel.name, join_col, groups.column)
     return _keyed_stats(join_codes, rows_by_gram, params, context, profiles)

@@ -193,8 +193,9 @@ class TestBuild:
         [
             b"cust,status,total\n1,open,5\n1,\xffopen,10\n",
             b"cust,status,total\n1," + b"o" * 200_000 + b",5\n",
+            b"",
         ],
-        ids=["undecodable bytes", "oversize field"],
+        ids=["undecodable bytes", "oversize field", "no header line"],
     )
     def test_malformed_csv_exits_2_naming_the_file(self, tmp_path, capsys, body):
         schema = shop_schema(tmp_path)

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from seqbound import compress as compress_module
 from seqbound.compress import (
-    compression_distance,
     distances_to,
     drop_vectors,
     is_valid_compression,
-    lossless_compress,
     self_join_bound,
     shortfall,
     valid_compress,
@@ -24,6 +22,7 @@ from seqbound.pwfn import (
     pw_min,
     sample_integer_ranks,
 )
+from worst_case import lossless_compress
 
 EX = DegreeSequence((4, 2, 2, 1, 1, 1))
 
@@ -86,13 +85,13 @@ class TestValidCompress:
         got = valid_compress(EX, 1.0)
         assert got.knots == (0.0, 2.75, 6.0)
         assert got.values == (0.0, 11.0, 11.0)
-        assert is_valid_compression(EX, got).ok
+        assert is_valid_compression(EX, got) is None
 
     def test_tight_budget_three_slopes(self):
         got = valid_compress(EX, 0.1)
         assert got.knots == (0.0, 1.0, 4.0, 5.0, 6.0)
         assert got.values == (0.0, 4.0, 10.0, 11.0, 11.0)
-        assert is_valid_compression(EX, got).ok
+        assert is_valid_compression(EX, got) is None
 
     def test_key_column_is_one_segment(self):
         key = DegreeSequence((1,) * 100)
@@ -125,22 +124,23 @@ class TestValidity:
         for i, f in enumerate(EX.freqs, start=1):
             knots.append(float(i))
             values.append(values[-1] + f)
-        assert is_valid_compression(EX, PiecewiseLinearFn(knots, values)).ok
+        assert is_valid_compression(EX, PiecewiseLinearFn(knots, values)) is None
 
     def test_rejects_undershoot(self):
         low = PiecewiseLinearFn((0.0, 6.0), (0.0, 11.0))
-        report = is_valid_compression(EX, low)
-        assert not report.ok
-        assert "rank" in report.reason
+        assert "rank" in is_valid_compression(EX, low)
 
     def test_rejects_wrong_total(self):
         fat = PiecewiseLinearFn((0.0, 2.75, 6.0), (0.0, 12.0, 12.0))
-        report = is_valid_compression(EX, fat)
-        assert not report.ok
+        assert "row count" in is_valid_compression(EX, fat)
 
     def test_rejects_short_domain(self):
         short = PiecewiseLinearFn((0.0, 3.0), (0.0, 11.0))
-        assert not is_valid_compression(EX, short).ok
+        assert "distinct count" in is_valid_compression(EX, short)
+
+    def test_rejects_mass_on_an_empty_sequence(self):
+        got = is_valid_compression(DegreeSequence(()), PiecewiseLinearFn((0, 1), (0, 3)))
+        assert got == "nonzero mass for an empty sequence"
 
 
 class TestErrorGuarantee:
@@ -152,7 +152,7 @@ class TestErrorGuarantee:
     def test_self_join_error_tracks_segments(self, freqs, budget):
         seq = DegreeSequence(sorted(freqs, reverse=True))
         got = valid_compress(seq, budget)
-        assert is_valid_compression(seq, got).ok
+        assert is_valid_compression(seq, got) is None
         exact = float(self_join_bound(seq))
         approx = sum(s * s * w for s, w in zip(got.slopes, _widths(got)))
         sloped = sum(1 for s in got.slopes if s > 0)
@@ -252,10 +252,10 @@ class TestRunWalk:
     @given(run_sequences(), BUDGETS)
     def test_audit_accepts_every_output(self, seq, budget):
         got = valid_compress(seq, budget)
-        assert is_valid_compression(seq, got).ok
+        assert is_valid_compression(seq, got) is None
         runs = as_runs(seq)
         assert valid_compress(runs, budget) == got
-        assert is_valid_compression(runs, got).ok
+        assert is_valid_compression(runs, got) is None
 
 
 def lowered_candidates(draw, seq: DegreeSequence, fn: PiecewiseLinearFn):
@@ -291,8 +291,8 @@ class TestRunAudit:
     def test_rejects_what_the_per_rank_audit_rejects(self, data, seq, budget):
         low = lowered_candidates(data.draw, seq, valid_compress(seq, budget))
         if low is not None and not per_rank_audit(seq, low):
-            assert not is_valid_compression(seq, low).ok
-            assert not is_valid_compression(as_runs(seq), low).ok
+            assert is_valid_compression(seq, low) is not None
+            assert is_valid_compression(as_runs(seq), low) is not None
 
     def test_rejects_a_profile_below_only_at_the_domain_end(self):
         # EX = (4, 2, 2, 1, 1, 1): the last knot sits 5e-6 past d = 6, so
@@ -300,34 +300,34 @@ class TestRunAudit:
         # knot lies inside the last run
         fn = PiecewiseLinearFn((0.0, 1.0, 3.0, 6.000005), (0.0, 4.0, 8.0, 11.0))
         assert not per_rank_audit(EX, fn)
-        report = is_valid_compression(EX, fn)
-        assert not report.ok and "at rank 6" in report.reason
+        assert "at rank 6" in is_valid_compression(EX, fn)
 
 
 class TestDistance:
     def test_frozen_example(self):
         a = cumulate(lossless_compress(DegreeSequence((2, 2))))
         b = cumulate(lossless_compress(DegreeSequence((4,))))
-        assert compression_distance(a, b) == pytest.approx(3.75)
+        drops, sq = drop_vectors([a, b])
+        assert distances_to(drops, sq, 0)[1] == pytest.approx(3.75)
 
     def test_symmetry(self):
         rng = random.Random(3)
         for _ in range(20):
             a = cumulate(lossless_compress(random_seq(rng, 20, 20)))
             b = cumulate(lossless_compress(random_seq(rng, 20, 20)))
-            assert compression_distance(a, b) == pytest.approx(
-                compression_distance(b, a)
-            )
+            drops, sq = drop_vectors([a, b])
+            assert distances_to(drops, sq, 0)[1] == pytest.approx(distances_to(drops, sq, 1)[0])
 
     def test_self_distance_is_two(self):
         f = cumulate(lossless_compress(EX))
-        assert compression_distance(f, f) == pytest.approx(2.0)
+        drops, sq = drop_vectors([f, f])
+        assert distances_to(drops, sq, 0)[1] == pytest.approx(2.0)
 
     def test_zero_mass_has_no_distance(self):
         f = cumulate(lossless_compress(EX))
         z = PiecewiseLinearFn((0.0, 1.0), (0.0, 0.0))
         with pytest.raises(ValueError):
-            compression_distance(f, z)
+            drop_vectors([f, z])
 
     def test_full_grid_up_to_256_ranks(self):
         rng = random.Random(11)

@@ -667,7 +667,7 @@ class TestWorkPerQuery:
     def test_join_step_key_holds_the_child_column_profiles(self):
         # the same anchor and child result, reached through two different
         # child columns of equal mass
-        plan = BoundPlan((JoinStep("s1", "r", "x", (("y", "s/y"),)),), "s1", ())
+        plan = BoundPlan((JoinStep("s1", "r", "x", (("y", "s/y"),)),), "s1")
         base = {
             ("r", "x"): PiecewiseLinearFn((0, 1, 3), (0, 4, 6)),
             ("s", "y"): PiecewiseLinearFn((0, 1, 2), (0, 3, 3.5)),
@@ -683,8 +683,8 @@ class TestWorkPerQuery:
     def test_merge_step_key_keeps_input_order(self):
         # (0.1 * 0.2) * 0.3 and (0.1 * 0.3) * 0.2 differ in the last bit
         profiles = {("x", "v"): flat(0.1), ("y", "v"): flat(0.2), ("z", "v"): flat(0.3)}
-        xyz = BoundPlan((MergeStep("s1", "v", ("x/v", "y/v", "z/v")),), "s1", ())
-        xzy = BoundPlan((MergeStep("s1", "v", ("x/v", "z/v", "y/v")),), "s1", ())
+        xyz = BoundPlan((MergeStep("s1", "v", ("x/v", "y/v", "z/v")),), "s1")
+        xzy = BoundPlan((MergeStep("s1", "v", ("x/v", "z/v", "y/v")),), "s1")
         memo: dict = {}
         first = plan_bound(xyz, profiles, memo)
         assert first == plan_bound(xyz, profiles)

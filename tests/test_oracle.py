@@ -6,25 +6,22 @@ import random
 import numpy as np
 import pytest
 
-from seqbound.compress import lossless_compress
 from seqbound.oracle import (
     GenerationImpossible,
     OracleCapExceeded,
     corrupt_catalog,
     generate_database,
     generate_query,
-    materialize_from_compressed,
-    materialize_worst_case,
     run_soundness_suite,
     summarize,
     true_cardinality,
-    value_tensor_probe,
     verify_bound,
 )
 from seqbound.pwfn import DegreeSequence, PiecewiseLinearFn, cumulate
 from seqbound.query import Query, fuse_parallel_joins, join_graph, parse_query
 from seqbound.relation import Column, ColumnRole, Relation
 from seqbound.stats import BuildParams, build_catalog
+from worst_case import lossless_compress, materialize_from_compressed, materialize_worst_case
 
 EX = DegreeSequence((4, 2, 2, 1, 1, 1))
 
@@ -50,6 +47,17 @@ class TestMaterializeWorstCase:
     def test_total_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row count"):
             materialize_worst_case({"a": EX, "b": DegreeSequence((1, 1))})
+
+    def test_worst_case_instance_meets_min_of_cumulatives(self):
+        cols = materialize_worst_case(
+            {"a": EX, "b": DegreeSequence((6, 3, 2))}
+        )
+        fa = cumulate(lossless_compress(EX))
+        fb = cumulate(lossless_compress(DegreeSequence((6, 3, 2))))
+        for m1 in range(0, 7):
+            for m2 in range(0, 4):
+                expect = min(fa.value_at(m1), fb.value_at(m2))
+                assert np.count_nonzero((cols["a"] <= m1) & (cols["b"] <= m2)) == expect
 
 
 class TestMaterializeFromCompressed:
@@ -81,26 +89,6 @@ class TestMaterializeFromCompressed:
         cols = materialize_from_compressed(fns)
         assert cols["a"].tolist() == [1, 1, 2]
         assert cols["b"].tolist() == [1, 2, 3]
-
-
-class TestValueTensorProbe:
-    def test_counts_joint_rank_prefix(self):
-        col1 = np.array([1.0, 1.0, 2.0, 3.0])
-        col2 = np.array([1.0, 2.0, 2.0, 3.0])
-        assert value_tensor_probe(col1, col2, 1, 2) == 2
-        assert value_tensor_probe(col1, col2, 3, 3) == 4
-        assert value_tensor_probe(col1, col2, 0, 3) == 0
-
-    def test_worst_case_instance_meets_min_of_cumulatives(self):
-        cols = materialize_worst_case(
-            {"a": EX, "b": DegreeSequence((6, 3, 2))}
-        )
-        fa = cumulate(lossless_compress(EX))
-        fb = cumulate(lossless_compress(DegreeSequence((6, 3, 2))))
-        for m1 in range(0, 7):
-            for m2 in range(0, 4):
-                expect = min(fa.value_at(m1), fb.value_at(m2))
-                assert value_tensor_probe(cols["a"], cols["b"], m1, m2) == expect
 
 
 class TestTrueCardinality:

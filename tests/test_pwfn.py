@@ -158,6 +158,10 @@ class TestPiecewiseConstantFn:
         with pytest.raises(ValueError):
             PiecewiseConstantFn((2, 1), (3, 2))
 
+    def test_rejects_no_segments(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            PiecewiseConstantFn((), ())
+
     @given(concave_fns())
     def test_equal_functions_hash_equal(self, cumulative):
         fn = discrete_derivative(cumulative)

@@ -372,6 +372,10 @@ TOKENIZER_PINS = [
     ('SELECT COUNT(*) FROM orders AS WHERE orders.total = 1', ('QueryParseError', "expected alias after AS, got 'WHERE'", 31)),
     ('SELECT COUNT(*) FROM orders AS, customers AS c WHERE orders.cust = c.id', ('QueryParseError', "expected alias after AS, got ','", 30)),
     ('SELECT COUNT(*) FROM orders AS', ('QueryParseError', "expected alias after AS, got 'end'", 30)),
+    ('SELECT COUNT * FROM orders', ('QueryParseError', "expected '(', got '*'", 13)),
+    ('SELECT COUNT(*) FROM 5', ('QueryParseError', "expected relation name, got '5'", 21)),
+    (W + 'orders.5 = 1', ('QueryParseError', "expected column after 'orders'.", 41)),
+    (W + '5 orders.total', ('QueryParseError', 'expected comparison operator', 36)),
 ]
 
 
@@ -578,23 +582,22 @@ class TestDecompose:
         assert plan.root == "s4"
 
     def test_every_atom_consumed_exactly_once(self):
-        plan = decompose(
-            join_graph(parse(
-                "SELECT COUNT(*) FROM rr AS r, ss AS s, kk AS k, tt AS t,"
-                " mm AS m, nn AS n, pp AS p"
-                " WHERE r.y = s.y AND r.z = k.z AND r.z = t.z"
-                " AND t.v = m.v AND t.v = n.v AND t.w = p.w",
-                {
-                    "rr": {"x": "numeric", "y": "numeric", "z": "numeric"},
-                    "ss": {"y": "numeric"},
-                    "kk": {"z": "numeric"},
-                    "tt": {"z": "numeric", "v": "numeric", "w": "numeric"},
-                    "mm": {"v": "numeric"},
-                    "nn": {"v": "numeric"},
-                    "pp": {"w": "numeric"},
-                },
-            ))
-        )
+        graph = join_graph(parse(
+            "SELECT COUNT(*) FROM rr AS r, ss AS s, kk AS k, tt AS t,"
+            " mm AS m, nn AS n, pp AS p"
+            " WHERE r.y = s.y AND r.z = k.z AND r.z = t.z"
+            " AND t.v = m.v AND t.v = n.v AND t.w = p.w",
+            {
+                "rr": {"x": "numeric", "y": "numeric", "z": "numeric"},
+                "ss": {"y": "numeric"},
+                "kk": {"z": "numeric"},
+                "tt": {"z": "numeric", "v": "numeric", "w": "numeric"},
+                "mm": {"v": "numeric"},
+                "nn": {"v": "numeric"},
+                "pp": {"w": "numeric"},
+            },
+        ))
+        plan = decompose(graph)
         base_aliases = []
         join_aliases = []
         for step in plan.steps:
@@ -605,7 +608,7 @@ class TestDecompose:
             if isinstance(step, JoinStep):
                 join_aliases.append(step.alias)
         consumed = sorted(base_aliases + join_aliases)
-        assert consumed == sorted(a.alias for a in plan.atoms)
+        assert consumed == sorted(a.alias for a in graph.atoms)
 
     def test_root_ranked_and_anchored_by_shared_variables_only(self):
         # r binds the most variables, but v1 and v2 are its alone: s, with

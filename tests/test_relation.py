@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -319,6 +320,21 @@ UNBUILDABLE = {
 }
 
 
+# load_workspace refuses these before any statistic is built; an edit
+# that returns a document replaces the schema's
+UNREADABLE = {
+    "no-csv": (lambda doc: doc["relations"][0].__delitem__("csv"), "relation 'r': missing 'csv'"),
+    "top-level-list": (lambda doc: [doc], "top level must be an object"),
+    "no-relations": (lambda doc: doc.update(relations=[]), "'relations' must be a non-empty list"),
+    "duplicate-column": (
+        lambda doc: doc["relations"][0]["columns"].append({"name": "j", "kind": "numeric"}),
+        "relation 'r': duplicate column 'j'",
+    ),
+    "pk-fk-object": (lambda doc: doc.update(pk_fk={}), "schema: 'pk_fk' must be a list"),
+    "params-list": (lambda doc: doc.update(params=[]), "schema: 'params' must be an object"),
+}
+
+
 def unbuildable_schema(tmp_path, case):
     edit, message = UNBUILDABLE[case]
     path = make_schema(tmp_path)
@@ -375,6 +391,18 @@ class TestLoadWorkspace:
     def test_verify_refuses_what_build_refuses(self, tmp_path, capsys, case):
         path, message = unbuildable_schema(tmp_path, case)
         assert run_cli("verify", path, capsys) == (2, message)
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    def test_malformed_schema_exits_2(self, tmp_path, capsys, case):
+        edit, message = UNREADABLE[case]
+        path = make_schema(tmp_path)
+        doc = json.loads(path.read_text())
+        edited = edit(doc)
+        write(path, json.dumps(doc if edited is None else edited))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_workspace(str(path))
+        assert main(["build", "--schema", str(path), "--out", str(tmp_path / "x.cat")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "schema.json"

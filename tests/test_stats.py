@@ -597,6 +597,12 @@ class TestEqualityStats:
         with pytest.raises(StatsBuildError, match="fails to dominate"):
             stats_module._build_groups([small, big, small, big, big], "r.j")
 
+    def test_audit_refuses_a_compression_below_the_sequence(self, monkeypatch):
+        low = PiecewiseLinearFn((0.0, 2.0), (0.0, 4.0))  # (3, 1) reaches 3 at rank 1
+        monkeypatch.setattr(stats_module, "valid_compress", lambda seq, budget: low)
+        with pytest.raises(StatsBuildError, match="audit failed for r.j: under-estimates"):
+            stats_module._audited_profile(DegreeSequence((3, 1)), BuildParams(), "r.j")
+
     def test_audit_checks_fractional_ranks(self, monkeypatch):
         # the member is 2 at rank 0.5, where the representative is 1.25;
         # at every integer rank the representative is at least the member
@@ -883,7 +889,7 @@ class TestLikeStats:
         )
         rows_by_gram: dict[str, list[int]] = {}
         for row, text in enumerate(s):
-            for g in stats_module._grams(text):
+            for g in stats_module.grams(text):
                 rows_by_gram.setdefault(g, []).append(row)
         # the tail's gram-rows span at least three batches of n_rows rows
         assert sum(map(len, rows_by_gram.values())) >= 3 * rel.n_rows

@@ -5,6 +5,7 @@ unnoticed."""
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import subprocess
@@ -70,3 +71,30 @@ def test_fuzz_catalog_prints_outcome_counts_in_both_modes():
         assert (row["seed"], row["mutants"]) == (1, 30)
         assert sum(row["outcomes"].values()) == 30
         assert "crash" not in row["outcomes"]
+
+
+def test_linecov_records_a_traced_run_and_reports_what_it_missed(tmp_path):
+    out = str(tmp_path / "help.json")
+    run = subprocess.run(
+        tool_argv("linecov.py", out, "--", "-m", "seqbound.cli", "--help"),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert "usage:" in run.stdout
+    with open(out, encoding="utf-8") as fh:
+        hits = {name: set(lines) for name, lines in json.load(fh).items()}
+    cli = os.path.join("src", "seqbound", "cli.py")
+    assert hits[cli]
+    lines = subprocess.run(
+        tool_argv("linecov.py", "--report", out),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    summaries = [line for line in lines if line.endswith(" statements missed")]
+    root = os.path.dirname(TOOLS)
+    modules = glob.glob(os.path.join(root, "src", "seqbound", "*.py"))
+    assert [line.split(":")[0] for line in summaries] == sorted(
+        os.path.relpath(path, root) for path in modules
+    )
+    missed = [line.split(":", 2) for line in lines if line not in summaries]
+    # --help parses no schema: the build command's body never ran
+    assert any(name == cli for name, _, _ in missed)
+    assert all(int(line) not in hits.get(name, ()) for name, line, _ in missed)
