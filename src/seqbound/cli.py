@@ -24,6 +24,11 @@ EXIT_QUERY = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def count(text: str) -> int:  # argparse reports "invalid count value"
+        if int(text) < 0:
+            raise ValueError(text)
+        return int(text)
+
     parser = argparse.ArgumentParser(
         prog="seqbound",
         description="Upper-bound cardinality estimates from degree sequence statistics.",
@@ -42,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized soundness check against brute force")
     p.add_argument("--schema", default=None, help="schema to verify (random workspaces when omitted)")
-    p.add_argument("--trials", type=int, default=100, help="number of acyclic trials")
+    p.add_argument("--trials", type=count, default=100, help="number of acyclic trials")
     p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.add_argument(
         "--corrupt",

@@ -152,12 +152,8 @@ def plan_bound(
             got = memo[fn] = discrete_derivative(fn)
         return got
 
-    def fetch(uid: str) -> PiecewiseConstantFn:
-        got = values.get(uid)
-        if got is not None:
-            return got
-        alias, var = uid.split("/", 1)
-        return derive(profiles[(alias, var)])
+    def fetch(uid: str | tuple[str, str]) -> PiecewiseConstantFn:
+        return values[uid] if isinstance(uid, str) else derive(profiles[uid])
 
     for step in plan.steps:
         if isinstance(step, MergeStep):
@@ -187,16 +183,16 @@ def plan_bound(
             out, integral, mass = got
             trace.append((step, integral, mass))
         values[step.out] = out
-    root = values[plan.root] if plan.root in values else fetch(plan.root)
-    return root.integral(), tuple(trace)
+    return fetch(plan.root).integral(), tuple(trace)
 
 
 def _trace_line(record: tuple) -> str:
     """One ``plan_bound`` step record as a line of ``BoundResult.steps``."""
     step, integral, mass = record
     if isinstance(step, MergeStep):
+        names = (i if isinstance(i, str) else "%s/%s" % i for i in step.inputs)
         return "%s: merge %s over %s -> integral %.6g" % (
-            step.out, "*".join(step.inputs), step.var, integral
+            step.out, "*".join(names), step.var, integral
         )
     return "%s: join %s anchored at %s (mass %.6g) -> integral %.6g" % (
         step.out, step.alias, step.anchor, mass, integral
@@ -262,6 +258,8 @@ def _validate(catalog: StatisticsCatalog, query: Query) -> None:
         if atom.alias in aliases:
             raise UnsupportedQueryError("duplicate alias %r" % atom.alias)
         aliases.add(atom.alias)
+        if not all(cols for _, cols in atom.var_columns):
+            raise UnsupportedQueryError("%s binds a variable to no column" % atom.alias)
         rel = catalog.relations.get(atom.relation)
         if rel is None:
             raise UnsupportedQueryError("no statistics for relation %r" % atom.relation)
@@ -290,27 +288,8 @@ class _Conditioner:
         self.catalog = catalog
         self.predicates = query.predicates
         self.notes = notes
-        self.by_column: dict[tuple[str, str], PiecewiseLinearFn] = {}
-        self.fused: dict[tuple[str, tuple[str, ...]], PiecewiseLinearFn] = {}
+        self.profiles: dict[tuple[str, tuple[str, ...]], PiecewiseLinearFn] = {}
         self.caps: dict[str, tuple[float, str | None]] = {}
-
-    def column_profile(self, atom: Atom, col: str) -> PiecewiseLinearFn:
-        key = (atom.alias, col)
-        got = self.by_column.get(key)
-        if got is not None:
-            return got
-        rel = self.catalog.relations[atom.relation]
-        pred = self.predicates.get(atom.alias)
-        if col in rel.join_columns:
-            fn = condition_sequence(self.catalog, atom.relation, col, pred)
-        else:
-            fn = truncate_cumulative(rel.fallback[col], self.atom_cap(atom)[0])
-            self.notes.append(
-                "%s.%s is not a declared join column; capped its profile at the "
-                "conditioned row count" % (atom.alias, col)
-            )
-        self.by_column[key] = fn
-        return fn
 
     def atom_cap(self, atom: Atom) -> tuple[float, str | None]:
         """The most rows ``atom`` can hold under its predicate, and the join
@@ -320,21 +299,32 @@ class _Conditioner:
         if got is None:
             rel = self.catalog.relations[atom.relation]
             caps = [
-                (self.column_profile(atom, j).total + rel.cardinality - rel.fallback[j].total, j)
+                (self.variable_profile(atom, (j,)).total + rel.cardinality - rel.fallback[j].total, j)
                 for j in rel.join_columns
             ]
             got = self.caps[atom.alias] = min(caps, default=(float(rel.cardinality), None))
         return got
 
     def variable_profile(self, atom: Atom, cols: tuple[str, ...]) -> PiecewiseLinearFn:
-        """Profile of the variable ``atom`` binds to ``cols``: the pointwise
-        minimum over those columns when a fused variable has several."""
-        if len(cols) == 1:
-            return self.column_profile(atom, cols[0])
+        """Profile of the variable ``atom`` binds to ``cols``: a declared join
+        column's conditioned profile, an undeclared one's fallback capped at
+        the atom's row cap, or the pointwise minimum of a fused variable's."""
         key = (atom.alias, cols)
-        got = self.fused.get(key)
+        got = self.profiles.get(key)
         if got is None:
-            got = self.fused[key] = pw_min([self.column_profile(atom, c) for c in cols])
+            rel = self.catalog.relations[atom.relation]
+            if len(cols) > 1:
+                got = pw_min([self.variable_profile(atom, (c,)) for c in cols])
+            elif cols[0] in rel.join_columns:
+                pred = self.predicates.get(atom.alias)
+                got = condition_sequence(self.catalog, atom.relation, cols[0], pred)
+            else:
+                got = truncate_cumulative(rel.fallback[cols[0]], self.atom_cap(atom)[0])
+                self.notes.append(
+                    "%s.%s is not a declared join column; capped its profile at the "
+                    "conditioned row count" % (atom.alias, cols[0])
+                )
+            self.profiles[key] = got
         return got
 
 
@@ -368,12 +358,11 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
         best_steps = ()
         memo: dict = {}
         for idx, tree in enumerate(trees):
-            # a variable only one alias binds constrains nothing the plan reads
             profiles = {
                 (atom.alias, var): conditioner.variable_profile(atom, cols)
                 for atom in tree.atoms
                 for var, cols in atom.var_columns
-                if len(tree.variables[var]) >= 2
+                if var in tree.variables
             }
             value, steps = plan_bound(decompose(tree), profiles, memo)
             if len(trees) > 1:

@@ -72,9 +72,7 @@ def true_cardinality(
     Intermediate work is capped at ``ops_limit`` elementary join
     operations; exceeding it raises :class:`OracleCapExceeded`.
     """
-    join_vars = {
-        v for v, aliases in join_graph(query).variables.items() if len(aliases) >= 2
-    }
+    join_vars = join_graph(query).variables
     atom_tuples: dict[str, Counter] = {}
     atom_vars: dict[str, tuple[str, ...]] = {}
     for atom in query.atoms:

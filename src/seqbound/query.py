@@ -717,8 +717,10 @@ def print_query(query: Query) -> str:
 
 @dataclass(frozen=True)
 class JoinGraph:
-    """A query's atoms, each variable's sorted aliases, and the number of
-    independent cycles and connectedness of the atom-variable graph."""
+    """A query's atoms, each join variable's sorted aliases, and the number
+    of independent cycles and connectedness of the atom-variable graph.
+    A join variable is one that two or more aliases bind; a variable only
+    one alias binds closes no cycle, connects nothing and is not kept."""
 
     atoms: tuple[Atom, ...]
     variables: dict[str, tuple[str, ...]]
@@ -739,11 +741,11 @@ class JoinGraph:
 
 
 def join_graph(query: Query) -> JoinGraph:
-    var_atoms: dict[str, list[str]] = {}
+    var_atoms: dict[str, set[str]] = {}
     for atom in query.atoms:
         for var, _ in atom.var_columns:
-            var_atoms.setdefault(var, []).append(atom.alias)
-    variables = {v: tuple(sorted(set(a))) for v, a in var_atoms.items()}
+            var_atoms.setdefault(var, set()).add(atom.alias)
+    variables = {v: tuple(sorted(a)) for v, a in var_atoms.items() if len(a) >= 2}
     parent: dict[str, str] = {}
     cycles = 0
     for var, aliases in variables.items():
@@ -762,11 +764,12 @@ def join_graph(query: Query) -> JoinGraph:
 
 @dataclass(frozen=True)
 class MergeStep:
-    """Pointwise product of unary profiles meeting at one variable."""
+    """Pointwise product of unary profiles meeting at one variable; an input
+    is a step id or a base profile's (alias, variable) pair."""
 
     out: str
     var: str
-    inputs: tuple[str, ...]
+    inputs: tuple[str | tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -777,7 +780,7 @@ class JoinStep:
     out: str
     alias: str
     anchor: str
-    children: tuple[tuple[str, str], ...]
+    children: tuple[tuple[str, str | tuple[str, str]], ...]
 
 
 @dataclass(frozen=True)
@@ -786,26 +789,21 @@ class BoundPlan:
     root: str
 
 
-def base_input(alias: str, var: str) -> str:
-    return "%s/%s" % (alias, var)
-
-
 def decompose(graph: JoinGraph) -> BoundPlan:
     """Turn an acyclic connected join graph into a bottom-up plan of merge
     and join steps whose root evaluates to the cardinality bound.
 
-    Only variables that two or more aliases bind are planned over: the
-    root relation is the atom with the most of them (ties broken by
-    alias), anchored at its alphabetically first.  Atoms with a single
-    join variable and nothing beneath them feed their profiles in
-    directly; each atom's profile is consumed exactly once.
+    Only the graph's join variables are planned over: the root relation
+    is the atom with the most of them (ties broken by alias), anchored at
+    its alphabetically first.  Atoms with a single join variable and
+    nothing beneath them feed their profiles in directly, named by their
+    (alias, variable) pair; each atom's profile is consumed exactly once.
     """
     if not graph.connected:
         raise ValueError("cannot plan a disconnected query")
     if not graph.acyclic:
         raise ValueError("cannot plan a cyclic query directly")
-    join_vars = {v for v, als in graph.variables.items() if len(als) >= 2}
-    shared = {a.alias: [v for v in a.variables() if v in join_vars] for a in graph.atoms}
+    shared = {a.alias: [v for v in a.variables() if v in graph.variables] for a in graph.atoms}
     root_alias = min(shared, key=lambda a: (-len(shared[a]), a))
     if not shared[root_alias]:
         raise ValueError("atom %r has no join variable" % root_alias)
@@ -818,22 +816,22 @@ def decompose(graph: JoinGraph) -> BoundPlan:
     def new_id() -> str:
         return "s%d" % next(counter)
 
-    def child_inputs(var: str) -> list[str]:
+    def child_inputs(var: str) -> list[str | tuple[str, str]]:
         ids = []
-        for other in graph.variables.get(var, ()):
+        for other in graph.variables[var]:
             if other not in visited:
                 visited.add(other)
                 ids.append(build(other, var))
         return ids
 
-    def merged(var: str, ids: list[str]) -> str:
+    def merged(var: str, ids: list[str | tuple[str, str]]) -> str | tuple[str, str]:
         if len(ids) == 1:
             return ids[0]
         out = new_id()
         steps.append(MergeStep(out, var, tuple(ids)))
         return out
 
-    def build(alias: str, via: str, root: bool = False) -> str:
+    def build(alias: str, via: str, root: bool = False) -> str | tuple[str, str]:
         children = []
         for var in shared[alias]:
             if var == via:
@@ -842,7 +840,7 @@ def decompose(graph: JoinGraph) -> BoundPlan:
             if ids:
                 children.append((var, merged(var, ids)))
         if not children and not root:
-            return base_input(alias, via)
+            return (alias, via)
         out = new_id()
         steps.append(JoinStep(out, alias, via, tuple(children)))
         return out
@@ -853,8 +851,6 @@ def decompose(graph: JoinGraph) -> BoundPlan:
         out = new_id()
         steps.append(MergeStep(out, anchor, (root_out, *sibling_ids)))
         root_out = out
-    if len(visited) != len(shared):
-        raise ValueError("cannot plan a disconnected query")
     return BoundPlan(tuple(steps), root_out)
 
 

@@ -329,6 +329,13 @@ class TestVerify:
         assert main(["verify", "--trials", "2", "--seed", "1"]) == 0
         assert "violations=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["-1", "-5"])
+    def test_negative_trials_is_a_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--trials", trials, "--seed", "1"])
+        assert exit_.value.code == 2
+        assert "argument --trials: invalid count value: '%s'" % trials in capsys.readouterr().err
+
 
 class TestInspect:
     def test_describes_catalog(self, tmp_path, capsys):

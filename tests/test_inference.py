@@ -5,6 +5,9 @@ with a near-zero compression budget so they stay exact and the engine's
 arithmetic can be checked to the row.
 """
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -487,6 +490,47 @@ class TestBoundQuery:
         query = Query((Atom("a", "r", on_j), Atom("b", "s", on_j)), {"c": Eq("j", 1.0)})
         with pytest.raises(UnsupportedQueryError, match="predicate on alias 'c'"):
             bound_query(catalog, query)
+        # and to its variable rules: every variable is bound to a column
+        query = Query((Atom("a", "r", (("v0", ()),)), Atom("b", "s", on_j)))
+        with pytest.raises(UnsupportedQueryError, match="a binds a variable to no column"):
+            bound_query(catalog, query)
+
+    @pytest.mark.parametrize(
+        "make, sql",
+        [
+            (
+                lambda: shop_catalog()[0],
+                "SELECT COUNT(*) FROM orders AS o, customers AS c"
+                " WHERE o.cust = c.id AND c.region = 'east'",
+            ),
+            (lambda: pair_catalog()[0], PAIR_SQL),
+            (
+                lambda: ring_catalog(3)[0],
+                "SELECT COUNT(*) FROM e1 AS a, e2 AS b, e3 AS c"
+                " WHERE a.v = b.u AND b.v = c.u AND c.v = a.u",
+            ),
+        ],
+        ids=["acyclic", "fused", "cyclic"],
+    )
+    def test_alias_holding_a_slash_gives_the_same_bound(self, make, sql):
+        # a step line names a base input "alias/variable"; an API-built alias
+        # may hold "/" itself.  "/" sorts below every identifier character,
+        # so appending "/x" to every alias keeps their order and the plan.
+        catalog = make()
+        schema = {n: dict(rel.column_kinds) for n, rel in catalog.relations.items()}
+        query = parse_query(sql, schema)
+        renamed = Query(
+            tuple(replace(a, alias=a.alias + "/x") for a in query.atoms),
+            {alias + "/x": pred for alias, pred in query.predicates.items()},
+        )
+        want, got = bound_query(catalog, query), bound_query(catalog, renamed)
+        assert (got.bound, got.value.hex(), got.strategy) == (
+            want.bound, want.value.hex(), want.strategy
+        )
+        assert [n.replace("/x", "") for n in got.notes] == list(want.notes)
+        assert [s.replace("/x", "") for s in got.steps] == list(want.steps)
+        merges = [s for s in got.steps if ": merge " in s]
+        assert merges and all(re.search(r"\w/x/v\d", s) for s in merges)
 
 
 def counted(monkeypatch, name, *modules):
@@ -667,7 +711,7 @@ class TestWorkPerQuery:
     def test_join_step_key_holds_the_child_column_profiles(self):
         # the same anchor and child result, reached through two different
         # child columns of equal mass
-        plan = BoundPlan((JoinStep("s1", "r", "x", (("y", "s/y"),)),), "s1")
+        plan = BoundPlan((JoinStep("s1", "r", "x", (("y", ("s", "y")),)),), "s1")
         base = {
             ("r", "x"): PiecewiseLinearFn((0, 1, 3), (0, 4, 6)),
             ("s", "y"): PiecewiseLinearFn((0, 1, 2), (0, 3, 3.5)),
@@ -683,8 +727,8 @@ class TestWorkPerQuery:
     def test_merge_step_key_keeps_input_order(self):
         # (0.1 * 0.2) * 0.3 and (0.1 * 0.3) * 0.2 differ in the last bit
         profiles = {("x", "v"): flat(0.1), ("y", "v"): flat(0.2), ("z", "v"): flat(0.3)}
-        xyz = BoundPlan((MergeStep("s1", "v", ("x/v", "y/v", "z/v")),), "s1")
-        xzy = BoundPlan((MergeStep("s1", "v", ("x/v", "z/v", "y/v")),), "s1")
+        xyz = BoundPlan((MergeStep("s1", "v", (("x", "v"), ("y", "v"), ("z", "v"))),), "s1")
+        xzy = BoundPlan((MergeStep("s1", "v", (("x", "v"), ("z", "v"), ("y", "v"))),), "s1")
         memo: dict = {}
         first = plan_bound(xyz, profiles, memo)
         assert first == plan_bound(xyz, profiles)

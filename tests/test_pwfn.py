@@ -140,6 +140,11 @@ class TestPiecewiseConstantFn:
         assert fn.value_at(1.0) == 4
         assert fn.value_at(1.5) == 2
         assert fn.value_at(0.0) == 4
+        # a rank within rounding slack past the end reads the last value;
+        # one past that tolerance is outside the domain
+        assert fn.value_at(3.0 + _slack(3.0) / 2) == 2
+        with pytest.raises(ValueError, match="beyond domain end"):
+            fn.value_at(3.0 + 2 * _slack(3.0))
 
     def test_value_beyond_end_raises(self):
         fn = PiecewiseConstantFn((1,), (4,))

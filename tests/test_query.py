@@ -536,8 +536,8 @@ class TestDecompose:
         # s has the most variables, so it is the root, anchored at v0; t's
         # profile feeds the join and r's merges in at the anchor.
         assert plan.steps == (
-            JoinStep("s1", "s", "v0", (("v1", "t/v1"),)),
-            MergeStep("s2", "v0", ("s1", "r/v0")),
+            JoinStep("s1", "s", "v0", (("v1", ("t", "v1")),)),
+            MergeStep("s2", "v0", ("s1", ("r", "v0"))),
         )
         assert plan.root == "s2"
 
@@ -549,7 +549,7 @@ class TestDecompose:
         plan = decompose(join_graph(q))
         assert plan.steps == (
             JoinStep("s1", "t1", "v0", ()),
-            MergeStep("s2", "v0", ("s1", "t2/v0")),
+            MergeStep("s2", "v0", ("s1", ("t2", "v0"))),
         )
 
     def test_two_tier_star_collapses_to_two_merges_and_two_joins(self):
@@ -574,10 +574,10 @@ class TestDecompose:
         )
         plan = decompose(join_graph(q))
         assert plan.steps == (
-            MergeStep("s1", "v1", ("m/v1", "n/v1")),
-            JoinStep("s2", "t", "v0", (("v1", "s1"), ("v2", "p/v2"))),
-            JoinStep("s3", "r", "v0", (("v3", "s/v3"),)),
-            MergeStep("s4", "v0", ("s2", "k/v0", "s3")),
+            MergeStep("s1", "v1", (("m", "v1"), ("n", "v1"))),
+            JoinStep("s2", "t", "v0", (("v1", "s1"), ("v2", ("p", "v2")))),
+            JoinStep("s3", "r", "v0", (("v3", ("s", "v3")),)),
+            MergeStep("s4", "v0", ("s2", ("k", "v0"), "s3")),
         )
         assert plan.root == "s4"
 
@@ -603,8 +603,8 @@ class TestDecompose:
         for step in plan.steps:
             refs = step.inputs if isinstance(step, MergeStep) else [i for _, i in step.children]
             for ref in refs:
-                if "/" in ref:
-                    base_aliases.append(ref.split("/")[0])
+                if isinstance(ref, tuple):
+                    base_aliases.append(ref[0])
             if isinstance(step, JoinStep):
                 join_aliases.append(step.alias)
         consumed = sorted(base_aliases + join_aliases)
@@ -618,9 +618,10 @@ class TestDecompose:
             Atom("s", "ss", (("v0", ("x",)), ("v3", ("y",)))),
             Atom("t", "tt", (("v3", ("y",)),)),
         )))
+        assert graph.variables == {"v0": ("r", "s"), "v3": ("s", "t")}
         assert decompose(graph).steps == (
-            JoinStep("s1", "s", "v0", (("v3", "t/v3"),)),
-            MergeStep("s2", "v0", ("s1", "r/v0")),
+            JoinStep("s1", "s", "v0", (("v3", ("t", "v3")),)),
+            MergeStep("s2", "v0", ("s1", ("r", "v0"))),
         )
 
     def test_rejects_cyclic_and_disconnected(self):

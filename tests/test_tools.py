@@ -49,19 +49,25 @@ def test_dump_bounds_prints_a_catalog_record_then_one_line_per_query():
         assert row["steps"] and all(isinstance(s, str) for s in row["steps"])
 
 
-def test_dump_bounds_stops_quietly_when_its_reader_closes():
-    # the dump is several times a pipe's buffer, so the tool is still
-    # writing when the reader goes away after one line
-    proc = subprocess.Popen(
-        tool_argv("dump_bounds.py", "star-estimate", "1"),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    head = json.loads(proc.stdout.readline())
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.wait(timeout=120)
-    assert head["workload"] == "star-estimate"
-    assert err == ""  # no BrokenPipeError traceback
+def test_dump_bounds_stops_quietly_when_its_reader_closes(tmp_path):
+    # each output is several times a pipe's buffer, so the tool is still
+    # writing when the reader goes away after one line: the dump, and a
+    # coverage report of a run that hit nothing
+    nothing = tmp_path / "nothing.json"
+    nothing.write_text("{}")
+    for argv, first in [
+        (("dump_bounds.py", "star-estimate", "1"), '{"workload": "star-estimate", '),
+        (("linecov.py", "--report", str(nothing)), "src/seqbound/__init__.py: "),
+    ]:
+        proc = subprocess.Popen(
+            tool_argv(*argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        head = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+        assert head.startswith(first)
+        assert err == ""  # no BrokenPipeError traceback
 
 
 def test_fuzz_catalog_prints_outcome_counts_in_both_modes():
