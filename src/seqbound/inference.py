@@ -8,6 +8,18 @@ spanning trees), plans each acyclic shape bottom-up, and evaluates the
 plan with the piecewise kernel.  The reported count is a guaranteed upper
 bound on the query's true result size under the statistics' view of the
 data.
+
+Queries against one catalog share its memo (:class:`stats.Memo`): the
+``pw_min`` and ``pw_sum`` that conditioning and fused variables take over
+resolved profiles, each plan step's output and each profile's discrete
+derivative are computed once per catalog.  A key holds an op tag and the
+input profiles, compared by value, never the SQL text, the query, an
+alias or a predicate, so equal work is shared however it was reached and
+a warm memo changes no result.  The memo holds at most
+``stats.MEMO_ENTRIES`` entries (about 4.2 MB when full) and empties when
+full.  Every cached value is a pure function of its key, so concurrent
+queries on one catalog are safe: a thread that misses computes what any
+other would, and storing takes a lock so the cap holds.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from .query import (
 )
 from .stats import (
     FilterStats,
+    Memo,
     StatisticsCatalog,
     grams,
     lookup_range_group,
@@ -73,6 +86,14 @@ def _resolve_key(stats: FilterStats, key: object) -> PiecewiseLinearFn:
     return stats.default if group is None else stats.representatives[group]
 
 
+def _min(memo: Memo, fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
+    return memo.cached(("min", tuple(fns)), pw_min, fns)
+
+
+def _sum(memo: Memo, fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
+    return memo.cached(("sum", tuple(fns)), pw_sum, fns)
+
+
 def condition_sequence(
     catalog: StatisticsCatalog,
     relation: str,
@@ -84,9 +105,14 @@ def condition_sequence(
     Every resolution is an upper envelope of the profile of the rows that
     can satisfy the predicate, so the result is always safe to use in a
     bound; when no statistic applies the unconditioned profile is used.
+    The ``pw_min`` and ``pw_sum`` that ``AND``, ``OR`` (and so ``IN``) and
+    multi-gram ``LIKE`` take over resolved profiles go through the
+    catalog's memo, keyed by op and input profiles: literals that resolve
+    to the same representatives share one combination across queries.
     """
     rel = catalog.relations[relation]
     unconditioned = rel.fallback[join_col]
+    memo = catalog.memo
 
     def resolve(node: Predicate) -> PiecewiseLinearFn:
         if isinstance(node, Eq):
@@ -104,11 +130,11 @@ def condition_sequence(
             keys = sorted(grams(like_parts(node.pattern)[1]))
             if stats is None or not keys:
                 return unconditioned
-            return pw_min([_resolve_key(stats, g) for g in keys])
+            return _min(memo, [_resolve_key(stats, g) for g in keys])
         if isinstance(node, And):
-            return pw_min([resolve(c) for c in node.children])
+            return _min(memo, [resolve(c) for c in node.children])
         if isinstance(node, Or):
-            return pw_min([pw_sum([resolve(c) for c in node.children]), unconditioned])
+            return _min(memo, [_sum(memo, [resolve(c) for c in node.children]), unconditioned])
         raise TypeError("unknown predicate node %r" % (node,))
 
     if predicate is None:
@@ -116,10 +142,35 @@ def condition_sequence(
     return resolve(predicate)
 
 
+def _derive(memo: Memo, fn: PiecewiseLinearFn) -> PiecewiseConstantFn:
+    return memo.cached(("derive", fn), discrete_derivative, fn)
+
+
+def _merge(fns: tuple[PiecewiseConstantFn, ...]) -> tuple[PiecewiseConstantFn, float]:
+    end = min(f.end for f in fns)
+    out = functools.reduce(pw_multiply, (restrict_domain(f, end) for f in fns))
+    return out, out.integral()
+
+
+def _join(
+    memo: Memo,
+    anchor_fn: PiecewiseLinearFn,
+    child_fns: tuple[PiecewiseLinearFn, ...],
+    child_outs: tuple[PiecewiseConstantFn, ...],
+) -> tuple[PiecewiseConstantFn, float, float]:
+    mass = min([anchor_fn.total, *(c.total for c in child_fns)])
+    anchor_fn = truncate_cumulative(anchor_fn, mass)
+    out = _derive(memo, anchor_fn)
+    for child_out, child_col in zip(child_outs, child_fns):
+        through = truncate_cumulative(child_col, mass)
+        out = pw_multiply(out, compose_ranks(child_out, through, anchor_fn))
+    return out, out.integral(), mass
+
+
 def plan_bound(
     plan: BoundPlan,
     profiles: dict[tuple[str, str], PiecewiseLinearFn],
-    memo: dict | None = None,
+    memo: Memo | None = None,
 ) -> tuple[float, tuple[tuple, ...]]:
     """Evaluate a plan against per-(alias, variable) conditioned profiles.
 
@@ -134,56 +185,39 @@ def plan_bound(
     unary profiles after restricting them to the shortest domain.  The
     plan's value is the integral of the root profile.
 
-    ``memo`` maps each profile to its discrete derivative and each step's
-    inputs to its result: a join step's key is its anchor profile and its
-    (child-column profile, child result) pairs, a merge step's key its
-    inputs in order, all compared by value.  Every step is a pure function
-    of those inputs, so a hit reuses the stored output, integral and mass;
-    ``bound_query`` shares one memo across a query's spanning trees.
+    ``memo`` (a fresh one when None) maps each profile to its discrete
+    derivative and each step's inputs to its result: a join step's key is
+    its anchor profile and its (child-column profile, child result) pairs,
+    a merge step's key its inputs in order, all compared by value and
+    tagged by op.  Every step is a pure function of those inputs, so a hit
+    reuses the stored output, integral and mass, and threads that share a
+    memo get what each would compute.  ``bound_query`` passes the
+    catalog's memo, so spanning trees of one query, and queries that plan
+    equal steps, compute each step once; it holds at most
+    ``stats.MEMO_ENTRIES`` entries, about 4.2 MB, and empties when full.
     """
-    values: dict[str, PiecewiseConstantFn] = {}
+    results: dict[str, tuple] = {}  # step output -> (profile, integral[, mass])
     trace: list[tuple] = []
     if memo is None:
-        memo = {}
-
-    def derive(fn: PiecewiseLinearFn) -> PiecewiseConstantFn:
-        got = memo.get(fn)
-        if got is None:
-            got = memo[fn] = discrete_derivative(fn)
-        return got
+        memo = Memo()
 
     def fetch(uid: str | tuple[str, str]) -> PiecewiseConstantFn:
-        return values[uid] if isinstance(uid, str) else derive(profiles[uid])
+        return results[uid][0] if isinstance(uid, str) else _derive(memo, profiles[uid])
 
     for step in plan.steps:
         if isinstance(step, MergeStep):
             fns = tuple(fetch(i) for i in step.inputs)
-            key = ("merge", fns)
-            got = memo.get(key)
-            if got is None:
-                end = min(f.end for f in fns)
-                out = functools.reduce(pw_multiply, (restrict_domain(f, end) for f in fns))
-                got = memo[key] = (out, out.integral())
-            out, integral = got
-            trace.append((step, integral, None))
+            got = memo.cached(("merge", fns), _merge, fns)
+            trace.append((step, got[1], None))
         else:
             anchor_fn = profiles[(step.alias, step.anchor)]
-            child_fns = [profiles[(step.alias, var)] for var, _ in step.children]
-            child_outs = [fetch(uid) for _, uid in step.children]
+            child_fns = tuple(profiles[(step.alias, var)] for var, _ in step.children)
+            child_outs = tuple(fetch(uid) for _, uid in step.children)
             key = ("join", anchor_fn, tuple(zip(child_fns, child_outs)))
-            got = memo.get(key)
-            if got is None:
-                mass = min([anchor_fn.total, *(c.total for c in child_fns)])
-                anchor_fn = truncate_cumulative(anchor_fn, mass)
-                out = derive(anchor_fn)
-                for child_out, child_col in zip(child_outs, child_fns):
-                    through = truncate_cumulative(child_col, mass)
-                    out = pw_multiply(out, compose_ranks(child_out, through, anchor_fn))
-                got = memo[key] = (out, out.integral(), mass)
-            out, integral, mass = got
-            trace.append((step, integral, mass))
-        values[step.out] = out
-    return fetch(plan.root).integral(), tuple(trace)
+            got = memo.cached(key, _join, memo, anchor_fn, child_fns, child_outs)
+            trace.append((step, got[1], got[2]))
+        results[step.out] = got
+    return results[plan.root][1], tuple(trace)
 
 
 def _trace_line(record: tuple) -> str:
@@ -314,7 +348,7 @@ class _Conditioner:
         if got is None:
             rel = self.catalog.relations[atom.relation]
             if len(cols) > 1:
-                got = pw_min([self.variable_profile(atom, (c,)) for c in cols])
+                got = _min(self.catalog.memo, [self.variable_profile(atom, (c,)) for c in cols])
             elif cols[0] in rel.join_columns:
                 pred = self.predicates.get(atom.alias)
                 got = condition_sequence(self.catalog, atom.relation, cols[0], pred)
@@ -356,7 +390,6 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
         strategy = "acyclic" if graph.acyclic else "min-over-%d-spanning-trees" % len(trees)
         best = math.inf
         best_steps = ()
-        memo: dict = {}
         for idx, tree in enumerate(trees):
             profiles = {
                 (atom.alias, var): conditioner.variable_profile(atom, cols)
@@ -364,7 +397,7 @@ def bound_query(catalog: StatisticsCatalog, query: Query) -> BoundResult:
                 for var, cols in atom.var_columns
                 if var in tree.variables
             }
-            value, steps = plan_bound(decompose(tree), profiles, memo)
+            value, steps = plan_bound(decompose(tree), profiles, catalog.memo)
             if len(trees) > 1:
                 notes.append("spanning tree %d/%d -> %.6g" % (idx + 1, len(trees), value))
             if value < best:

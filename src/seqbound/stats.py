@@ -24,10 +24,12 @@ value identity (nulls dropped, -0.0 equal to 0.0).  The builder codes
 each column of a relation once, and a column's fallback is the bincount
 of its codes (:func:`extract_degree_sequence`).  It groups the rows of
 one filter column at a time by value, for all of that column's families.
-The exact join-column degrees of tracked keys, histogram buckets and the
-keyed tail all come from one batched pass, :func:`_degree_batches`,
-which counts (row set, join code) pairs a batch of whole row sets at a
-time, a quarter of the column's rows or ``BATCH_MIN_ROWS`` per batch.
+The exact join-column degrees of tracked keys and the keyed tail come
+from one batched pass, :func:`_degree_batches`, which counts (row set,
+join code) pairs a batch of whole row sets at a time, a quarter of the
+column's rows or ``BATCH_MIN_ROWS`` per batch.  Histogram buckets nest,
+so :func:`_histogram_batches` counts the finest level's pairs once and
+sums each coarser level from its children.
 
 Every compressed profile is audited against the exact sequence it stands
 for, and every representative and keyed default against the exact
@@ -42,9 +44,10 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import islice, pairwise
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +70,8 @@ __all__ = [
     "FAMILIES",
     "RelationStats",
     "PkFkEdge",
+    "MEMO_ENTRIES",
+    "Memo",
     "StatisticsCatalog",
     "make_build_params",
     "extract_degree_sequence",
@@ -87,6 +92,9 @@ HIST_DEPTH = 7
 # Smallest batch of _degree_batches, in rows: below it numpy's fixed cost
 # per batch outweighs the smaller work arrays.
 BATCH_MIN_ROWS = 16384
+# Most entries a catalog's Memo holds: room for the 3 046 that one pass
+# over the 990 perfbench star-build queries leaves, at about 1 kB each.
+MEMO_ENTRIES = 4096
 
 
 class StatsBuildError(RuntimeError):
@@ -179,11 +187,58 @@ class PkFkEdge:
     propagated: dict[str, str] = field(default_factory=dict)
 
 
+class Memo:
+    """Bounded map from the inputs of a pure computation over catalog
+    profiles to its output, so that queries against one catalog compute
+    each distinct combination once.
+
+    A key is a tuple that opens with a string op tag and holds the
+    computation's inputs, profiles among them, so two keys are equal
+    exactly when their inputs are equal by value.  At most
+    ``MEMO_ENTRIES`` entries are held: storing into a full memo first
+    empties it.  A memo is never saved, and a copy or pickle of it is empty.
+
+    Lookups take no lock: under the interpreter lock (or the per-dict lock
+    of a free-threaded build) a read sees either no entry or a complete
+    one, and every value is a pure function of its key, so threads that
+    miss together compute equal values and any of them may stay.  Storing
+    holds a lock, so the cap holds under concurrent use as well.
+    """
+
+    __slots__ = ("_entries", "_lock")
+
+    def __init__(self) -> None:
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __reduce__(self):
+        return Memo, ()
+
+    def cached(self, key, fn, *args):
+        """The output stored under ``key``, else ``fn(*args)``, stored."""
+        got = self._entries.get(key)
+        if got is None:
+            got = fn(*args)
+            with self._lock:
+                if len(self._entries) >= MEMO_ENTRIES:
+                    self._entries.clear()
+                self._entries[key] = got
+        return got
+
+
 @dataclass
 class StatisticsCatalog:
+    """Every statistic of a workspace, and the memo that queries against it
+    share (see :class:`Memo`); the memo is not saved and takes no part in
+    comparing catalogs."""
+
     params: BuildParams
     relations: dict[str, RelationStats]
     pkfk: tuple[PkFkEdge, ...] = ()
+    memo: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
 
 def _codes(data) -> tuple[list, np.ndarray]:
@@ -262,14 +317,48 @@ def _degree_batches(join_codes: np.ndarray, sets: list[list[np.ndarray]]):
             counts = tally[pairs]
         else:
             pairs, counts = np.unique(pair, return_counts=True)
-        owner = pairs // width
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=hi - lo))))
-        # One sort of an int64 key orders by set, then by count descending.
-        # A count is at most the batch's rows, so the key fits while sets x
-        # rows < 2^63: a batch of 3 * 10^9 rows and as many sets is far past memory.
-        top = int(counts.max(initial=0)) + 1
-        assert (hi - lo) * top <= np.iinfo(np.int64).max
-        yield top - 1 - np.sort(owner * top + (top - 1 - counts)) % top, offsets
+        yield _descending(pairs // width, counts, hi - lo)
+
+
+def _descending(owner: np.ndarray, counts: np.ndarray, n_sets: int):
+    """``(degrees, offsets)`` of ``n_sets`` sets given as one count per
+    (set, join code) pair, ``owner`` naming each count's set: the k-th
+    set's counts, descending, are ``degrees[offsets[k]:offsets[k + 1]]``."""
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_sets))))
+    # One sort of an int64 key orders by set, then by count descending.
+    # A count is at most the batch's rows, so the key fits while sets x
+    # rows < 2^63: a batch of 3 * 10^9 rows and as many sets is far past memory.
+    top = int(counts.max(initial=0)) + 1
+    assert n_sets * top <= np.iinfo(np.int64).max
+    return top - 1 - np.sort(owner * top + (top - 1 - counts)) % top, offsets
+
+
+def _histogram_batches(join_codes: np.ndarray, rows: np.ndarray, sizes: np.ndarray, depth: int):
+    """Exact degrees of a coded join column over every bucket of ``depth``
+    histogram levels, one ``(degrees, offsets)`` batch per level, finest
+    level first, as :func:`_degree_batches` yields them.  The finest
+    buckets hold ``sizes`` consecutive rows of ``rows`` each, and level
+    k's bucket m the finest buckets m * 2**k .. (m + 1) * 2**k - 1.
+
+    The (finest bucket, join code) pairs of the live rows are counted
+    once; each coarser level's counts are the per-code sums of its two
+    children's, so every work array is at most one element per live row.
+    """
+    width = int(join_codes.max(initial=-1)) + 1
+    keys = join_codes[rows]
+    live = keys >= 0
+    bucket = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)[live]
+    pairs, counts = np.unique(bucket * width + keys[live], return_counts=True)
+    for k in range(depth):
+        if k:
+            # a bucket's parent is bucket >> 1; the two children's runs of
+            # codes are each sorted, so the stable sort merges two runs
+            pairs = (pairs // width >> 1) * width + pairs % width
+            order = np.argsort(pairs, kind="stable")
+            pairs = pairs[order]
+            starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+            pairs, counts = pairs[starts], np.add.reduceat(counts[order], starts)
+        yield _descending(pairs // width, counts, (sizes.size - 1 >> k) + 1)
 
 
 def _audited_profile(seq, params: BuildParams, context: str) -> PiecewiseLinearFn:
@@ -466,13 +555,11 @@ def build_range_stats(
         raise StatsBuildError("range statistics need a numeric filter column")
     uniq = np.array(groups.values, dtype=np.float64)
     cuts = _equi_depth_cuts(uniq, np.diff(groups.bounds))
-    edges = groups.bounds[[0, *np.searchsorted(uniq, cuts).tolist(), uniq.size]].tolist()
+    sizes = np.diff(groups.bounds[[0, *np.searchsorted(uniq, cuts).tolist(), uniq.size]])
     depth = len(cuts).bit_length()
-    # level k's edges, finest level first: every 2**k-th finest edge, and the last
-    spans = [pairwise([*edges[: -1 : 1 << k], edges[-1]]) for k in range(depth)]
-    buckets = [[groups.rows[s:e]] for level in spans for s, e in level]
+    batches = _histogram_batches(join_codes, groups.rows, sizes, depth)
     context = "%s.%s | %s range" % (rel.name, join_col, groups.column)
-    fns = _member_profiles(_degree_batches(join_codes, buckets), params, context, profiles)
+    fns = _member_profiles(batches, params, context, profiles)
     representatives, group_of = _build_groups(fns, context)
     ids = iter(group_of)
     levels = tuple(tuple(islice(ids, (len(cuts) >> k) + 1)) for k in range(depth))

@@ -5,7 +5,11 @@ with a near-zero compression budget so they stay exact and the engine's
 arithmetic can be checked to the row.
 """
 
+import copy
+import random
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 import seqbound.inference
 import seqbound.query
+import seqbound.stats
+from seqbound.catalog_io import save_catalog
 from seqbound.inference import bound_query, condition_sequence, plan_bound
-from seqbound.oracle import corrupt_catalog, true_cardinality
+from seqbound.oracle import (
+    GenerationImpossible,
+    corrupt_catalog,
+    generate_database,
+    generate_query,
+    true_cardinality,
+)
 from seqbound.pwfn import PiecewiseLinearFn, pw_min, sample_integer_ranks, zero_cumulative
 from seqbound.query import (
     And,
@@ -33,7 +45,7 @@ from seqbound.query import (
     parse_query,
 )
 from seqbound.relation import Column, ColumnRole, PkFkDeclaration, Relation
-from seqbound.stats import BuildParams, build_catalog
+from seqbound.stats import BuildParams, Memo, build_catalog
 
 EXACT = BuildParams(compression_budget=1e-9)
 
@@ -398,6 +410,18 @@ class TestBoundQuery:
         assert res.bound == 7
         assert res.bound == true_cardinality(rels, parse_query(sql, SHOP_SCHEMA))
 
+    def test_dimension_or_over_an_unpropagated_column_stays_on_the_dimension(self):
+        # c.id is not a filter column, so it has no copy on orders: pushing
+        # the region disjunct alone would drop the 4 orders of customer 1
+        catalog, rels = shop_catalog()
+        sql = (
+            "SELECT COUNT(*) FROM orders AS o, customers AS c"
+            " WHERE o.cust = c.id AND (c.region = 'west' OR c.id = 1)"
+        )
+        res = bound(catalog, sql, SHOP_SCHEMA)
+        assert res.bound >= true_cardinality(rels, parse_query(sql, SHOP_SCHEMA)) == 7
+        assert not any(note.startswith("pushed") for note in res.notes)
+
     def test_key_join_without_predicate_bounds_to_fact_size(self):
         catalog, _ = shop_catalog()
         res = bound(
@@ -718,7 +742,7 @@ class TestWorkPerQuery:
         }
         steep = {**base, ("r", "y"): PiecewiseLinearFn((0, 1, 4), (0, 3, 6))}
         gentle = {**base, ("r", "y"): PiecewiseLinearFn((0, 2, 4), (0, 5, 6))}
-        memo: dict = {}
+        memo = Memo()
         assert plan_bound(plan, steep, memo) == plan_bound(plan, steep)
         got = plan_bound(plan, gentle, memo)
         assert got == plan_bound(plan, gentle)
@@ -729,7 +753,7 @@ class TestWorkPerQuery:
         profiles = {("x", "v"): flat(0.1), ("y", "v"): flat(0.2), ("z", "v"): flat(0.3)}
         xyz = BoundPlan((MergeStep("s1", "v", (("x", "v"), ("y", "v"), ("z", "v"))),), "s1")
         xzy = BoundPlan((MergeStep("s1", "v", (("x", "v"), ("z", "v"), ("y", "v"))),), "s1")
-        memo: dict = {}
+        memo = Memo()
         first = plan_bound(xyz, profiles, memo)
         assert first == plan_bound(xyz, profiles)
         got = plan_bound(xzy, profiles, memo)
@@ -1007,3 +1031,94 @@ class TestLikeSoundness:
             assert np.all(
                 sample_integer_ranks(got, upto) >= sample_integer_ranks(exact, upto) - 1e-9
             ), pattern
+
+
+def oracle_workloads():
+    """Catalogs of a few oracle workspaces of each join shape, built with
+    ``mcv_size=5`` so groups, defaults and histograms are all reached, each
+    with ten of its parsed queries."""
+    out = []
+    for shape_idx, shape in enumerate(("acyclic", "cyclic", "multicol")):
+        for i in range(3):
+            rng = random.Random(7000 + 100 * shape_idx + i)
+            relations, roles, pkfk = generate_database(rng, two_join_cols=shape != "acyclic")
+            catalog = build_catalog(relations, roles, pkfk, BuildParams(mcv_size=5))
+            schema = {n: {c.name: c.kind for c in rel.columns} for n, rel in relations.items()}
+            queries = []
+            for _ in range(10):
+                try:
+                    sql, _ = generate_query(rng, relations, roles, shape)
+                except GenerationImpossible:
+                    sql, _ = generate_query(rng, relations, roles, "acyclic")
+                queries.append(parse_query(sql, schema))
+            out.append((catalog, queries))
+    return out
+
+
+def same_result(got, want):
+    return got == want and got.value.hex() == want.value.hex()
+
+
+class TestCatalogMemo:
+    def test_a_warm_memo_changes_no_result(self):
+        for catalog, queries in oracle_workloads():
+            for q in reversed(queries):
+                bound_query(catalog, q)
+            warm = len(catalog.memo)
+            for q in queries:
+                # replace() copies the catalog with an empty memo
+                assert same_result(bound_query(catalog, q), bound_query(replace(catalog), q))
+            # every result above came from the memo: nothing was added
+            assert 0 < warm == len(catalog.memo)
+
+    def test_the_memo_never_exceeds_its_cap(self, monkeypatch):
+        monkeypatch.setattr(seqbound.stats, "MEMO_ENTRIES", 8)
+        emptied = 0
+        for catalog, queries in oracle_workloads():
+            for q in queries * 2:
+                before = len(catalog.memo)
+                assert same_result(bound_query(catalog, q), bound_query(replace(catalog), q))
+                assert len(catalog.memo) <= 8
+                emptied += len(catalog.memo) < before
+        assert emptied > 0
+
+    def test_the_cap_holds_under_concurrent_queries(self, monkeypatch):
+        monkeypatch.setattr(seqbound.stats, "MEMO_ENTRIES", 8)
+        (catalog, queries), *_ = oracle_workloads()
+        want = [bound_query(replace(catalog), q) for q in queries]
+        problems: list[str] = []
+
+        def worker(order):
+            for _ in range(60):
+                for k in order:
+                    if not same_result(bound_query(catalog, queries[k]), want[k]):
+                        problems.append("query %d changed" % k)
+                    if len(catalog.memo) > 8:
+                        problems.append("memo at %d entries" % len(catalog.memo))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(random.Random(t).sample(range(10), 10),))
+                for t in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert problems == []
+
+    def test_a_warm_catalog_saves_and_copies_as_a_cold_one(self, tmp_path):
+        for catalog, queries in oracle_workloads()[::3]:
+            save_catalog(catalog, str(tmp_path / "cold.bin"))
+            for q in queries:
+                bound_query(catalog, q)
+            assert len(catalog.memo) > 0
+            save_catalog(catalog, str(tmp_path / "warm.bin"))
+            assert (tmp_path / "warm.bin").read_bytes() == (tmp_path / "cold.bin").read_bytes()
+            copied = copy.deepcopy(catalog)
+            assert copied == catalog and len(copied.memo) == 0

@@ -206,6 +206,13 @@ class TestPiecewiseLinearFn:
         capped = PiecewiseLinearFn((0, 2.75, 6), (0, 11, 11))
         assert capped.rank_at(11.0) == pytest.approx(2.75)
 
+    def test_flat_onset_of_a_rising_segment_whose_slope_underflows(self):
+        # the values rise, but 1e-30 / 1e300 rounds to a slope of 0.0: the
+        # total is first reached at the segment's right knot
+        fn = PiecewiseLinearFn((0.0, 1e300), (0.0, 1e-30))
+        assert fn.slopes == (0.0,)
+        assert fn.rank_at(1e-30) == 1e300
+
     def test_rank_beyond_total_raises(self):
         fn = PiecewiseLinearFn((0, 2), (0, 4))
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 
+from seqbound.stats import MEMO_ENTRIES
+
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
 
@@ -31,6 +33,19 @@ def test_time_build_prints_one_timing_line():
     assert (row["rows"], row["seed"]) == (200, 1)
     assert row["build_s"] >= 0.0
     assert row["vm_hwm_mb"] is None or row["vm_hwm_mb"] > 0.0
+
+
+def test_time_queries_prints_latencies_and_the_memo_size():
+    (row,) = run_tool("time_queries.py", "deep-estimate", "1")
+    assert set(row) == {
+        "workload", "seed", "queries", "first_p50_ms", "first_p99_ms",
+        "steady_p50_ms", "steady_p99_ms", "memo_entries", "memo_bytes",
+    }
+    assert (row["workload"], row["seed"]) == ("deep-estimate", 1) and row["queries"] > 0
+    assert 0.0 < row["first_p50_ms"] <= row["first_p99_ms"]
+    assert 0.0 < row["steady_p50_ms"] <= row["steady_p99_ms"]
+    assert 0 < row["memo_entries"] <= MEMO_ENTRIES
+    assert row["memo_bytes"] > 0
 
 
 def test_dump_bounds_prints_a_catalog_record_then_one_line_per_query():
